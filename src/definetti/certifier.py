@@ -24,21 +24,28 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
-from definetti.hamming import tail_function_grid, threshold_projectors, weight_family
-from definetti.haar import QuadratureRule, integrate, integration_error_estimate
+from definetti.hamming import tail_function_grid
+from definetti.haar import (
+    DEGREE_ESCALATION,
+    EXACT,
+    QuadratureRule,
+    _discrepancy,
+    exact_qubit_rule,
+    standard_error,
+)
 from definetti.linalg import (
+    DimensionError,
     Operator,
     PureState,
-    kron_power,
     min_eigenvalue,
-    partial_trace_last,
-    sandwich_bra_last,
+    power_rows,
     trace_norm,
 )
-from definetti.symmetric import sym_dim, symmetrizer
+from definetti.symmetric import _site_strings, dicke_isometry, sym_dim
 
 PASS = "PASS"
 VIOLATION = "VIOLATION"
@@ -52,9 +59,6 @@ INCONCLUSIVE_FLOOR = 1e-6
 _PURITY_ATOL = 1e-10
 _SYMMETRIC_SUPPORT_ATOL = 1e-9
 _GRID_SLACK = 1e-12
-# trace(rho_psi) never exceeds 1, so this floor makes the fallback
-# threshold act as an absolute cutoff of size fallback_tol
-_FALLBACK_SCALE_FLOOR = 1.0
 
 
 class InstanceError(ValueError):
@@ -65,16 +69,17 @@ class InstanceError(ValueError):
 class Instance:
     """A certification problem: sites split as n kept + k conditioned.
 
-    rho must be pure (rank one), unit trace, PSD, and supported on the
-    symmetric subspace of n+k sites of dimension d. The truncation threshold
-    r lies in 0..n. Violations raise InstanceError at construction.
+    rho is a PureState on n+k sites of dimension d, supported on the symmetric
+    subspace; a density Operator must be hermitian, unit trace, PSD and pure,
+    and is replaced by its top eigenvector. The truncation threshold r lies
+    in 0..n. Violations raise InstanceError at construction.
     """
 
     d: int
     n: int
     k: int
     r: int
-    rho: Operator
+    rho: PureState
     label: str = ""
 
     def __post_init__(self):
@@ -92,17 +97,23 @@ class Instance:
                 f"rho must act on {self.n + self.k} sites of dimension {self.d}, "
                 f"got {rho.sites} sites of dimension {rho.site_dim}"
             )
-        if not rho.is_hermitian(1e-12):
-            raise InstanceError("rho must be hermitian")
-        if not rho.is_trace_one(1e-10):
-            raise InstanceError(f"rho must have unit trace, got {rho.trace():.6g}")
-        eigs = np.linalg.eigvalsh(rho.entries)
-        if eigs[0] < -1e-10:
-            raise InstanceError(f"rho must be PSD, smallest eigenvalue {eigs[0]:.3e}")
-        if eigs[-2] > _PURITY_ATOL:
-            raise InstanceError(f"rho must be pure, second eigenvalue {eigs[-2]:.3e}")
-        proj = symmetrizer(self.n + self.k, self.d)
-        defect = trace_norm(proj @ rho @ proj - rho)
+        if isinstance(rho, Operator):
+            if not rho.is_hermitian(1e-12):
+                raise InstanceError("rho must be hermitian")
+            if not rho.is_trace_one(1e-10):
+                raise InstanceError(f"rho must have unit trace, got {rho.trace():.6g}")
+            eigs, vecs = np.linalg.eigh(rho.entries)
+            if eigs[0] < -1e-10:
+                raise InstanceError(f"rho must be PSD, smallest eigenvalue {eigs[0]:.3e}")
+            if eigs[-2] > _PURITY_ATOL:
+                raise InstanceError(f"rho must be pure, second eigenvalue {eigs[-2]:.3e}")
+            rho = PureState(rho.site_dim, rho.sites, vecs[:, -1])
+            object.__setattr__(self, "rho", rho)
+        iso = dicke_isometry(self.n + self.k, self.d).matrix
+        beta = float(np.linalg.norm(rho.amplitudes - iso @ (iso.conj().T @ rho.amplitudes)))
+        # trace norm of P rho P - rho for rho = |Phi><Phi| whose component
+        # outside the symmetric subspace has norm beta
+        defect = beta * math.sqrt(beta**2 + 4.0 * (1.0 - beta**2))
         if defect > _SYMMETRIC_SUPPORT_ATOL:
             raise InstanceError(
                 f"rho must be supported on the symmetric subspace (defect {defect:.3e})"
@@ -123,22 +134,85 @@ class VerificationReport:
     status: str
 
 
+class _NodePass(NamedTuple):
+    """Per-node quantities, one entry per node row; tau_psi = |tau><tau|."""
+
+    phi: np.ndarray  # (I (x) <psi|^k) Phi, so that rho_psi = |phi><phi|
+    density: np.ndarray  # sym_dim(k,d) trace(rho_psi), the density of nu
+    kept: np.ndarray  # trace(sigma_psi), the mass below deviation weight r
+    escaped: np.ndarray  # trace(P_geq_r rho_psi)
+    tau: np.ndarray
+    fallback: np.ndarray
+
+
+def _rotate_sites(frames: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """Row j mapped by frames[j] on each of its n sites."""
+    count, d = frames.shape[:2]
+    for site in range(n):
+        rows = np.matmul(frames[:, None], rows.reshape(count, d**site, d, d ** (n - site - 1)))
+    return rows.reshape(count, d**n)
+
+
+def _node_pass(inst: Instance, nodes: np.ndarray, fallback_tol: float) -> _NodePass:
+    """Condition, truncate and renormalize at every row of `nodes` at once.
+
+    rho is pure, so rho_psi and sigma_psi are rank one and stay vectors. In
+    the site frame of the Householder reflection H (H psi along e_0, H = H^-1)
+    truncation below weight r masks strings with r or more nonzero digits.
+    tau falls back to psi^(x)n where the kept mass is at most fallback_tol.
+    """
+    d, n = inst.d, inst.n
+    phi = power_rows(nodes.conj(), inst.k) @ inst.rho.amplitudes.reshape(d**n, -1).T
+    v = np.array(nodes, dtype=np.complex128)
+    v[:, 0] += np.exp(1j * np.angle(nodes[:, 0]))
+    scale = 2 / np.sum(np.abs(v) ** 2, axis=1)
+    frames = np.eye(d) - scale[:, None, None] * v[:, :, None] * v.conj()[:, None, :]
+    rotated = _rotate_sites(frames, phi, n)
+    below = (_site_strings(n, d) > 0).sum(axis=1) < inst.r
+    kept = np.sum(np.abs(rotated[:, below]) ** 2, axis=1)
+    escaped = np.sum(np.abs(rotated[:, ~below]) ** 2, axis=1)
+    fallback = kept <= fallback_tol
+    tau = _rotate_sites(frames, rotated * below, n) / np.sqrt(np.where(fallback, 1, kept)[:, None])
+    tau[fallback] = power_rows(nodes[fallback], n)
+    density = sym_dim(inst.k, d) * np.sum(np.abs(phi) ** 2, axis=1)
+    return _NodePass(phi, density, kept, escaped, tau, fallback)
+
+
+def _pass_at(inst: Instance, psi: PureState, fallback_tol: float) -> _NodePass:
+    if (psi.site_dim, psi.sites) != (inst.d, 1):
+        raise DimensionError(f"expected a single-site state of dimension {inst.d}")
+    return _node_pass(inst, psi.amplitudes[None, :], fallback_tol)
+
+
+def _gram(inst: Instance, rows: np.ndarray, coefficients) -> Operator:
+    """sum_j coefficients[j] |rows[j]><rows[j]| on the n kept sites."""
+    return Operator(inst.d, inst.n, (rows.T * coefficients) @ rows.conj())
+
+
+def _approximant(inst: Instance, rule: QuadratureRule, fallback_tol: float):
+    nodes = _node_pass(inst, rule.node_matrix, fallback_tol)
+    return nodes, _gram(inst, nodes.tau, rule.weights * nodes.density)
+
+
+def _lhs_and_error(inst: Instance, rule: QuadratureRule, fallback_tol: float):
+    """(node pass, lhs, integration error) of the approximant."""
+    nodes, approx = _approximant(inst, rule, fallback_tol)
+    reduced = _gram(inst, inst.rho.amplitudes.reshape(inst.d**inst.n, -1).T, 1.0)
+    if rule.kind == EXACT:
+        escalated = exact_qubit_rule(rule.exact_degree + DEGREE_ESCALATION)
+        err = _discrepancy(approx, _approximant(inst, escalated, fallback_tol)[1])
+    else:
+        err = standard_error(np.einsum("j,ja,jb->jab", nodes.density, nodes.tau, nodes.tau.conj()))
+    return nodes, trace_norm(reduced - approx), err
+
+
+def _chain_bound(inst: Instance, rule: QuadratureRule, nodes: _NodePass) -> float:
+    return 3.0 * sym_dim(inst.k, inst.d) * math.sqrt(float(rule.weights @ nodes.escaped))
+
+
 def rho_psi(inst: Instance, psi: PureState) -> Operator:
     """Condition rho on observing psi^(x)k in the trailing k sites."""
-    return sandwich_bra_last(inst.rho, psi, inst.k)
-
-
-def _node_term(inst: Instance, node: PureState, fallback_tol: float):
-    """(trace(rho_psi), trace(sigma), tau, used_fallback) at one node."""
-    conditioned = rho_psi(inst, node)
-    weight = conditioned.trace().real
-    family = weight_family(node, inst.n)
-    below, _ = threshold_projectors(family, inst.r)
-    sigma = below @ conditioned @ below
-    sigma_trace = sigma.trace().real
-    if sigma_trace > fallback_tol * max(weight, _FALLBACK_SCALE_FLOOR):
-        return weight, sigma_trace, (1.0 / sigma_trace) * sigma, False
-    return weight, sigma_trace, node.tensor_power(inst.n).projector(), True
+    return _gram(inst, _pass_at(inst, psi, DEFAULT_FALLBACK_TOL).phi, 1.0)
 
 
 def tau_psi(
@@ -150,33 +224,21 @@ def tau_psi(
     flag). When the truncated trace is negligible (always at r = 0) the
     normalized state falls back to psi^(x)n, which has deviation weight 0.
     """
-    _, sigma_trace, tau, used_fallback = _node_term(inst, psi, fallback_tol)
-    return sigma_trace, tau, used_fallback
-
-
-def _approximant_integrand(inst: Instance, fallback_tol: float, counter=None):
-    scale = sym_dim(inst.k, inst.d)
-
-    def f(node: PureState) -> Operator:
-        weight, _, tau, used_fallback = _node_term(inst, node, fallback_tol)
-        if used_fallback and counter is not None:
-            counter[0] += 1
-        return (scale * weight) * tau
-
-    return f
+    node = _pass_at(inst, psi, fallback_tol)
+    return float(node.kept[0]), _gram(inst, node.tau, 1.0), bool(node.fallback[0])
 
 
 def approximant(
     inst: Instance, rule: QuadratureRule, fallback_tol: float = DEFAULT_FALLBACK_TOL
 ) -> Operator:
     """The weighted average sym_dim(k,d) int trace(rho_psi) tau_psi d(psi)."""
-    return integrate(rule, _approximant_integrand(inst, fallback_tol))
+    return _approximant(inst, rule, fallback_tol)[1]
 
 
 def nu_weight_normalization(inst: Instance, rule: QuadratureRule) -> float:
     """Total mass sym_dim(k,d) int trace(rho_psi) d(psi); 1 for exact rules."""
-    mass = integrate(rule, lambda node: rho_psi(inst, node).trace().real)
-    return sym_dim(inst.k, inst.d) * mass
+    nodes = _node_pass(inst, rule.node_matrix, DEFAULT_FALLBACK_TOL)
+    return float(rule.weights @ nodes.density)
 
 
 def lhs_distance(
@@ -188,10 +250,7 @@ def lhs_distance(
     polynomial (tau_psi carries a normalizing ratio), so even exact rules
     report a degree-escalation discrepancy rather than zero.
     """
-    reduced = partial_trace_last(inst.rho, inst.k)
-    value = trace_norm(reduced - approximant(inst, rule, fallback_tol))
-    err = integration_error_estimate(rule, _approximant_integrand(inst, fallback_tol))
-    return value, err
+    return _lhs_and_error(inst, rule, fallback_tol)[1:]
 
 
 def chain_bound(inst: Instance, rule: QuadratureRule) -> float:
@@ -200,15 +259,7 @@ def chain_bound(inst: Instance, rule: QuadratureRule) -> float:
     The integrand is a polynomial of degree n+k in the node projector, so a
     qubit rule of degree >= n+k evaluates the integral without error.
     """
-
-    def escaped_mass(node: PureState) -> float:
-        family = weight_family(node, inst.n)
-        _, above = threshold_projectors(family, inst.r)
-        conditioned = rho_psi(inst, node)
-        return float(np.einsum("ij,ji->", above.entries, conditioned.entries).real)
-
-    mass = integrate(rule, escaped_mass)
-    return 3.0 * sym_dim(inst.k, inst.d) * math.sqrt(max(mass, 0.0))
+    return _chain_bound(inst, rule, _node_pass(inst, rule.node_matrix, DEFAULT_FALLBACK_TOL))
 
 
 def explicit_bound(n: int, k: int, d: int, r: int) -> float:
@@ -258,14 +309,9 @@ def check_operator_inequality(inst: Instance, psi: PureState, rule: QuadratureRu
     Returns the smallest eigenvalue of (right side - rho_psi); for rules of
     exact degree >= n+k it should only dip below zero by roundoff.
     """
-    scale = sym_dim(inst.n + inst.k, inst.d)
-
-    def upper_piece(node: PureState) -> Operator:
-        power = kron_power(node.amplitudes, inst.n)
-        overlap = abs(node.overlap(psi)) ** 2
-        return Operator(inst.d, inst.n, np.outer(power, power.conj()) * overlap**inst.k)
-
-    upper = scale * integrate(rule, upper_piece)
+    overlaps = np.abs(rule.node_matrix.conj() @ psi.amplitudes) ** 2
+    coefficients = sym_dim(inst.n + inst.k, inst.d) * rule.weights * overlaps**inst.k
+    upper = _gram(inst, power_rows(rule.node_matrix, inst.n), coefficients)
     return min_eigenvalue(upper - rho_psi(inst, psi))
 
 
@@ -348,12 +394,8 @@ def verify(
     chain bound) yields INCONCLUSIVE rather than a verdict either way;
     everything else is a VIOLATION.
     """
-    counter = [0]
-    reduced = partial_trace_last(inst.rho, inst.k)
-    approx = integrate(rule, _approximant_integrand(inst, fallback_tol, counter))
-    lhs = trace_norm(reduced - approx)
-    err = integration_error_estimate(rule, _approximant_integrand(inst, fallback_tol))
-    chain = chain_bound(inst, rule)
+    nodes, lhs, err = _lhs_and_error(inst, rule, fallback_tol)
+    chain = _chain_bound(inst, rule, nodes)
     explicit = explicit_bound(inst.n, inst.k, inst.d, inst.r)
     tail_peak = g_max(inst.n, inst.k, inst.r)
     if err > INCONCLUSIVE_FRACTION * max(chain, INCONCLUSIVE_FLOOR):
@@ -368,7 +410,7 @@ def verify(
         chain_bound=chain,
         explicit_bound=explicit,
         g_max_value=tail_peak,
-        fallback_node_count=counter[0],
+        fallback_node_count=int(nodes.fallback.sum()),
         rule_description=rule.describe(),
         status=status,
     )

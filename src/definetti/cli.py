@@ -15,18 +15,21 @@ Three subcommands:
     measurement, tail decay, exponent comparison) on their default grids.
 
 Exit codes: 0 all PASS, 1 any VIOLATION, 2 any INCONCLUSIVE (and none worse),
-64 on a usage error.
+64 on a usage error, 70 on an internal error (a crash such as running out of
+memory), so that no crash reads as a verdict.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
+import traceback
 
 import numpy as np
 
 from .certifier import (
+    DEFAULT_FALLBACK_TOL,
     INCONCLUSIVE,
     VIOLATION,
     Instance,
@@ -43,9 +46,9 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70
 
 DESK_SCALE_LIMIT = 2**20
-DEFAULT_FALLBACK_TOL = 1e-12
 
 CSV_HEADER = (
     "d,n,k,r,state,lhs,lhs_err,chain_bound,explicit_bound,"
@@ -75,7 +78,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ReportRow:
     d: int
     n: int
@@ -109,25 +112,13 @@ def _csv_field(text: str) -> str:
 
 
 def row_to_csv(row: ReportRow) -> str:
-    seed = "" if row.seed is None else str(row.seed)
-    return ",".join(
-        [
-            str(row.d),
-            str(row.n),
-            str(row.k),
-            str(row.r),
-            _csv_field(row.state),
-            _fmt(row.lhs),
-            _fmt(row.lhs_err),
-            _fmt(row.chain_bound),
-            _fmt(row.explicit_bound),
-            _fmt(row.g_max),
-            str(row.fallback_nodes),
-            str(row.nodes),
-            seed,
-            row.status,
-        ]
-    )
+    fields = []
+    for value in dataclasses.astuple(row):
+        if isinstance(value, float):
+            fields.append(_fmt(value))
+        else:
+            fields.append("" if value is None else _csv_field(str(value)))
+    return ",".join(fields)
 
 
 def rows_to_csv_text(rows) -> str:
@@ -135,26 +126,7 @@ def rows_to_csv_text(rows) -> str:
 
 
 def rows_to_json_text(rows) -> str:
-    payload = [
-        {
-            "d": row.d,
-            "n": row.n,
-            "k": row.k,
-            "r": row.r,
-            "state": row.state,
-            "lhs": row.lhs,
-            "lhs_err": row.lhs_err,
-            "chain_bound": row.chain_bound,
-            "explicit_bound": row.explicit_bound,
-            "g_max": row.g_max,
-            "fallback_nodes": row.fallback_nodes,
-            "nodes": row.nodes,
-            "seed": row.seed,
-            "status": row.status,
-        }
-        for row in rows
-    ]
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps([dataclasses.asdict(row) for row in rows], indent=2) + "\n"
 
 
 def _parse_int(name: str, text: str) -> int:
@@ -303,7 +275,7 @@ def build_rows(d, n, k_list, r_list, state_spec, rule_spec, fallback_tol, allow_
             if not 0 <= r <= n:
                 raise UsageError(f"r must lie in [0, n]; got r={r} with n={n}")
             try:
-                inst = Instance(d=d, n=n, k=k, r=r, rho=state.projector(), label=state_spec)
+                inst = Instance(d=d, n=n, k=k, r=r, rho=state, label=state_spec)
             except ValueError as exc:
                 raise UsageError(f"cannot build instance: {exc}") from None
             report = verify(inst, rule, fallback_tol=fallback_tol)
@@ -409,28 +381,17 @@ def cmd_check_props(args) -> int:
     del args
     failures = 0
 
-    for n in range(1, 7):
-        rule = exact_qubit_rule(n)
+    cases = [(exact_qubit_rule(n), 2, n, 1e-11, "1e-11") for n in range(1, 7)]
+    cases.append((monte_carlo_rule(3, 100000, seed=0), 3, 2, 5e-3, "5e-3"))
+    for rule, d, n, tol, tol_text in cases:
         moment = pure_power_moment(rule, n).entries
-        target = symmetrizer(n, 2).entries
-        err = float(np.max(np.abs(sym_dim(n, 2) * moment - target)))
-        ok = err <= 1e-11
+        err = float(np.max(np.abs(sym_dim(n, d) * moment - symmetrizer(n, d).entries)))
+        ok = err <= tol
         failures += 0 if ok else 1
         print(
-            f"post-selection d=2 n={n} {rule.describe()}: "
-            f"max entrywise error {err:.3e} (tol 1e-11) {'ok' if ok else 'FAIL'}"
+            f"post-selection d={d} n={n} {rule.describe()}: "
+            f"max entrywise error {err:.3e} (tol {tol_text}) {'ok' if ok else 'FAIL'}"
         )
-
-    rule = monte_carlo_rule(3, 100000, seed=0)
-    moment = pure_power_moment(rule, 2).entries
-    target = symmetrizer(2, 3).entries
-    err = float(np.max(np.abs(sym_dim(2, 3) * moment - target)))
-    ok = err <= 5e-3
-    failures += 0 if ok else 1
-    print(
-        f"post-selection d=3 n=2 {rule.describe()}: "
-        f"max entrywise error {err:.3e} (tol 5e-3) {'ok' if ok else 'FAIL'}"
-    )
 
     slack = _gentle_suite(200)
     ok = slack >= -1e-10
@@ -510,7 +471,15 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

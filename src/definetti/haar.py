@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from definetti.linalg import Operator, PureState
+from definetti.linalg import Operator, PureState, power_rows
 
 WEIGHT_SUM_ATOL = 1e-14
 
@@ -126,14 +126,6 @@ def monte_carlo_rule(d: int, samples: int, seed: int = 0) -> QuadratureRule:
     )
 
 
-def _evaluate(rule: QuadratureRule, f):
-    """f at every node, in node order, plus the shape of the first value."""
-    values = []
-    for j in range(rule.node_count):
-        values.append(f(rule.node(j)))
-    return values
-
-
 def integrate(rule: QuadratureRule, f):
     """Weighted sum of f over the nodes, accumulated in fixed node order.
 
@@ -171,6 +163,20 @@ def _discrepancy(a, b) -> float:
     return float(np.abs(a - b).max()) if a.ndim else float(abs(a - b))
 
 
+def standard_error(values) -> float:
+    """Largest entrywise standard error of the mean of values stacked on axis 0.
+
+    A single sample carries no spread information and gives 0.
+    """
+    stack = np.asarray(values)
+    count = stack.shape[0]
+    if count < 2:
+        return 0.0
+    mean = stack.mean(axis=0)
+    var = (np.abs(stack - mean) ** 2).sum(axis=0) / (count - 1)
+    return float(np.max(np.sqrt(var / count)))
+
+
 def integration_error_estimate(rule: QuadratureRule, f) -> float:
     """Error scale of integrate(rule, f).
 
@@ -182,16 +188,8 @@ def integration_error_estimate(rule: QuadratureRule, f) -> float:
     if rule.kind == EXACT:
         escalated = exact_qubit_rule(rule.exact_degree + DEGREE_ESCALATION)
         return _discrepancy(integrate(rule, f), integrate(escalated, f))
-    count = rule.node_count
-    if count < 2:
-        # a single sample carries no spread information; keep reports finite
-        return 0.0
-    values = _evaluate(rule, f)
-    stack = np.stack([np.asarray(v.entries if isinstance(v, Operator) else v) for v in values])
-    mean = stack.mean(axis=0)
-    var = (np.abs(stack - mean) ** 2).sum(axis=0) / (count - 1)
-    std_err = np.sqrt(var / count)
-    return float(np.max(std_err))
+    values = [f(node) for node in rule.nodes]
+    return standard_error([v.entries if isinstance(v, Operator) else v for v in values])
 
 
 def pure_power_moment(rule: QuadratureRule, s: int) -> Operator:
@@ -204,9 +202,7 @@ def pure_power_moment(rule: QuadratureRule, s: int) -> Operator:
     """
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    rows = np.ones((rule.node_count, 1), dtype=np.complex128)
-    for _ in range(s):
-        rows = (rows[:, :, None] * rule.node_matrix[:, None, :]).reshape(rule.node_count, -1)
+    rows = power_rows(rule.node_matrix, s)
     moment = (rows * rule.weights[:, None]).T @ rows.conj()
     return Operator(rule.d, s, moment)
 

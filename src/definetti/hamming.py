@@ -99,15 +99,7 @@ def tail_function(n: int, r: int, x: float) -> float:
     The probability that at least r of n independent trials fail when each
     succeeds with probability x. Equals 1 at r <= 0 and 0 at r = n + 1.
     """
-    _validate_tail_args(n, r, x)
-    if r <= 0:
-        return 1.0
-    if r == n + 1:
-        return 0.0
-    total = 0.0
-    for i in range(r, n + 1):
-        total += math.comb(n, i) * x ** (n - i) * (1 - x) ** i
-    return total
+    return float(tail_function_grid(n, r, np.array([x]))[0])
 
 
 def tail_function_grid(n: int, r: int, xs: np.ndarray) -> np.ndarray:

@@ -60,10 +60,6 @@ class PureState:
             raise ValueError("cannot normalize the zero vector")
         return cls(site_dim, sites, vec / nrm)
 
-    @property
-    def dim(self) -> int:
-        return self.site_dim**self.sites
-
     def overlap(self, other: PureState) -> complex:
         """Inner product <self|other>."""
         if (self.site_dim, self.sites) != (other.site_dim, other.sites):
@@ -113,10 +109,6 @@ class Operator:
         side = site_dim**sites
         return cls(site_dim, sites, np.zeros((side, side)))
 
-    @property
-    def dim(self) -> int:
-        return self.site_dim**self.sites
-
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
 
@@ -145,9 +137,6 @@ class Operator:
         self._require_same_space(other, "subtraction")
         return Operator(self.site_dim, self.sites, self.entries - other.entries)
 
-    def __neg__(self) -> Operator:
-        return Operator(self.site_dim, self.sites, -self.entries)
-
     def __mul__(self, scalar) -> Operator:
         return Operator(self.site_dim, self.sites, self.entries * complex(scalar))
 
@@ -160,9 +149,15 @@ class Operator:
 
 def kron_power(vector: np.ndarray, copies: int) -> np.ndarray:
     """`copies`-fold Kronecker power of a vector (copies = 0 gives [1])."""
-    out = np.ones(1, dtype=np.complex128)
+    return power_rows(np.asarray(vector)[None, :], copies)[0]
+
+
+def power_rows(rows: np.ndarray, copies: int) -> np.ndarray:
+    """Row-wise `copies`-fold Kronecker power of a stack of vectors."""
+    count, width = rows.shape
+    out = np.ones((count, 1), dtype=np.complex128)
     for _ in range(copies):
-        out = np.kron(out, vector)
+        out = (out[:, :, None] * rows[:, None, :]).reshape(count, out.shape[1] * width)
     return out
 
 

@@ -54,19 +54,41 @@ def exact_beta_mass(n, k, r):
 
 def test_instance_validation():
     bell_instance()  # valid
-    with pytest.raises(InstanceError):
-        Instance(d=2, n=1, k=1, r=2, rho=ghz_state(2, 2).projector())
-    with pytest.raises(InstanceError):
-        Instance(d=2, n=1, k=0, r=0, rho=PureState(2, 1, [1, 0]).projector())
-    with pytest.raises(InstanceError):
-        Instance(d=2, n=2, k=1, r=0, rho=ghz_state(2, 2).projector())  # wrong site count
+    # the state vector and its density operator give the same instance
+    for rho in (ghz_state(2, 2), ghz_state(2, 2).projector()):
+        inst = Instance(d=2, n=1, k=1, r=1, rho=rho)
+        assert isinstance(inst.rho, PureState)
+        assert abs(inst.rho.overlap(ghz_state(2, 2))) == pytest.approx(1.0, abs=1e-12)
+    for rho in (ghz_state(2, 2), ghz_state(2, 2).projector()):
+        with pytest.raises(InstanceError):
+            Instance(d=2, n=1, k=1, r=2, rho=rho)
+        with pytest.raises(InstanceError):
+            Instance(d=2, n=2, k=1, r=0, rho=rho)  # wrong site count
+        with pytest.raises(InstanceError):
+            Instance(d=3, n=1, k=1, r=0, rho=rho)  # wrong site dimension
+    for rho in (PureState(2, 1, [1, 0]), PureState(2, 1, [1, 0]).projector()):
+        with pytest.raises(InstanceError):
+            Instance(d=2, n=1, k=0, r=0, rho=rho)
     with pytest.raises(InstanceError):
         Instance(d=2, n=1, k=1, r=0, rho=Operator(2, 2, np.eye(4) / 4))  # mixed
     antisym = PureState(2, 2, np.array([0, 1, -1, 0]) / np.sqrt(2))
-    with pytest.raises(InstanceError):
-        Instance(d=2, n=1, k=1, r=0, rho=antisym.projector())  # not symmetric
+    for rho in (antisym, antisym.projector()):
+        with pytest.raises(InstanceError):
+            Instance(d=2, n=1, k=1, r=0, rho=rho)  # not symmetric
+    # a symmetric state with a small antisymmetric admixture: the defect is
+    # beta sqrt(beta^2 + 4 (1 - beta^2)) for admixture amplitude beta
+    for beta, ok in ((1e-11, True), (1e-9, False)):
+        mixed = math.sqrt(1 - beta**2) * ghz_state(2, 2).amplitudes + beta * antisym.amplitudes
+        for rho in (PureState(2, 2, mixed), PureState(2, 2, mixed).projector()):
+            if ok:
+                Instance(d=2, n=1, k=1, r=0, rho=rho)
+            else:
+                with pytest.raises(InstanceError, match="symmetric"):
+                    Instance(d=2, n=1, k=1, r=0, rho=rho)
     with pytest.raises(InstanceError):
         Instance(d=2, n=1, k=1, r=0, rho=Operator(2, 2, 2 * ghz_state(2, 2).projector().entries))
+    with pytest.raises(InstanceError):
+        Instance(d=2, n=1, k=1, r=0, rho=Operator(2, 2, np.diag([1.5, 0, 0, -0.5])))  # not PSD
 
 
 def test_rho_psi_product():
@@ -359,7 +381,7 @@ def test_reconstruction_identity():
 
         total = integrate(rule, lambda node: rho_psi(inst, node))
         rebuilt = sym_dim(inst.k, inst.d) * total
-        reduced = partial_trace_last(inst.rho, inst.k)
+        reduced = partial_trace_last(inst.rho.projector(), inst.k)
         assert trace_norm(reduced - rebuilt) < 1e-9
 
 

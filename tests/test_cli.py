@@ -1,16 +1,24 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from definetti import cli
 from definetti.cli import (
     CSV_HEADER,
     EXIT_INCONCLUSIVE,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     main,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 BELL_ARGS = [
     "verify", "--d", "2", "--n", "1", "--k", "1", "--r", "1",
@@ -43,6 +51,31 @@ def test_verify_bell_row(capsys):
     assert row["nodes"] == "98"
     assert row["seed"] == ""
     assert row["status"] == "PASS"
+
+
+@pytest.mark.parametrize("module", ["definetti", "definetti.cli"])
+def test_python_m_entry_points(module):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, *BELL_ARGS],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    rows = parse_csv(proc.stdout)
+    assert len(rows) == 1
+    assert (rows[0]["state"], rows[0]["status"]) == ("ghz", "PASS")
+
+
+def test_crash_exits_internal_not_violation(monkeypatch, capsys):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("cannot allocate")
+
+    monkeypatch.setattr(cli, "verify", out_of_memory)
+    assert main(BELL_ARGS) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal error: MemoryError: cannot allocate")
 
 
 def test_verify_writes_output_and_json(tmp_path, capsys):
