@@ -35,7 +35,6 @@ from definetti.haar import (
     QuadratureRule,
     _discrepancy,
     exact_qubit_rule,
-    standard_error,
 )
 from definetti.linalg import (
     DimensionError,
@@ -45,7 +44,7 @@ from definetti.linalg import (
     power_rows,
     trace_norm,
 )
-from definetti.symmetric import _site_strings, dicke_isometry, sym_dim
+from definetti.symmetric import _site_strings, sym_dim
 
 PASS = "PASS"
 VIOLATION = "VIOLATION"
@@ -59,10 +58,35 @@ INCONCLUSIVE_FLOOR = 1e-6
 _PURITY_ATOL = 1e-10
 _SYMMETRIC_SUPPORT_ATOL = 1e-9
 _GRID_SLACK = 1e-12
+# complex entries per block of stacked per-node matrices in the Monte Carlo
+# standard error, so that its memory does not grow with the sample count
+_BLOCK_ENTRIES = 1 << 16
 
 
 class InstanceError(ValueError):
     """The problem instance violates its invariants; nothing was certified."""
+
+
+def _symmetric_residual(state: PureState) -> float:
+    """Norm of the part of `state` outside the symmetric subspace.
+
+    Projecting onto the symmetric subspace replaces each amplitude by the mean
+    amplitude over the basis strings of its type (occupation vector). Types
+    are numbered site by site: appending digit c to a string of type t gives
+    type t + e_c, and np.unique renumbers the types after each site. The
+    residual is summed directly: 1 - sum_t |S_t|^2 / mult_t, over the type
+    sums S_t, loses it to cancellation near 1e-8, above the defect bound.
+    """
+    d = state.site_dim
+    types = np.zeros((1, d), dtype=np.int64)
+    code = np.zeros(1, dtype=np.int64)
+    for _ in range(state.sites):
+        grown = (types[:, None, :] + np.eye(d, dtype=np.int64)).reshape(-1, d)
+        types, renumber = np.unique(grown, axis=0, return_inverse=True)
+        code = renumber.reshape(-1, d)[code].reshape(-1)
+    amps = state.amplitudes
+    sums = np.bincount(code, amps.real) + 1j * np.bincount(code, amps.imag)
+    return float(np.linalg.norm(amps - (sums / np.bincount(code))[code]))
 
 
 @dataclass(frozen=True)
@@ -109,8 +133,7 @@ class Instance:
                 raise InstanceError(f"rho must be pure, second eigenvalue {eigs[-2]:.3e}")
             rho = PureState(rho.site_dim, rho.sites, vecs[:, -1])
             object.__setattr__(self, "rho", rho)
-        iso = dicke_isometry(self.n + self.k, self.d).matrix
-        beta = float(np.linalg.norm(rho.amplitudes - iso @ (iso.conj().T @ rho.amplitudes)))
+        beta = _symmetric_residual(rho)
         # trace norm of P rho P - rho for rho = |Phi><Phi| whose component
         # outside the symmetric subspace has norm beta
         defect = beta * math.sqrt(beta**2 + 4.0 * (1.0 - beta**2))
@@ -134,75 +157,171 @@ class VerificationReport:
     status: str
 
 
-class _NodePass(NamedTuple):
-    """Per-node quantities, one entry per node row; tau_psi = |tau><tau|."""
+class _Conditioned(NamedTuple):
+    """The threshold-independent half of the node pass, one column per node."""
 
-    phi: np.ndarray  # (I (x) <psi|^k) Phi, so that rho_psi = |phi><phi|
+    nodes: np.ndarray  # one unit row per node
     density: np.ndarray  # sym_dim(k,d) trace(rho_psi), the density of nu
+    frames: np.ndarray  # (d, d, count): H per node, H psi along e_0, H = H^-1
+    rotated: np.ndarray  # _phi with H applied on every site
+    weight: np.ndarray  # number of nonzero digits of each basis string
+
+
+class _NodePass(NamedTuple):
+    """Per-node quantities, one column per node; tau_psi = |tau><tau|."""
+
+    density: np.ndarray
     kept: np.ndarray  # trace(sigma_psi), the mass below deviation weight r
     escaped: np.ndarray  # trace(P_geq_r rho_psi)
     tau: np.ndarray
     fallback: np.ndarray
 
 
-def _rotate_sites(frames: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """Row j mapped by frames[j] on each of its n sites."""
-    count, d = frames.shape[:2]
+class _Prepared(NamedTuple):
+    """The threshold-independent half of `verify` for one state, split and rule.
+
+    `escalated` is the rule DEGREE_ESCALATION degrees higher with its
+    conditioned nodes for exact rules, None for Monte Carlo rules.
+    """
+
+    base: _Conditioned
+    escalated: tuple[QuadratureRule, _Conditioned] | None
+
+
+def _rotate_sites(frames: np.ndarray, columns: np.ndarray, n: int) -> np.ndarray:
+    """Column j mapped by frames[:, :, j] on each of its n sites.
+
+    Each site's d x d map is applied as d^2 multiply-adds broadcast over whole
+    slices, with the node axis last.
+    """
+    d, count = frames.shape[1:]
     for site in range(n):
-        rows = np.matmul(frames[:, None], rows.reshape(count, d**site, d, d ** (n - site - 1)))
-    return rows.reshape(count, d**n)
+        before = columns.reshape(d**site, d, -1, count)
+        columns = np.empty_like(before)
+        for a in range(d):
+            np.multiply(frames[a, 0], before[:, 0], out=columns[:, a])
+            for b in range(1, d):
+                columns[:, a] += frames[a, b] * before[:, b]
+    return columns.reshape(d**n, count)
 
 
-def _node_pass(inst: Instance, nodes: np.ndarray, fallback_tol: float) -> _NodePass:
-    """Condition, truncate and renormalize at every row of `nodes` at once.
+def _phi(inst: Instance, nodes: np.ndarray) -> np.ndarray:
+    """(I (x) <psi|^k) Phi for every row psi of `nodes`: rho_psi = |phi><phi|."""
+    return inst.rho.amplitudes.reshape(inst.d**inst.n, -1) @ power_rows(nodes.conj(), inst.k).T
 
-    rho is pure, so rho_psi and sigma_psi are rank one and stay vectors. In
-    the site frame of the Householder reflection H (H psi along e_0, H = H^-1)
-    truncation below weight r masks strings with r or more nonzero digits.
-    tau falls back to psi^(x)n where the kept mass is at most fallback_tol.
+
+def _condition(inst: Instance, nodes: np.ndarray) -> _Conditioned:
+    """Condition rho on every row of `nodes` at once and rotate into site frames.
+
+    rho is pure, so rho_psi stays a vector. In the site frame of the
+    Householder reflection H, truncation below weight r masks the strings
+    with r or more nonzero digits; nothing here depends on r.
     """
     d, n = inst.d, inst.n
-    phi = power_rows(nodes.conj(), inst.k) @ inst.rho.amplitudes.reshape(d**n, -1).T
+    phi = _phi(inst, nodes)
     v = np.array(nodes, dtype=np.complex128)
     v[:, 0] += np.exp(1j * np.angle(nodes[:, 0]))
     scale = 2 / np.sum(np.abs(v) ** 2, axis=1)
-    frames = np.eye(d) - scale[:, None, None] * v[:, :, None] * v.conj()[:, None, :]
-    rotated = _rotate_sites(frames, phi, n)
-    below = (_site_strings(n, d) > 0).sum(axis=1) < inst.r
-    kept = np.sum(np.abs(rotated[:, below]) ** 2, axis=1)
-    escaped = np.sum(np.abs(rotated[:, ~below]) ** 2, axis=1)
+    frames = np.eye(d)[:, :, None] - scale * v.T[:, None, :] * v.T.conj()[None, :, :]
+    return _Conditioned(
+        nodes=nodes,
+        density=sym_dim(inst.k, d) * np.sum(np.abs(phi) ** 2, axis=0),
+        frames=frames,
+        rotated=_rotate_sites(frames, phi, n),
+        weight=(_site_strings(n, d) > 0).sum(axis=1),
+    )
+
+
+def _truncate(inst: Instance, cond: _Conditioned, fallback_tol: float) -> _NodePass:
+    """Truncate every conditioned node below weight inst.r and renormalize.
+
+    tau falls back to psi^(x)n where the kept mass is at most fallback_tol.
+    """
+    below = cond.weight < inst.r
+    kept = np.sum(np.abs(cond.rotated[below]) ** 2, axis=0)
+    escaped = np.sum(np.abs(cond.rotated[~below]) ** 2, axis=0)
     fallback = kept <= fallback_tol
-    tau = _rotate_sites(frames, rotated * below, n) / np.sqrt(np.where(fallback, 1, kept)[:, None])
-    tau[fallback] = power_rows(nodes[fallback], n)
-    density = sym_dim(inst.k, d) * np.sum(np.abs(phi) ** 2, axis=1)
-    return _NodePass(phi, density, kept, escaped, tau, fallback)
+    tau = _rotate_sites(cond.frames, cond.rotated * below[:, None], inst.n)
+    tau /= np.sqrt(np.where(fallback, 1, kept))
+    tau[:, fallback] = power_rows(cond.nodes[fallback], inst.n).T
+    return _NodePass(cond.density, kept, escaped, tau, fallback)
 
 
-def _pass_at(inst: Instance, psi: PureState, fallback_tol: float) -> _NodePass:
+def _node_pass(inst: Instance, nodes: np.ndarray, fallback_tol: float) -> _NodePass:
+    """Condition, truncate and renormalize at every row of `nodes` at once."""
+    return _truncate(inst, _condition(inst, nodes), fallback_tol)
+
+
+def _node_row(inst: Instance, psi: PureState) -> np.ndarray:
     if (psi.site_dim, psi.sites) != (inst.d, 1):
         raise DimensionError(f"expected a single-site state of dimension {inst.d}")
-    return _node_pass(inst, psi.amplitudes[None, :], fallback_tol)
+    return psi.amplitudes[None, :]
 
 
-def _gram(inst: Instance, rows: np.ndarray, coefficients) -> Operator:
-    """sum_j coefficients[j] |rows[j]><rows[j]| on the n kept sites."""
-    return Operator(inst.d, inst.n, (rows.T * coefficients) @ rows.conj())
+def _gram(inst: Instance, columns: np.ndarray, coefficients) -> Operator:
+    """sum_j coefficients[j] |columns[:, j]><columns[:, j]| on the n kept sites."""
+    return Operator(inst.d, inst.n, (columns * coefficients) @ columns.conj().T)
 
 
-def _approximant(inst: Instance, rule: QuadratureRule, fallback_tol: float):
-    nodes = _node_pass(inst, rule.node_matrix, fallback_tol)
-    return nodes, _gram(inst, nodes.tau, rule.weights * nodes.density)
+def _approximant(inst: Instance, weights: np.ndarray, cond: _Conditioned, fallback_tol: float):
+    nodes = _truncate(inst, cond, fallback_tol)
+    return nodes, _gram(inst, nodes.tau, weights * nodes.density)
 
 
-def _lhs_and_error(inst: Instance, rule: QuadratureRule, fallback_tol: float):
-    """(node pass, lhs, integration error) of the approximant."""
-    nodes, approx = _approximant(inst, rule, fallback_tol)
-    reduced = _gram(inst, inst.rho.amplitudes.reshape(inst.d**inst.n, -1).T, 1.0)
+def _prepare(inst: Instance, rule: QuadratureRule) -> _Prepared:
+    escalated = None
     if rule.kind == EXACT:
-        escalated = exact_qubit_rule(rule.exact_degree + DEGREE_ESCALATION)
-        err = _discrepancy(approx, _approximant(inst, escalated, fallback_tol)[1])
+        higher = exact_qubit_rule(rule.exact_degree + DEGREE_ESCALATION)
+        escalated = (higher, _condition(inst, higher.node_matrix))
+    return _Prepared(_condition(inst, rule.node_matrix), escalated)
+
+
+# The last (key, _Prepared) of `verify`, so that a sweep over r on one state
+# and rule prepares once. The key holds the state and rule objects themselves:
+# both are frozen with read-only arrays, and holding them keeps their ids from
+# being reused, so matching by identity cannot confuse two inputs.
+_last_prepared = None
+
+
+def _reuse_or_prepare(inst: Instance, rule: QuadratureRule) -> _Prepared:
+    global _last_prepared
+    key = (inst.rho, inst.n, inst.k, rule)
+    last = _last_prepared
+    if last is not None and all(a is b for a, b in zip(last[0], key)):
+        return last[1]
+    prepared = _prepare(inst, rule)
+    _last_prepared = (key, prepared)
+    return prepared
+
+
+def _standard_error(nodes: _NodePass) -> float:
+    """`haar.standard_error` of the per-node values density_j |tau_j><tau_j|.
+
+    The squared deviations from the mean are summed over fixed blocks of
+    nodes, so memory stays bounded whatever the number of nodes.
+    """
+    dim, count = nodes.tau.shape
+    if count < 2:
+        return 0.0
+    mean = (nodes.tau * (nodes.density / count)) @ nodes.tau.conj().T
+    block = max(1, _BLOCK_ENTRIES // dim**2)
+    total = np.zeros((dim, dim))
+    for start in range(0, count, block):
+        tau = nodes.tau[:, start : start + block]
+        values = np.einsum("j,aj,bj->jab", nodes.density[start : start + block], tau, tau.conj())
+        total += (np.abs(values - mean) ** 2).sum(axis=0)
+    return float(np.max(np.sqrt(total / (count - 1) / count)))
+
+
+def _lhs_and_error(inst: Instance, rule: QuadratureRule, fallback_tol: float, prepared: _Prepared):
+    """(node pass, lhs, integration error) of the approximant."""
+    nodes, approx = _approximant(inst, rule.weights, prepared.base, fallback_tol)
+    reduced = _gram(inst, inst.rho.amplitudes.reshape(inst.d**inst.n, -1), 1.0)
+    if prepared.escalated is None:
+        err = _standard_error(nodes)
     else:
-        err = standard_error(np.einsum("j,ja,jb->jab", nodes.density, nodes.tau, nodes.tau.conj()))
+        higher, cond = prepared.escalated
+        err = _discrepancy(approx, _approximant(inst, higher.weights, cond, fallback_tol)[1])
     return nodes, trace_norm(reduced - approx), err
 
 
@@ -212,7 +331,7 @@ def _chain_bound(inst: Instance, rule: QuadratureRule, nodes: _NodePass) -> floa
 
 def rho_psi(inst: Instance, psi: PureState) -> Operator:
     """Condition rho on observing psi^(x)k in the trailing k sites."""
-    return _gram(inst, _pass_at(inst, psi, DEFAULT_FALLBACK_TOL).phi, 1.0)
+    return _gram(inst, _phi(inst, _node_row(inst, psi)), 1.0)
 
 
 def tau_psi(
@@ -224,7 +343,7 @@ def tau_psi(
     flag). When the truncated trace is negligible (always at r = 0) the
     normalized state falls back to psi^(x)n, which has deviation weight 0.
     """
-    node = _pass_at(inst, psi, fallback_tol)
+    node = _node_pass(inst, _node_row(inst, psi), fallback_tol)
     return float(node.kept[0]), _gram(inst, node.tau, 1.0), bool(node.fallback[0])
 
 
@@ -232,13 +351,12 @@ def approximant(
     inst: Instance, rule: QuadratureRule, fallback_tol: float = DEFAULT_FALLBACK_TOL
 ) -> Operator:
     """The weighted average sym_dim(k,d) int trace(rho_psi) tau_psi d(psi)."""
-    return _approximant(inst, rule, fallback_tol)[1]
+    return _approximant(inst, rule.weights, _condition(inst, rule.node_matrix), fallback_tol)[1]
 
 
 def nu_weight_normalization(inst: Instance, rule: QuadratureRule) -> float:
     """Total mass sym_dim(k,d) int trace(rho_psi) d(psi); 1 for exact rules."""
-    nodes = _node_pass(inst, rule.node_matrix, DEFAULT_FALLBACK_TOL)
-    return float(rule.weights @ nodes.density)
+    return float(rule.weights @ _condition(inst, rule.node_matrix).density)
 
 
 def lhs_distance(
@@ -250,7 +368,7 @@ def lhs_distance(
     polynomial (tau_psi carries a normalizing ratio), so even exact rules
     report a degree-escalation discrepancy rather than zero.
     """
-    return _lhs_and_error(inst, rule, fallback_tol)[1:]
+    return _lhs_and_error(inst, rule, fallback_tol, _prepare(inst, rule))[1:]
 
 
 def chain_bound(inst: Instance, rule: QuadratureRule) -> float:
@@ -311,7 +429,7 @@ def check_operator_inequality(inst: Instance, psi: PureState, rule: QuadratureRu
     """
     overlaps = np.abs(rule.node_matrix.conj() @ psi.amplitudes) ** 2
     coefficients = sym_dim(inst.n + inst.k, inst.d) * rule.weights * overlaps**inst.k
-    upper = _gram(inst, power_rows(rule.node_matrix, inst.n), coefficients)
+    upper = _gram(inst, power_rows(rule.node_matrix, inst.n).T, coefficients)
     return min_eigenvalue(upper - rho_psi(inst, psi))
 
 
@@ -394,7 +512,7 @@ def verify(
     chain bound) yields INCONCLUSIVE rather than a verdict either way;
     everything else is a VIOLATION.
     """
-    nodes, lhs, err = _lhs_and_error(inst, rule, fallback_tol)
+    nodes, lhs, err = _lhs_and_error(inst, rule, fallback_tol, _reuse_or_prepare(inst, rule))
     chain = _chain_bound(inst, rule, nodes)
     explicit = explicit_bound(inst.n, inst.k, inst.d, inst.r)
     tail_peak = g_max(inst.n, inst.k, inst.r)

@@ -97,17 +97,10 @@ def exact_qubit_rule(t: int) -> QuadratureRule:
     u, gauss_w = np.polynomial.legendre.leggauss(t + 1)
     n_phi = 2 * t + 2
     phi = 2 * np.pi * np.arange(n_phi) / n_phi
-    upper = np.sqrt((1 + u) / 2)
-    lower = np.sqrt((1 - u) / 2)
     nodes = np.empty(((t + 1) * n_phi, 2), dtype=np.complex128)
-    weights = np.empty((t + 1) * n_phi)
-    pos = 0
-    for i in range(t + 1):
-        for j in range(n_phi):
-            nodes[pos, 0] = upper[i]
-            nodes[pos, 1] = np.exp(1j * phi[j]) * lower[i]
-            weights[pos] = gauss_w[i] / 2 / n_phi
-            pos += 1
+    nodes[:, 0] = np.repeat(np.sqrt((1 + u) / 2), n_phi)
+    nodes[:, 1] = (np.exp(1j * phi) * np.sqrt((1 - u) / 2)[:, None]).reshape(-1)
+    weights = np.repeat(gauss_w / 2 / n_phi, n_phi)
     return QuadratureRule(d=2, node_matrix=nodes, weights=weights, kind=EXACT, exact_degree=t)
 
 

@@ -11,6 +11,7 @@ from definetti.certifier import (
     VIOLATION,
     Instance,
     InstanceError,
+    _symmetric_residual,
     approximant,
     binary_divergence,
     chain_bound,
@@ -29,7 +30,13 @@ from definetti.certifier import (
 from definetti.haar import QuadratureRule, exact_qubit_rule, haar_state, monte_carlo_rule
 from definetti.hamming import tail_function, weight_family, threshold_projectors
 from definetti.linalg import Operator, PureState, partial_trace_last, trace_norm
-from definetti.symmetric import dicke_state, ghz_state, random_symmetric_pure, sym_dim
+from definetti.symmetric import (
+    dicke_isometry,
+    dicke_state,
+    ghz_state,
+    random_symmetric_pure,
+    sym_dim,
+)
 
 
 def bell_instance(r=1):
@@ -89,6 +96,21 @@ def test_instance_validation():
         Instance(d=2, n=1, k=1, r=0, rho=Operator(2, 2, 2 * ghz_state(2, 2).projector().entries))
     with pytest.raises(InstanceError):
         Instance(d=2, n=1, k=1, r=0, rho=Operator(2, 2, np.diag([1.5, 0, 0, -0.5])))  # not PSD
+
+
+@pytest.mark.parametrize("d,sites", [(2, 1), (2, 5), (3, 1), (3, 4), (4, 3)])
+def test_symmetric_residual_matches_dense_projection(d, sites):
+    iso = dicke_isometry(sites, d).matrix
+    rng = np.random.default_rng(10 * d + sites)
+    generic = rng.standard_normal(d**sites) + 1j * rng.standard_normal(d**sites)
+    for state in (
+        random_symmetric_pure(sites, d, seed=sites),
+        ghz_state(sites, d),
+        PureState.normalized(d, sites, generic),
+    ):
+        amps = state.amplitudes
+        dense = np.linalg.norm(amps - iso @ (iso.conj().T @ amps))
+        assert _symmetric_residual(state) == pytest.approx(dense, rel=1e-12, abs=1e-14)
 
 
 def test_rho_psi_product():

@@ -41,6 +41,33 @@ def test_exact_rule_basic_shape():
         exact_qubit_rule(-1)
 
 
+def loop_qubit_rule(t):
+    """exact_qubit_rule's nodes and weights built one (polar, azimuth) pair at a time."""
+    u, gauss_w = np.polynomial.legendre.leggauss(t + 1)
+    n_phi = 2 * t + 2
+    phi = 2 * np.pi * np.arange(n_phi) / n_phi
+    upper = np.sqrt((1 + u) / 2)
+    lower = np.sqrt((1 - u) / 2)
+    nodes = np.empty(((t + 1) * n_phi, 2), dtype=np.complex128)
+    weights = np.empty((t + 1) * n_phi)
+    pos = 0
+    for i in range(t + 1):
+        for j in range(n_phi):
+            nodes[pos, 0] = upper[i]
+            nodes[pos, 1] = np.exp(1j * phi[j]) * lower[i]
+            weights[pos] = gauss_w[i] / 2 / n_phi
+            pos += 1
+    return nodes, weights
+
+
+@pytest.mark.parametrize("t", range(25))
+def test_exact_rule_matches_loop_oracle(t):
+    rule = exact_qubit_rule(t)
+    nodes, weights = loop_qubit_rule(t)
+    assert rule.node_matrix.tobytes() == nodes.tobytes()
+    assert rule.weights.tobytes() == weights.tobytes()
+
+
 def test_exact_rule_first_moment():
     rule = exact_qubit_rule(1)
     moment = integrate(rule, lambda node: node.projector())

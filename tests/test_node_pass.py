@@ -7,14 +7,27 @@ conditions the dense rho, and `weight_family` / `threshold_projectors`
 truncate it. The reference error estimate is the same as `verify`'s: the
 nuclear-norm discrepancy against the rule DEGREE_ESCALATION degrees higher
 for exact rules, the standard error of the per-node values for Monte Carlo.
+
+The node pass splits into a threshold-independent half, which `verify`
+keeps for the last (state, split, rule) it saw, and the per-r truncation.
+The reuse across r is checked against `verify` on fresh copies of the inputs.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from definetti.certifier import DEFAULT_FALLBACK_TOL, Instance, _node_pass, verify
+from definetti import certifier
+from definetti.certifier import (
+    DEFAULT_FALLBACK_TOL,
+    Instance,
+    _node_pass,
+    _rotate_sites,
+    _standard_error,
+    verify,
+)
 from definetti.haar import DEGREE_ESCALATION, exact_qubit_rule, monte_carlo_rule, standard_error
 from definetti.hamming import threshold_projectors, weight_family
 from definetti.linalg import Operator, partial_trace_last, sandwich_bra_last, trace_norm
@@ -91,7 +104,7 @@ def test_node_pass_matches_dense_oracle(d, n, k, fallback_tol):
                 assert nodes.kept[j] == pytest.approx(kept, abs=TOL), where
                 assert nodes.escaped[j] == pytest.approx(escaped, abs=TOL), where
                 assert bool(nodes.fallback[j]) == fallback, where
-                row = nodes.tau[j]
+                row = nodes.tau[:, j]
                 np.testing.assert_allclose(
                     np.outer(row, row.conj()), tau.entries, rtol=0, atol=TOL, err_msg=where
                 )
@@ -111,3 +124,96 @@ def test_verify_matches_dense_reference(d, n, k, fallback_tol):
             assert report.lhs_integration_error == pytest.approx(err, abs=TOL), where
             assert report.chain_bound == pytest.approx(chain, abs=TOL), where
             assert report.fallback_node_count == fallback, where
+
+
+def batched_matmul_rotation(frames, rows, n):
+    """Rotation oracle: row j mapped by frames[j] on each site, one (d, d) matmul per block."""
+    count, d = frames.shape[:2]
+    for site in range(n):
+        rows = np.matmul(frames[:, None], rows.reshape(count, d**site, d, d ** (n - site - 1)))
+    return rows.reshape(count, d**n)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("count", [1, 7])
+def test_rotate_sites_matches_batched_matmul(d, n, count):
+    rng = np.random.default_rng(100 * d + 10 * n + count)
+    frames = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
+    rows = rng.standard_normal((count, d**n)) + 1j * rng.standard_normal((count, d**n))
+    expected = batched_matmul_rotation(frames, rows, n)
+    got = _rotate_sites(np.ascontiguousarray(frames.transpose(1, 2, 0)), rows.T.copy(), n)
+    np.testing.assert_allclose(got.T, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
+
+
+def fresh(obj):
+    """A new object equal to `obj`; its arrays are copied by validation."""
+    return dataclasses.replace(obj)
+
+
+@pytest.mark.parametrize("d,n,k", [(2, 4, 3), (3, 2, 2)])
+def test_sweep_reuse_matches_fresh_inputs(d, n, k, monkeypatch):
+    state = random_symmetric_pure(n + k, d, seed=5)
+    prepares = []
+    prepare = certifier._prepare
+
+    def counting_prepare(*args):
+        prepares.append(args)
+        return prepare(*args)
+
+    monkeypatch.setattr(certifier, "_prepare", counting_prepare)
+    for rule in rules(d, n, k):
+        expected = [
+            verify(Instance(d=d, n=n, k=k, r=r, rho=fresh(state)), fresh(rule))
+            for r in range(n + 1)
+        ]
+        prepares.clear()
+        for r in range(n + 1):
+            report = verify(Instance(d=d, n=n, k=k, r=r, rho=state), rule)
+            assert report == expected[r], f"{rule.describe()} r={r}"
+        assert len(prepares) == 1, rule.describe()
+
+
+def test_reuse_misses_on_new_split_state_or_rule():
+    state = random_symmetric_pure(4, 2, seed=1)
+    other = random_symmetric_pure(4, 2, seed=2)
+    exact, mc = exact_qubit_rule(4), monte_carlo_rule(2, 40, seed=3)
+    calls = [
+        (state, 3, 1, exact),
+        (state, 2, 2, exact),  # same state object, another split
+        (other, 2, 2, exact),
+        (state, 2, 2, exact),
+        (state, 2, 2, mc),
+        (other, 2, 2, mc),
+        (state, 2, 2, exact),
+        (state.projector(), 2, 2, exact),  # each Operator instance gets its own vector
+        (state.projector(), 2, 2, exact),
+    ]
+
+    def fresh_rho(rho):
+        return rho if isinstance(rho, Operator) else fresh(rho)
+
+    expected = [
+        verify(Instance(d=2, n=n, k=k, r=1, rho=fresh_rho(rho)), fresh(rule))
+        for rho, n, k, rule in calls
+    ]
+    for (rho, n, k, rule), want in zip(calls, expected):
+        assert verify(Instance(d=2, n=n, k=k, r=1, rho=rho), rule) == want, (n, k, rule.describe())
+
+
+def stacked_values(nodes):
+    """The per-node values density_j |tau_j><tau_j| stacked on axis 0."""
+    return np.einsum("j,aj,bj->jab", nodes.density, nodes.tau, nodes.tau.conj())
+
+
+@pytest.mark.parametrize("block_nodes", [None, 7])
+def test_blocked_standard_error_matches_full_stack(block_nodes, monkeypatch):
+    inst = instances(3, 2, 2)[1]
+    dim = inst.d**inst.n
+    if block_nodes is not None:
+        monkeypatch.setattr(certifier, "_BLOCK_ENTRIES", block_nodes * dim**2)
+    nodes = _node_pass(inst, monte_carlo_rule(3, 30, seed=4).node_matrix, DEFAULT_FALLBACK_TOL)
+    assert 30 % max(1, certifier._BLOCK_ENTRIES // dim**2) != 0
+    assert _standard_error(nodes) == pytest.approx(standard_error(stacked_values(nodes)), rel=1e-12)
+    single = _node_pass(inst, monte_carlo_rule(3, 1, seed=4).node_matrix, DEFAULT_FALLBACK_TOL)
+    assert _standard_error(single) == 0.0
