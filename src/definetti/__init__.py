@@ -1,4 +1,9 @@
-"""Desk-scale construction and certification of exponential de Finetti bounds."""
+"""Desk-scale construction and certification of exponential de Finetti bounds.
+
+The package root exports the documented library API. Dense reference
+oracles and the certifier's views (`symmetrizer`, `weight_family`,
+`lhs_distance`, ...) are imported from their submodules.
+"""
 
 from definetti.certifier import (
     INCONCLUSIVE,
@@ -7,57 +12,16 @@ from definetti.certifier import (
     Instance,
     InstanceError,
     VerificationReport,
-    approximant,
-    chain_bound,
     explicit_bound,
-    g_max,
-    lhs_distance,
-    rho_psi,
-    tau_psi,
     verify,
 )
-from definetti.haar import (
-    QuadratureRule,
-    exact_qubit_rule,
-    haar_state,
-    integrate,
-    integration_error_estimate,
-    monte_carlo_rule,
-    pure_power_moment,
-)
-from definetti.hamming import (
-    WeightProjectorFamily,
-    hamming_distance,
-    tail_function,
-    threshold_projectors,
-    weight_family,
-)
-from definetti.linalg import (
-    DimensionError,
-    Operator,
-    PureState,
-    min_eigenvalue,
-    partial_trace_last,
-    sandwich_bra_last,
-    tensor,
-    trace_norm,
-)
-from definetti.symmetric import (
-    DickeIsometry,
-    dicke_isometry,
-    dicke_state,
-    ghz_state,
-    permutation_operator,
-    random_symmetric_pure,
-    sym_dim,
-    symmetrizer,
-)
+from definetti.haar import QuadratureRule, exact_qubit_rule, monte_carlo_rule
+from definetti.linalg import Operator, PureState
+from definetti.symmetric import dicke_state, ghz_state, random_symmetric_pure
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DickeIsometry",
-    "DimensionError",
     "INCONCLUSIVE",
     "Instance",
     "InstanceError",
@@ -67,36 +31,12 @@ __all__ = [
     "QuadratureRule",
     "VIOLATION",
     "VerificationReport",
-    "WeightProjectorFamily",
-    "approximant",
-    "chain_bound",
-    "dicke_isometry",
     "dicke_state",
     "exact_qubit_rule",
     "explicit_bound",
-    "g_max",
     "ghz_state",
-    "haar_state",
-    "hamming_distance",
-    "integrate",
-    "integration_error_estimate",
-    "lhs_distance",
-    "min_eigenvalue",
     "monte_carlo_rule",
-    "partial_trace_last",
-    "permutation_operator",
-    "pure_power_moment",
     "random_symmetric_pure",
-    "rho_psi",
-    "sandwich_bra_last",
-    "sym_dim",
-    "symmetrizer",
-    "tail_function",
-    "tau_psi",
-    "tensor",
-    "threshold_projectors",
-    "trace_norm",
     "verify",
-    "weight_family",
     "__version__",
 ]

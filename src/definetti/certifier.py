@@ -44,7 +44,7 @@ from definetti.linalg import (
     power_rows,
     trace_norm,
 )
-from definetti.symmetric import _site_strings, sym_dim
+from definetti.symmetric import sym_dim, type_codes
 
 PASS = "PASS"
 VIOLATION = "VIOLATION"
@@ -71,19 +71,11 @@ def _symmetric_residual(state: PureState) -> float:
     """Norm of the part of `state` outside the symmetric subspace.
 
     Projecting onto the symmetric subspace replaces each amplitude by the mean
-    amplitude over the basis strings of its type (occupation vector). Types
-    are numbered site by site: appending digit c to a string of type t gives
-    type t + e_c, and np.unique renumbers the types after each site. The
+    amplitude over the basis strings of its type (occupation vector). The
     residual is summed directly: 1 - sum_t |S_t|^2 / mult_t, over the type
     sums S_t, loses it to cancellation near 1e-8, above the defect bound.
     """
-    d = state.site_dim
-    types = np.zeros((1, d), dtype=np.int64)
-    code = np.zeros(1, dtype=np.int64)
-    for _ in range(state.sites):
-        grown = (types[:, None, :] + np.eye(d, dtype=np.int64)).reshape(-1, d)
-        types, renumber = np.unique(grown, axis=0, return_inverse=True)
-        code = renumber.reshape(-1, d)[code].reshape(-1)
+    code = type_codes(state.sites, state.site_dim)[1]
     amps = state.amplitudes
     sums = np.bincount(code, amps.real) + 1j * np.bincount(code, amps.imag)
     return float(np.linalg.norm(amps - (sums / np.bincount(code))[code]))
@@ -219,6 +211,7 @@ def _condition(inst: Instance, nodes: np.ndarray) -> _Conditioned:
     """
     d, n = inst.d, inst.n
     phi = _phi(inst, nodes)
+    types, code = type_codes(n, d)
     v = np.array(nodes, dtype=np.complex128)
     v[:, 0] += np.exp(1j * np.angle(nodes[:, 0]))
     scale = 2 / np.sum(np.abs(v) ** 2, axis=1)
@@ -228,7 +221,7 @@ def _condition(inst: Instance, nodes: np.ndarray) -> _Conditioned:
         density=sym_dim(inst.k, d) * np.sum(np.abs(phi) ** 2, axis=0),
         frames=frames,
         rotated=_rotate_sites(frames, phi, n),
-        weight=(_site_strings(n, d) > 0).sum(axis=1),
+        weight=n - types[code, 0],
     )
 
 

@@ -30,6 +30,16 @@ def _as_complex_readonly(a, shape, what: str) -> np.ndarray:
     return arr
 
 
+def _norm(vec: np.ndarray) -> float:
+    """Euclidean norm from numpy's pairwise sum, whose rounding error grows with log(length).
+
+    np.linalg.norm calls BLAS nrm2, whose error grows with the length and
+    depends on the BLAS thread count; on vectors of a few million entries
+    it exceeds NORM_ATOL.
+    """
+    return float(np.sqrt(np.sum(vec.real**2 + vec.imag**2)))
+
+
 @dataclass(frozen=True)
 class PureState:
     """Unit vector on `sites` subsystems of dimension `site_dim` each."""
@@ -46,7 +56,7 @@ class PureState:
         amps = _as_complex_readonly(
             self.amplitudes, (self.site_dim**self.sites,), "PureState amplitudes"
         )
-        nrm = float(np.linalg.norm(amps))
+        nrm = _norm(amps)
         if abs(nrm - 1.0) > NORM_ATOL:
             raise ValueError(f"PureState must be normalized: |norm - 1| = {abs(nrm - 1.0):.3e}")
         object.__setattr__(self, "amplitudes", amps)
@@ -55,7 +65,7 @@ class PureState:
     def normalized(cls, site_dim: int, sites: int, vector) -> PureState:
         """Build a PureState from an unnormalized nonzero vector."""
         vec = np.asarray(vector, dtype=np.complex128)
-        nrm = float(np.linalg.norm(vec))
+        nrm = _norm(vec)
         if nrm == 0.0:
             raise ValueError("cannot normalize the zero vector")
         return cls(site_dim, sites, vec / nrm)

@@ -1,4 +1,4 @@
-"""Symmetric subspace machinery: occupation bases, Dicke isometries, symmetrizers.
+"""Symmetric subspace machinery: the type table, Dicke isometries, symmetrizers.
 
 The permutation-symmetric subspace of n sites of dimension d has one basis
 vector per occupation vector (m_1, ..., m_d) with sum n: the equal-amplitude
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -27,14 +26,22 @@ def sym_dim(n: int, d: int) -> int:
     return math.comb(n + d - 1, n)
 
 
-def occupations(n: int, d: int) -> Iterator[tuple[int, ...]]:
-    """All d-tuples of nonnegative integers summing to n, lexicographically ascending."""
-    if d == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in occupations(n - first, d - 1):
-            yield (first,) + rest
+def type_codes(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(types, code): the occupation types of n sites and the type of every basis string.
+
+    types is the (sym_dim(n, d), d) table of occupation vectors in ascending
+    lexicographic order; code[j] is the row of types that basis string j
+    belongs to. Types are numbered site by site: appending digit c to a
+    string of type t gives type t + e_c, and np.unique renumbers the types
+    after each site, so no digit table of all strings is built.
+    """
+    types = np.zeros((1, d), dtype=np.int64)
+    code = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        grown = (types[:, None, :] + np.eye(d, dtype=np.int64)).reshape(-1, d)
+        types, renumber = np.unique(grown, axis=0, return_inverse=True)
+        code = renumber.reshape(-1, d)[code].reshape(-1)
+    return types, code
 
 
 def _site_strings(n: int, d: int) -> np.ndarray:
@@ -51,7 +58,7 @@ def _site_strings(n: int, d: int) -> np.ndarray:
 class DickeIsometry:
     """Isometry whose columns are the Dicke states of n sites of dimension d.
 
-    Columns follow the lexicographic order of `occupations(n, d)`. The matrix
+    Columns follow the order of the types from `type_codes(n, d)`. The matrix
     satisfies V^dag V = identity and V V^dag = symmetric-subspace projector.
     """
 
@@ -77,14 +84,10 @@ def dicke_isometry(n: int, d: int) -> DickeIsometry:
         raise ValueError(f"n must be >= 1, got {n}")
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
-    occs = tuple(occupations(n, d))
-    col_index = {occ: i for i, occ in enumerate(occs)}
-    digits = _site_strings(n, d)
-    counts = np.stack([(digits == s).sum(axis=1) for s in range(d)], axis=1)
-    col_of = np.array([col_index[tuple(row)] for row in counts])
-    multiplicity = np.bincount(col_of, minlength=len(occs))
-    matrix = np.zeros((d**n, len(occs)), dtype=np.complex128)
-    matrix[np.arange(d**n), col_of] = 1.0 / np.sqrt(multiplicity[col_of])
+    types, code = type_codes(n, d)
+    matrix = np.zeros((d**n, len(types)), dtype=np.complex128)
+    matrix[np.arange(d**n), code] = 1.0 / np.sqrt(np.bincount(code)[code])
+    occs = tuple(map(tuple, types.tolist()))
     return DickeIsometry(n=n, d=d, occupations=occs, matrix=matrix)
 
 
@@ -93,10 +96,8 @@ def dicke_state(n: int, d: int, occupation) -> PureState:
     occ = tuple(int(x) for x in occupation)
     if len(occ) != d or any(x < 0 for x in occ) or sum(occ) != n:
         raise ValueError(f"occupation {occ} is not a d={d} type of total {n}")
-    digits = _site_strings(n, d)
-    mask = np.ones(d**n, dtype=bool)
-    for s in range(d):
-        mask &= (digits == s).sum(axis=1) == occ[s]
+    types, code = type_codes(n, d)
+    mask = code == np.flatnonzero((types == occ).all(axis=1))[0]
     amps = np.zeros(d**n, dtype=np.complex128)
     amps[mask] = 1.0 / math.sqrt(int(mask.sum()))
     return PureState(d, n, amps)
@@ -125,11 +126,11 @@ def permutation_operator(n: int, d: int, perm) -> Operator:
 
 def random_symmetric_pure(n: int, d: int, seed: int) -> PureState:
     """Haar-like random symmetric state: complex gaussian Dicke coefficients."""
-    iso = dicke_isometry(n, d)
+    types, code = type_codes(n, d)
     rng = np.random.default_rng(seed)
-    coeff = rng.standard_normal(iso.subspace_dim) + 1j * rng.standard_normal(iso.subspace_dim)
+    coeff = rng.standard_normal(len(types)) + 1j * rng.standard_normal(len(types))
     coeff /= np.linalg.norm(coeff)
-    return PureState(d, n, iso.matrix @ coeff)
+    return PureState(d, n, (1.0 / np.sqrt(np.bincount(code)))[code] * coeff[code])
 
 
 def ghz_state(n: int, d: int) -> PureState:

@@ -45,6 +45,17 @@ def test_pure_state_validation():
         PureState.normalized(2, 1, [0, 0])
 
 
+def test_pure_state_norm_check_holds_at_large_length():
+    # C(22, 11) equal amplitudes on 22 qubits, the size of a d=2 n+k=22 Dicke state;
+    # BLAS nrm2 reads its norm as 1 - 1.1e-12, outside NORM_ATOL
+    count = 705432
+    amps = np.zeros(2**22)
+    amps[:count] = 1 / np.sqrt(count)
+    PureState(2, 22, amps)
+    with pytest.raises(ValueError):
+        PureState(2, 22, amps * (1 + 2e-12))
+
+
 def test_pure_state_is_immutable():
     psi = PureState(2, 1, [1, 0])
     with pytest.raises(ValueError):

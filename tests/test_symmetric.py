@@ -9,12 +9,50 @@ from definetti.symmetric import (
     dicke_isometry,
     dicke_state,
     ghz_state,
-    occupations,
     permutation_operator,
     random_symmetric_pure,
     sym_dim,
     symmetrizer,
+    type_codes,
 )
+
+
+def _digit_counts(n, d):
+    """(d**n, d) per-string digit counts, one basis string at a time."""
+    return np.array(
+        [[digits.count(c) for c in range(d)] for digits in itertools.product(range(d), repeat=n)]
+    )
+
+
+def _dense_isometry(n, d):
+    """The Dicke isometry from per-string digit counts, sorted types and a dict lookup."""
+    counts = _digit_counts(n, d)
+    occs = sorted(set(map(tuple, counts.tolist())))
+    col_index = {occ: i for i, occ in enumerate(occs)}
+    col_of = np.array([col_index[tuple(row)] for row in counts.tolist()])
+    matrix = np.zeros((d**n, len(occs)), dtype=np.complex128)
+    matrix[np.arange(d**n), col_of] = 1.0 / np.sqrt(np.bincount(col_of)[col_of])
+    return occs, counts, matrix
+
+
+def _dense_random_symmetric_pure(n, d, seed):
+    """Gaussian Dicke coefficients mapped through the dense isometry."""
+    occs, _, matrix = _dense_isometry(n, d)
+    rng = np.random.default_rng(seed)
+    coeff = rng.standard_normal(len(occs)) + 1j * rng.standard_normal(len(occs))
+    coeff /= np.linalg.norm(coeff)
+    return matrix @ coeff
+
+
+def _dense_dicke_state(n, d, occ):
+    """Equal amplitudes on the strings whose digit counts equal occ."""
+    mask = (_digit_counts(n, d) == np.array(occ)).all(axis=1)
+    amps = np.zeros(d**n, dtype=np.complex128)
+    amps[mask] = 1.0 / math.sqrt(int(mask.sum()))
+    return amps
+
+
+_TYPE_GRID = [(n, d) for d in (2, 3, 4) for n in range(1, 7)]
 
 
 def test_sym_dim_values():
@@ -37,11 +75,11 @@ def test_sym_dim_polynomial_growth():
 
 
 def test_occupations_order():
-    occs = list(occupations(2, 3))
+    occs = list(dicke_isometry(2, 3).occupations)
     assert occs == [(0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0)]
     assert occs == sorted(occs)
     for n, d in [(3, 2), (4, 3), (2, 4)]:
-        occs = list(occupations(n, d))
+        occs = list(dicke_isometry(n, d).occupations)
         assert len(occs) == sym_dim(n, d)
         assert all(sum(o) == n and len(o) == d for o in occs)
 
@@ -68,7 +106,7 @@ def test_dicke_state_invalid_occupation():
 
 def test_dicke_states_orthonormal():
     for n, d in [(3, 2), (2, 3), (4, 2)]:
-        states = [dicke_state(n, d, occ) for occ in occupations(n, d)]
+        states = [dicke_state(n, d, occ) for occ in dicke_isometry(n, d).occupations]
         for i, a in enumerate(states):
             for j, b in enumerate(states):
                 expect = 1.0 if i == j else 0.0
@@ -212,6 +250,35 @@ def test_ghz_partial_trace_is_classical_mixture():
 def test_dicke_states_span_fixed_points_of_symmetrizer():
     n, d = 3, 2
     proj = symmetrizer(n, d)
-    for occ in occupations(n, d):
+    for occ in dicke_isometry(n, d).occupations:
         psi = dicke_state(n, d, occ)
         np.testing.assert_allclose(proj.entries @ psi.amplitudes, psi.amplitudes, atol=1e-12)
+
+
+def test_type_codes_match_digit_counts():
+    for n, d in _TYPE_GRID:
+        types, code = type_codes(n, d)
+        counts = _digit_counts(n, d)
+        assert len(types) == sym_dim(n, d), f"n={n} d={d}"
+        assert list(map(tuple, types.tolist())) == sorted(set(map(tuple, counts.tolist())))
+        np.testing.assert_array_equal(types[code], counts, err_msg=f"n={n} d={d}")
+
+
+def test_dicke_isometry_matches_dense_construction():
+    for n, d in _TYPE_GRID:
+        occs, _, matrix = _dense_isometry(n, d)
+        iso = dicke_isometry(n, d)
+        assert list(iso.occupations) == occs
+        np.testing.assert_array_equal(iso.matrix.view(np.float64), matrix.view(np.float64))
+
+
+def test_state_builders_bitwise_match_dense_oracles():
+    for n, d in _TYPE_GRID:
+        for seed in (0, 1, 7, 12):
+            new = random_symmetric_pure(n, d, seed).amplitudes
+            old = _dense_random_symmetric_pure(n, d, seed)
+            assert np.array_equal(new.view(np.float64), old.view(np.float64)), (n, d, seed)
+        for occ in _dense_isometry(n, d)[0]:
+            new = dicke_state(n, d, occ).amplitudes
+            old = _dense_dicke_state(n, d, occ)
+            assert np.array_equal(new.view(np.float64), old.view(np.float64)), (n, d, occ)
