@@ -21,21 +21,16 @@ Monte Carlo rules carry a statistical error bar instead.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
 from definetti.hamming import tail_function_grid
-from definetti.haar import (
-    DEGREE_ESCALATION,
-    EXACT,
-    QuadratureRule,
-    _discrepancy,
-    exact_qubit_rule,
-)
+from definetti.haar import DEGREE_ESCALATION, EXACT, QuadratureRule, exact_qubit_rule
 from definetti.linalg import (
     DimensionError,
     Operator,
@@ -44,7 +39,7 @@ from definetti.linalg import (
     power_rows,
     trace_norm,
 )
-from definetti.symmetric import sym_dim, type_codes
+from definetti.symmetric import sym_dim, type_codes, type_table
 
 PASS = "PASS"
 VIOLATION = "VIOLATION"
@@ -67,18 +62,29 @@ class InstanceError(ValueError):
     """The problem instance violates its invariants; nothing was certified."""
 
 
-def _symmetric_residual(state: PureState) -> float:
-    """Norm of the part of `state` outside the symmetric subspace.
+def _dicke_coefficients(state: PureState) -> tuple[np.ndarray, float]:
+    """(c, beta): the Dicke coefficients of `state` and the norm of its non-symmetric part.
 
-    Projecting onto the symmetric subspace replaces each amplitude by the mean
-    amplitude over the basis strings of its type (occupation vector). The
-    residual is summed directly: 1 - sum_t |S_t|^2 / mult_t, over the type
-    sums S_t, loses it to cancellation near 1e-8, above the defect bound.
+    With S_t the sum of the amplitudes over the basis strings of type t,
+    c_t = S_t / sqrt(mult_t) in the order of `type_table`. Projecting onto the
+    symmetric subspace replaces each amplitude by S_t / mult_t. `np.bincount`
+    sums in order, so S_t carries up to about mult_t ulps of error (4e-12
+    relative at n+k = 21); summing the deviations from those means once more
+    removes it. The residual beta is the norm of the deviations, summed
+    directly: 1 - sum_t |c_t|^2 loses it to cancellation near 1e-8, above the
+    defect bound.
     """
     code = type_codes(state.sites, state.site_dim)[1]
-    amps = state.amplitudes
-    sums = np.bincount(code, amps.real) + 1j * np.bincount(code, amps.imag)
-    return float(np.linalg.norm(amps - (sums / np.bincount(code))[code]))
+    mult = np.bincount(code)
+
+    def type_sums(values):
+        return np.bincount(code, values.real) + 1j * np.bincount(code, values.imag)
+
+    sums = type_sums(state.amplitudes)
+    deviation = state.amplitudes - (sums / mult)[code]
+    coefficients = (sums + type_sums(deviation)) / np.sqrt(mult)
+    coefficients.setflags(write=False)
+    return coefficients, float(np.linalg.norm(deviation))
 
 
 @dataclass(frozen=True)
@@ -88,7 +94,8 @@ class Instance:
     rho is a PureState on n+k sites of dimension d, supported on the symmetric
     subspace; a density Operator must be hermitian, unit trace, PSD and pure,
     and is replaced by its top eigenvector. The truncation threshold r lies
-    in 0..n. Violations raise InstanceError at construction.
+    in 0..n. Violations raise InstanceError at construction. `coefficients`
+    holds rho's Dicke coefficients, which is all that `verify` reads of it.
     """
 
     d: int
@@ -97,6 +104,7 @@ class Instance:
     r: int
     rho: PureState
     label: str = ""
+    coefficients: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d < 2:
@@ -125,7 +133,8 @@ class Instance:
                 raise InstanceError(f"rho must be pure, second eigenvalue {eigs[-2]:.3e}")
             rho = PureState(rho.site_dim, rho.sites, vecs[:, -1])
             object.__setattr__(self, "rho", rho)
-        beta = _symmetric_residual(rho)
+        coefficients, beta = _dicke_coefficients(rho)
+        object.__setattr__(self, "coefficients", coefficients)
         # trace norm of P rho P - rho for rho = |Phi><Phi| whose component
         # outside the symmetric subspace has norm beta
         defect = beta * math.sqrt(beta**2 + 4.0 * (1.0 - beta**2))
@@ -150,13 +159,18 @@ class VerificationReport:
 
 
 class _Conditioned(NamedTuple):
-    """The threshold-independent half of the node pass, one column per node."""
+    """The threshold-independent half of the node pass, one column per node.
 
-    nodes: np.ndarray  # one unit row per node
+    Rows are Dicke coordinates of the n kept sites, in the order of
+    `type_table(n, d)`. The frame U = R_1 ... R_{d-1} D of node psi maps psi
+    to e_0: D removes the phases of psi's entries and the real rotation R_j
+    on levels (j-1, j) moves the remaining weight of levels j.. onto j-1.
+    """
+
     density: np.ndarray  # sym_dim(k,d) trace(rho_psi), the density of nu
-    frames: np.ndarray  # (d, d, count): H per node, H psi along e_0, H = H^-1
-    rotated: np.ndarray  # _phi with H applied on every site
-    weight: np.ndarray  # number of nonzero digits of each basis string
+    angles: np.ndarray  # (d-1, count): the angle of R_j in row j-1
+    phases: np.ndarray  # D^(x)n, diagonal in type coordinates
+    rotated: np.ndarray  # phi_psi with U^(x)n applied
 
 
 class _NodePass(NamedTuple):
@@ -165,7 +179,7 @@ class _NodePass(NamedTuple):
     density: np.ndarray
     kept: np.ndarray  # trace(sigma_psi), the mass below deviation weight r
     escaped: np.ndarray  # trace(P_geq_r rho_psi)
-    tau: np.ndarray
+    tau: np.ndarray  # in Dicke coordinates
     fallback: np.ndarray
 
 
@@ -173,76 +187,140 @@ class _Prepared(NamedTuple):
     """The threshold-independent half of `verify` for one state, split and rule.
 
     `escalated` is the rule DEGREE_ESCALATION degrees higher with its
-    conditioned nodes for exact rules, None for Monte Carlo rules.
+    conditioned nodes for exact rules, None for Monte Carlo rules; `reduced`
+    is Tr_k rho in Dicke coordinates.
     """
 
     base: _Conditioned
     escalated: tuple[QuadratureRule, _Conditioned] | None
+    reduced: np.ndarray
 
 
-def _rotate_sites(frames: np.ndarray, columns: np.ndarray, n: int) -> np.ndarray:
-    """Column j mapped by frames[:, :, j] on each of its n sites.
+class _Block(NamedTuple):
+    """Types that a rotation on levels (j-1, j) mixes: equal spectators, m = t_{j-1} + t_j."""
 
-    Each site's d x d map is applied as d^2 multiply-adds broadcast over whole
-    slices, with the node axis last.
+    rows: np.ndarray  # (blocks, m+1): type rows, by t_j = 0..m within each block
+    basis: np.ndarray  # W_m
+    spectrum: np.ndarray  # lambda_m
+
+
+def _generator_eigenbasis(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(W_m, lambda_m) with exp(theta K_m) = W_m diag(exp(-i theta lambda_m)) W_m^dag.
+
+    K_m is a_{j-1}^dag a_j - a_j^dag a_{j-1}, the generator of R_j, on the m+1
+    types with t_{j-1} + t_j = m, indexed by a = t_j: the real antisymmetric
+    matrix with <a|K_m|a+1> = -<a+1|K_m|a> = sqrt((a+1)(m-a)). Diagonalizing
+    i K_m keeps every rotation unitary to roundoff, where expanding the
+    rotated monomials does not.
     """
-    d, count = frames.shape[1:]
-    for site in range(n):
-        before = columns.reshape(d**site, d, -1, count)
-        columns = np.empty_like(before)
-        for a in range(d):
-            np.multiply(frames[a, 0], before[:, 0], out=columns[:, a])
-            for b in range(1, d):
-                columns[:, a] += frames[a, b] * before[:, b]
-    return columns.reshape(d**n, count)
+    coupling = np.sqrt((np.arange(m) + 1.0) * (m - np.arange(m)))
+    spectrum, basis = np.linalg.eigh(np.diag(1j * coupling, 1) - np.diag(1j * coupling, -1))
+    return basis, spectrum
 
 
-def _phi(inst: Instance, nodes: np.ndarray) -> np.ndarray:
-    """(I (x) <psi|^k) Phi for every row psi of `nodes`: rho_psi = |phi><phi|."""
-    return inst.rho.amplitudes.reshape(inst.d**inst.n, -1) @ power_rows(nodes.conj(), inst.k).T
+@functools.lru_cache(maxsize=8)
+def _rotation_blocks(n: int, d: int) -> tuple[tuple[_Block, ...], ...]:
+    """For j = 1..d-1, the blocks with m >= 1 of a rotation on levels (j-1, j) of n sites."""
+    types = type_table(n, d)[0]
+    out = []
+    for j in range(1, d):
+        total = types[:, j - 1] + types[:, j]
+        spectators = np.delete(types, [j - 1, j], axis=1)
+        order = np.lexsort((types[:, j], *spectators.T, total))
+        blocks = []
+        for m in range(1, n + 1):
+            rows = order[total[order] == m].reshape(-1, m + 1)
+            if rows.size:
+                blocks.append(_Block(rows, *_generator_eigenbasis(m)))
+        out.append(tuple(blocks))
+    return tuple(out)
 
 
-def _condition(inst: Instance, nodes: np.ndarray) -> _Conditioned:
-    """Condition rho on every row of `nodes` at once and rotate into site frames.
+def _rotate(n: int, d: int, angles: np.ndarray, columns: np.ndarray, inverse=False) -> np.ndarray:
+    """Column c mapped by the symmetric power of R_1 ... R_{d-1} at angles[:, c], or its inverse."""
+    levels = range(1, d) if inverse else range(d - 1, 0, -1)
+    sign = 1j if inverse else -1j
+    blocks = _rotation_blocks(n, d)
+    for j in levels:
+        out = columns.copy()
+        for block in blocks[j - 1]:
+            phase = np.exp(sign * block.spectrum[:, None] * angles[j - 1])
+            out[block.rows] = block.basis @ (phase * (block.basis.conj().T @ columns[block.rows]))
+        columns = out
+    return columns
 
-    rho is pure, so rho_psi stays a vector. In the site frame of the
-    Householder reflection H, truncation below weight r masks the strings
-    with r or more nonzero digits; nothing here depends on r.
+
+def _givens_angles(nodes: np.ndarray) -> np.ndarray:
+    """(d-1, count): R_j turns (|psi_{j-1}|, |(psi_j, ..., psi_{d-1})|) onto level j-1."""
+    moduli = np.abs(nodes)
+    tails = np.sqrt(np.cumsum(moduli[:, ::-1] ** 2, axis=1)[:, ::-1])
+    return np.arctan2(tails[:, 1:], moduli[:, :-1]).T
+
+
+def _bra_powers(nodes: np.ndarray, k: int) -> np.ndarray:
+    """b(psi) per column: <psi|^(x)k in Dicke coordinates, sqrt(mult_u) prod_i conj(psi_i)^u_i."""
+    count, d = nodes.shape
+    types, mult = type_table(k, d)
+    powers = np.ones((k + 1, d, count), dtype=np.complex128)
+    powers[1:] = np.cumprod(np.broadcast_to(nodes.conj().T, (k, d, count)), axis=0)
+    return np.sqrt(mult)[:, None] * powers[types, np.arange(d)].prod(axis=1)
+
+
+def _coupling(inst: Instance) -> np.ndarray:
+    """C with phi_psi = C b(psi) in Dicke coordinates, so that Tr_k rho = C C^dag.
+
+    C[s, u] = c_{s+u} sqrt(mult_n(s) mult_k(u) / mult_{n+k}(s+u)).
+    """
+    d, n, k = inst.d, inst.n, inst.k
+    types_n, mult_n = type_table(n, d)
+    types_k, mult_k = type_table(k, d)
+    joint = (types_n[:, None, :] + types_k[None, :, :]).reshape(-1, d)
+    # every type of n+k sites splits as s + u, so the sorted joint types are type_table(n+k, d)
+    index = np.unique(joint, axis=0, return_inverse=True)[1].reshape(len(mult_n), len(mult_k))
+    mult = np.outer(mult_n, mult_k) / type_table(n + k, d)[1][index]
+    return inst.coefficients[index] * np.sqrt(mult)
+
+
+def _condition(inst: Instance, coupling: np.ndarray, nodes: np.ndarray) -> _Conditioned:
+    """Condition rho on every row of `nodes` at once and rotate into each node's frame.
+
+    rho is pure, so rho_psi = |phi_psi><phi_psi| stays a vector. In the frame
+    of psi the deviation weight of a type is n - t_0, so truncation below
+    weight r is a mask on t_0; nothing here depends on r.
     """
     d, n = inst.d, inst.n
-    phi = _phi(inst, nodes)
-    types, code = type_codes(n, d)
-    v = np.array(nodes, dtype=np.complex128)
-    v[:, 0] += np.exp(1j * np.angle(nodes[:, 0]))
-    scale = 2 / np.sum(np.abs(v) ** 2, axis=1)
-    frames = np.eye(d)[:, :, None] - scale * v.T[:, None, :] * v.T.conj()[None, :, :]
+    phi = coupling @ _bra_powers(nodes, inst.k)
+    phases = np.exp(-1j * (type_table(n, d)[0] @ np.angle(nodes).T))
+    angles = _givens_angles(nodes)
     return _Conditioned(
-        nodes=nodes,
         density=sym_dim(inst.k, d) * np.sum(np.abs(phi) ** 2, axis=0),
-        frames=frames,
-        rotated=_rotate_sites(frames, phi, n),
-        weight=n - types[code, 0],
+        angles=angles,
+        phases=phases,
+        rotated=_rotate(n, d, angles, phases * phi),
     )
 
 
 def _truncate(inst: Instance, cond: _Conditioned, fallback_tol: float) -> _NodePass:
     """Truncate every conditioned node below weight inst.r and renormalize.
 
-    tau falls back to psi^(x)n where the kept mass is at most fallback_tol.
+    tau falls back to psi^(x)n where the kept mass is at most fallback_tol;
+    the frame maps psi^(x)n to the last type, (n, 0, ..., 0).
     """
-    below = cond.weight < inst.r
-    kept = np.sum(np.abs(cond.rotated[below]) ** 2, axis=0)
-    escaped = np.sum(np.abs(cond.rotated[~below]) ** 2, axis=0)
+    below = type_table(inst.n, inst.d)[0][:, 0] > inst.n - inst.r
+    mass = np.abs(cond.rotated) ** 2
+    kept = mass[below].sum(axis=0)
+    escaped = mass[~below].sum(axis=0)
     fallback = kept <= fallback_tol
-    tau = _rotate_sites(cond.frames, cond.rotated * below[:, None], inst.n)
-    tau /= np.sqrt(np.where(fallback, 1, kept))
-    tau[:, fallback] = power_rows(cond.nodes[fallback], inst.n).T
+    tau = cond.rotated * below[:, None] / np.sqrt(np.where(fallback, 1, kept))
+    tau[:, fallback] = 0
+    tau[-1, fallback] = 1
+    tau = cond.phases.conj() * _rotate(inst.n, inst.d, cond.angles, tau, inverse=True)
     return _NodePass(cond.density, kept, escaped, tau, fallback)
 
 
 def _node_pass(inst: Instance, nodes: np.ndarray, fallback_tol: float) -> _NodePass:
     """Condition, truncate and renormalize at every row of `nodes` at once."""
-    return _truncate(inst, _condition(inst, nodes), fallback_tol)
+    return _truncate(inst, _condition(inst, _coupling(inst), nodes), fallback_tol)
 
 
 def _node_row(inst: Instance, psi: PureState) -> np.ndarray:
@@ -251,22 +329,30 @@ def _node_row(inst: Instance, psi: PureState) -> np.ndarray:
     return psi.amplitudes[None, :]
 
 
-def _gram(inst: Instance, columns: np.ndarray, coefficients) -> Operator:
-    """sum_j coefficients[j] |columns[:, j]><columns[:, j]| on the n kept sites."""
-    return Operator(inst.d, inst.n, (columns * coefficients) @ columns.conj().T)
+def _gram(columns: np.ndarray, coefficients=1.0) -> np.ndarray:
+    """sum_j coefficients[j] |columns[:, j]><columns[:, j]|."""
+    return (columns * coefficients) @ columns.conj().T
+
+
+def _spread(inst: Instance, columns: np.ndarray, coefficients=1.0) -> Operator:
+    """`_gram` of Dicke columns of the n kept sites, mapped into the d^n space."""
+    code = type_codes(inst.n, inst.d)[1]
+    scale = 1 / np.sqrt(type_table(inst.n, inst.d)[1])
+    return Operator(inst.d, inst.n, _gram((scale[:, None] * columns)[code], coefficients))
 
 
 def _approximant(inst: Instance, weights: np.ndarray, cond: _Conditioned, fallback_tol: float):
     nodes = _truncate(inst, cond, fallback_tol)
-    return nodes, _gram(inst, nodes.tau, weights * nodes.density)
+    return nodes, _gram(nodes.tau, weights * nodes.density)
 
 
 def _prepare(inst: Instance, rule: QuadratureRule) -> _Prepared:
+    coupling = _coupling(inst)
     escalated = None
     if rule.kind == EXACT:
         higher = exact_qubit_rule(rule.exact_degree + DEGREE_ESCALATION)
-        escalated = (higher, _condition(inst, higher.node_matrix))
-    return _Prepared(_condition(inst, rule.node_matrix), escalated)
+        escalated = (higher, _condition(inst, coupling, higher.node_matrix))
+    return _Prepared(_condition(inst, coupling, rule.node_matrix), escalated, _gram(coupling))
 
 
 # The last (key, _Prepared) of `verify`, so that a sweep over r on one state
@@ -287,35 +373,41 @@ def _reuse_or_prepare(inst: Instance, rule: QuadratureRule) -> _Prepared:
     return prepared
 
 
-def _standard_error(nodes: _NodePass) -> float:
-    """`haar.standard_error` of the per-node values density_j |tau_j><tau_j|.
+def _standard_error(inst: Instance, nodes: _NodePass) -> float:
+    """`haar.standard_error` of the per-node values density_j |tau_j><tau_j| on the d^n space.
 
-    The squared deviations from the mean are summed over fixed blocks of
-    nodes, so memory stays bounded whatever the number of nodes.
+    Entry (x, y) of a value there is its Dicke entry (s, t) over
+    sqrt(mult_s mult_t), for x of type s and y of type t. The squared
+    deviations from the mean are summed over fixed blocks of nodes, so memory
+    stays bounded whatever the number of nodes.
     """
     dim, count = nodes.tau.shape
     if count < 2:
         return 0.0
-    mean = (nodes.tau * (nodes.density / count)) @ nodes.tau.conj().T
+    mean = _gram(nodes.tau, nodes.density / count)
     block = max(1, _BLOCK_ENTRIES // dim**2)
     total = np.zeros((dim, dim))
     for start in range(0, count, block):
         tau = nodes.tau[:, start : start + block]
         values = np.einsum("j,aj,bj->jab", nodes.density[start : start + block], tau, tau.conj())
         total += (np.abs(values - mean) ** 2).sum(axis=0)
-    return float(np.max(np.sqrt(total / (count - 1) / count)))
+    mult = type_table(inst.n, inst.d)[1]
+    return float(np.max(np.sqrt(total / np.outer(mult, mult) / (count - 1) / count)))
 
 
 def _lhs_and_error(inst: Instance, rule: QuadratureRule, fallback_tol: float, prepared: _Prepared):
-    """(node pass, lhs, integration error) of the approximant."""
+    """(node pass, lhs, integration error) of the approximant.
+
+    Both trace norms are taken in Dicke coordinates; the isometry into the
+    d^n space does not change them.
+    """
     nodes, approx = _approximant(inst, rule.weights, prepared.base, fallback_tol)
-    reduced = _gram(inst, inst.rho.amplitudes.reshape(inst.d**inst.n, -1), 1.0)
     if prepared.escalated is None:
-        err = _standard_error(nodes)
+        err = _standard_error(inst, nodes)
     else:
         higher, cond = prepared.escalated
-        err = _discrepancy(approx, _approximant(inst, higher.weights, cond, fallback_tol)[1])
-    return nodes, trace_norm(reduced - approx), err
+        err = trace_norm(approx - _approximant(inst, higher.weights, cond, fallback_tol)[1])
+    return nodes, trace_norm(prepared.reduced - approx), err
 
 
 def _chain_bound(inst: Instance, rule: QuadratureRule, nodes: _NodePass) -> float:
@@ -324,7 +416,7 @@ def _chain_bound(inst: Instance, rule: QuadratureRule, nodes: _NodePass) -> floa
 
 def rho_psi(inst: Instance, psi: PureState) -> Operator:
     """Condition rho on observing psi^(x)k in the trailing k sites."""
-    return _gram(inst, _phi(inst, _node_row(inst, psi)), 1.0)
+    return _spread(inst, _coupling(inst) @ _bra_powers(_node_row(inst, psi), inst.k))
 
 
 def tau_psi(
@@ -337,19 +429,20 @@ def tau_psi(
     normalized state falls back to psi^(x)n, which has deviation weight 0.
     """
     node = _node_pass(inst, _node_row(inst, psi), fallback_tol)
-    return float(node.kept[0]), _gram(inst, node.tau, 1.0), bool(node.fallback[0])
+    return float(node.kept[0]), _spread(inst, node.tau), bool(node.fallback[0])
 
 
 def approximant(
     inst: Instance, rule: QuadratureRule, fallback_tol: float = DEFAULT_FALLBACK_TOL
 ) -> Operator:
     """The weighted average sym_dim(k,d) int trace(rho_psi) tau_psi d(psi)."""
-    return _approximant(inst, rule.weights, _condition(inst, rule.node_matrix), fallback_tol)[1]
+    nodes = _node_pass(inst, rule.node_matrix, fallback_tol)
+    return _spread(inst, nodes.tau, rule.weights * nodes.density)
 
 
 def nu_weight_normalization(inst: Instance, rule: QuadratureRule) -> float:
     """Total mass sym_dim(k,d) int trace(rho_psi) d(psi); 1 for exact rules."""
-    return float(rule.weights @ _condition(inst, rule.node_matrix).density)
+    return float(rule.weights @ _condition(inst, _coupling(inst), rule.node_matrix).density)
 
 
 def lhs_distance(
@@ -422,7 +515,7 @@ def check_operator_inequality(inst: Instance, psi: PureState, rule: QuadratureRu
     """
     overlaps = np.abs(rule.node_matrix.conj() @ psi.amplitudes) ** 2
     coefficients = sym_dim(inst.n + inst.k, inst.d) * rule.weights * overlaps**inst.k
-    upper = _gram(inst, power_rows(rule.node_matrix, inst.n).T, coefficients)
+    upper = Operator(inst.d, inst.n, _gram(power_rows(rule.node_matrix, inst.n).T, coefficients))
     return min_eigenvalue(upper - rho_psi(inst, psi))
 
 

@@ -124,7 +124,7 @@ class Operator:
 
     def hermiticity_defect(self) -> float:
         """Largest entrywise deviation from the adjoint."""
-        return float(np.abs(self.entries - self.entries.conj().T).max())
+        return _hermiticity_defect(self.entries)
 
     def is_hermitian(self, atol: float = HERMITIAN_ATOL) -> bool:
         return self.hermiticity_defect() <= atol
@@ -190,22 +190,26 @@ def partial_trace_last(rho: Operator, k: int) -> Operator:
     return Operator(rho.site_dim, rho.sites - k, np.trace(blocks, axis1=1, axis2=3))
 
 
-def _require_hermitian(a: Operator, what: str):
-    defect = a.hermiticity_defect()
+def _hermiticity_defect(entries: np.ndarray) -> float:
+    return float(np.abs(entries - entries.conj().T).max())
+
+
+def _hermitian_entries(a: Operator | np.ndarray, what: str) -> np.ndarray:
+    entries = a.entries if isinstance(a, Operator) else a
+    defect = _hermiticity_defect(entries)
     if defect > HERMITIAN_ATOL:
         raise ValueError(f"{what} requires a hermitian operator (defect {defect:.3e})")
+    return entries
 
 
-def trace_norm(a: Operator) -> float:
-    """Sum of absolute eigenvalues of a hermitian operator."""
-    _require_hermitian(a, "trace_norm")
-    return float(np.abs(np.linalg.eigvalsh(a.entries)).sum())
+def trace_norm(a: Operator | np.ndarray) -> float:
+    """Sum of absolute eigenvalues of a hermitian operator or square matrix."""
+    return float(np.abs(np.linalg.eigvalsh(_hermitian_entries(a, "trace_norm"))).sum())
 
 
 def min_eigenvalue(a: Operator) -> float:
     """Smallest eigenvalue of a hermitian operator."""
-    _require_hermitian(a, "min_eigenvalue")
-    return float(np.linalg.eigvalsh(a.entries)[0])
+    return float(np.linalg.eigvalsh(_hermitian_entries(a, "min_eigenvalue"))[0])
 
 
 def sandwich_bra_last(rho: Operator, psi: PureState, k: int) -> Operator:

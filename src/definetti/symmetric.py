@@ -9,6 +9,7 @@ orthogonal projector onto the subspace is the isometry times its adjoint.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,22 +27,52 @@ def sym_dim(n: int, d: int) -> int:
     return math.comb(n + d - 1, n)
 
 
+def _grow(types: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Types of one more site, ascending, and the new row of types[i] + e_c at i * d + c."""
+    d = types.shape[1]
+    grown = (types[:, None, :] + np.eye(d, dtype=np.int64)).reshape(-1, d)
+    return np.unique(grown, axis=0, return_inverse=True)
+
+
+def _read_only(*arrays):
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+@functools.lru_cache(maxsize=16)
+def type_table(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(types, mult): the occupation types of n sites and the basis strings of each.
+
+    types is the (sym_dim(n, d), d) table of occupation vectors in ascending
+    lexicographic order, the order of `type_codes`; mult[t] is the multinomial
+    n! / prod_i types[t, i]!, as a float. Nothing of size d**n is built. Both
+    arrays are read-only and cached.
+    """
+    types = np.zeros((1, d), dtype=np.int64)
+    for _ in range(n):
+        types = _grow(types)[0]
+    mult = [math.factorial(n) // math.prod(map(math.factorial, row)) for row in types.tolist()]
+    return _read_only(types, np.array(mult, dtype=np.float64))
+
+
+@functools.lru_cache(maxsize=4)
 def type_codes(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """(types, code): the occupation types of n sites and the type of every basis string.
 
-    types is the (sym_dim(n, d), d) table of occupation vectors in ascending
-    lexicographic order; code[j] is the row of types that basis string j
-    belongs to. Types are numbered site by site: appending digit c to a
-    string of type t gives type t + e_c, and np.unique renumbers the types
-    after each site, so no digit table of all strings is built.
+    types is the table of `type_table`; code[j] is the row of types that basis
+    string j belongs to. Types are numbered site by site: appending digit c
+    to a string of type t gives type t + e_c, and np.unique renumbers the
+    types after each site, so no digit table of all strings is built. Both
+    arrays are read-only and cached, so repeated checks of states on the same
+    sites share them.
     """
     types = np.zeros((1, d), dtype=np.int64)
     code = np.zeros(1, dtype=np.int64)
     for _ in range(n):
-        grown = (types[:, None, :] + np.eye(d, dtype=np.int64)).reshape(-1, d)
-        types, renumber = np.unique(grown, axis=0, return_inverse=True)
+        types, renumber = _grow(types)
         code = renumber.reshape(-1, d)[code].reshape(-1)
-    return types, code
+    return _read_only(types, code)
 
 
 def _site_strings(n: int, d: int) -> np.ndarray:

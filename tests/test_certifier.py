@@ -11,7 +11,7 @@ from definetti.certifier import (
     VIOLATION,
     Instance,
     InstanceError,
-    _symmetric_residual,
+    _dicke_coefficients,
     approximant,
     binary_divergence,
     chain_bound,
@@ -109,8 +109,21 @@ def test_symmetric_residual_matches_dense_projection(d, sites):
         PureState.normalized(d, sites, generic),
     ):
         amps = state.amplitudes
+        coefficients, residual = _dicke_coefficients(state)
+        np.testing.assert_allclose(coefficients, iso.conj().T @ amps, rtol=0, atol=1e-14)
         dense = np.linalg.norm(amps - iso @ (iso.conj().T @ amps))
-        assert _symmetric_residual(state) == pytest.approx(dense, rel=1e-12, abs=1e-14)
+        assert residual == pytest.approx(dense, rel=1e-12, abs=1e-14)
+
+
+def test_dicke_coefficients_are_accurate_at_large_multiplicity():
+    # the middle type of 18 qubits has C(18, 9) = 48620 equal amplitudes; summed in
+    # order they lose about 1e-12 relative, which the second pass over the deviations removes
+    state = random_symmetric_pure(18, 2, seed=3)
+    rng = np.random.default_rng(3)
+    drawn = rng.standard_normal(19) + 1j * rng.standard_normal(19)
+    np.testing.assert_allclose(
+        _dicke_coefficients(state)[0], drawn / np.linalg.norm(drawn), rtol=1e-14, atol=0
+    )
 
 
 def test_rho_psi_product():

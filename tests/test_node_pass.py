@@ -1,12 +1,19 @@
 """The certifier's batched node pass against the dense per-node oracle.
 
-`verify` keeps rho as a state vector and evaluates every quadrature node in
-one batched pass. Here each per-node quantity, and then the whole report, is
-rebuilt from dense operators one node at a time: `sandwich_bra_last`
-conditions the dense rho, and `weight_family` / `threshold_projectors`
-truncate it. The reference error estimate is the same as `verify`'s: the
-nuclear-norm discrepancy against the rule DEGREE_ESCALATION degrees higher
-for exact rules, the standard error of the per-node values for Monte Carlo.
+`verify` keeps rho as Dicke coefficients and evaluates every quadrature node
+in one batched pass on vectors of length sym_dim(n, d). Here each per-node
+quantity, mapped into the d^n space through the Dicke isometry, and then the
+whole report, is rebuilt from dense operators one node at a time:
+`sandwich_bra_last` conditions the dense rho, and `weight_family` /
+`threshold_projectors` truncate it. The reference error estimate is the same
+as `verify`'s: the nuclear-norm discrepancy against the rule
+DEGREE_ESCALATION degrees higher for exact rules, the standard error of the
+per-node values for Monte Carlo.
+
+The frame kernel (a phase and d-1 real rotations, applied in type
+coordinates) is checked against dense d x d frames applied site by site to
+d^n vectors, and its truncation against the same truncation in the frame
+of a Householder reflection per node.
 
 The node pass splits into a threshold-independent half, which `verify`
 keeps for the last (state, split, rule) it saw, and the per-r truncation.
@@ -14,7 +21,9 @@ The reuse across r is checked against `verify` on fresh copies of the inputs.
 """
 
 import dataclasses
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,18 +32,29 @@ from definetti import certifier
 from definetti.certifier import (
     DEFAULT_FALLBACK_TOL,
     Instance,
+    _condition,
+    _Conditioned,
+    _coupling,
+    _givens_angles,
     _node_pass,
-    _rotate_sites,
+    _rotate,
     _standard_error,
+    _truncate,
     verify,
 )
 from definetti.haar import DEGREE_ESCALATION, exact_qubit_rule, monte_carlo_rule, standard_error
 from definetti.hamming import threshold_projectors, weight_family
-from definetti.linalg import Operator, partial_trace_last, sandwich_bra_last, trace_norm
-from definetti.symmetric import random_symmetric_pure, sym_dim
+from definetti.linalg import (
+    Operator,
+    partial_trace_last,
+    power_rows,
+    sandwich_bra_last,
+    trace_norm,
+)
+from definetti.symmetric import dicke_isometry, random_symmetric_pure, sym_dim, type_table
 
 # (d, n, k); every r in 0..n is checked for each
-GRID = [(2, 1, 1), (2, 3, 2), (2, 2, 4), (2, 4, 4), (3, 2, 2)]
+GRID = [(2, 1, 1), (2, 3, 2), (2, 2, 4), (2, 4, 4), (3, 2, 2), (3, 1, 2), (3, 3, 3), (4, 1, 1)]
 TOL = 1e-12
 
 
@@ -97,6 +117,7 @@ def test_node_pass_matches_dense_oracle(d, n, k, fallback_tol):
     for rule in rules(d, n, k):
         for inst in instances(d, n, k):
             nodes = _node_pass(inst, rule.node_matrix, fallback_tol)
+            taus = dicke_isometry(n, d).matrix @ nodes.tau
             for j, term in enumerate(dense_terms(inst, rule, fallback_tol)):
                 weight, kept, escaped, tau, fallback = term
                 where = f"{rule.describe()} r={inst.r} node {j}"
@@ -104,7 +125,7 @@ def test_node_pass_matches_dense_oracle(d, n, k, fallback_tol):
                 assert nodes.kept[j] == pytest.approx(kept, abs=TOL), where
                 assert nodes.escaped[j] == pytest.approx(escaped, abs=TOL), where
                 assert bool(nodes.fallback[j]) == fallback, where
-                row = nodes.tau[:, j]
+                row = taus[:, j]
                 np.testing.assert_allclose(
                     np.outer(row, row.conj()), tau.entries, rtol=0, atol=TOL, err_msg=where
                 )
@@ -126,24 +147,131 @@ def test_verify_matches_dense_reference(d, n, k, fallback_tol):
             assert report.fallback_node_count == fallback, where
 
 
-def batched_matmul_rotation(frames, rows, n):
-    """Rotation oracle: row j mapped by frames[j] on each site, one (d, d) matmul per block."""
-    count, d = frames.shape[:2]
+def householder_frames(nodes):
+    """(d, d, count): a Householder reflection H per node, H psi along e_0 and H = H^-1."""
+    v = np.array(nodes, dtype=np.complex128)
+    v[:, 0] += np.exp(1j * np.angle(nodes[:, 0]))
+    scale = 2 / np.sum(np.abs(v) ** 2, axis=1)
+    return np.eye(nodes.shape[1])[:, :, None] - scale * v.T[:, None, :] * v.T.conj()[None, :, :]
+
+
+def rotate_sites(frames, columns, n):
+    """Column j of d^n columns mapped by frames[:, :, j] on each of its n sites."""
+    d, count = frames.shape[1:]
     for site in range(n):
-        rows = np.matmul(frames[:, None], rows.reshape(count, d**site, d, d ** (n - site - 1)))
-    return rows.reshape(count, d**n)
+        before = columns.reshape(d**site, d, -1, count)
+        columns = np.empty_like(before)
+        for a in range(d):
+            np.multiply(frames[a, 0], before[:, 0], out=columns[:, a])
+            for b in range(1, d):
+                columns[:, a] += frames[a, b] * before[:, b]
+    return columns.reshape(d**n, count)
 
 
+def givens_frames(nodes):
+    """(d, d, count): the dense frame U = R_1 ... R_{d-1} D of each node.
+
+    D = diag(exp(-i arg psi)) and R_j = exp(theta_j (|j-1><j| - |j><j-1|)).
+    """
+    count, d = nodes.shape
+    angles = _givens_angles(nodes)
+    frames = np.empty((d, d, count), dtype=np.complex128)
+    for j, psi in enumerate(nodes):
+        frame = np.diag(np.exp(-1j * np.angle(psi)))
+        for level in range(d - 1, 0, -1):
+            rotation = np.eye(d)
+            cos, sin = math.cos(angles[level - 1, j]), math.sin(angles[level - 1, j])
+            rotation[level - 1 : level + 1, level - 1 : level + 1] = [[cos, sin], [-sin, cos]]
+            frame = rotation @ frame
+        frames[:, :, j] = frame
+    return frames
+
+
+def site_phases(n, nodes):
+    """D^(x)n per node in Dicke coordinates: prod_i exp(-i arg psi_i)^t_i."""
+    return np.exp(-1j * (type_table(n, nodes.shape[1])[0] @ np.angle(nodes).T))
+
+
+def deviation_weights(n, d):
+    """Number of nonzero digits of each basis string of n sites."""
+    return (np.array(list(itertools.product(range(d), repeat=n))).reshape(d**n, n) != 0).sum(axis=1)
+
+
+# named after `rotate_sites` and the batched matmul it was first checked against
 @pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("count", [1, 7])
 def test_rotate_sites_matches_batched_matmul(d, n, count):
     rng = np.random.default_rng(100 * d + 10 * n + count)
-    frames = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
-    rows = rng.standard_normal((count, d**n)) + 1j * rng.standard_normal((count, d**n))
-    expected = batched_matmul_rotation(frames, rows, n)
-    got = _rotate_sites(np.ascontiguousarray(frames.transpose(1, 2, 0)), rows.T.copy(), n)
-    np.testing.assert_allclose(got.T, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
+    nodes = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
+    if count > 1:
+        nodes[1, 0] = 0  # no weight on level 0
+        nodes[-1] = np.eye(d)[-1]  # the last level alone
+    nodes /= np.linalg.norm(nodes, axis=1)[:, None]
+    dim = sym_dim(n, d)
+    columns = rng.standard_normal((dim, count)) + 1j * rng.standard_normal((dim, count))
+    iso = dicke_isometry(n, d).matrix
+    tol = 1e-13 * np.abs(columns).max()
+
+    frames = givens_frames(nodes)
+    frame_of_node = np.einsum("abj,jb->aj", frames, nodes)
+    np.testing.assert_allclose(frame_of_node, np.eye(d)[:, [0] * count], rtol=0, atol=1e-15)
+    angles, phases = _givens_angles(nodes), site_phases(n, nodes)
+    forward = _rotate(n, d, angles, phases * columns)
+    dense = rotate_sites(frames, iso @ columns, n)
+    np.testing.assert_allclose(iso @ forward, dense, rtol=0, atol=tol)
+    back = phases.conj() * _rotate(n, d, angles, forward, inverse=True)
+    np.testing.assert_allclose(back, columns, rtol=0, atol=tol)
+
+    householder = householder_frames(nodes)
+    reflected = rotate_sites(householder, iso @ columns, n)
+    weight = deviation_weights(n, d)
+    cond = _Conditioned(np.ones(count), angles, phases, forward)
+    for r in range(n + 1):
+        below = weight < r
+        kept = np.sum(np.abs(reflected[below]) ** 2, axis=0)
+        escaped = np.sum(np.abs(reflected[~below]) ** 2, axis=0)
+        got = _truncate(SimpleNamespace(d=d, n=n, r=r), cond, 0.0)
+        np.testing.assert_allclose(got.kept, kept, rtol=1e-13, atol=tol**2)
+        np.testing.assert_allclose(got.escaped, escaped, rtol=1e-13, atol=tol**2)
+        assert got.fallback.tolist() == (kept <= 0).tolist()
+        if r == 0:
+            expected = power_rows(nodes, n).T
+        else:
+            expected = rotate_sites(householder, reflected * below[:, None], n) / np.sqrt(kept)
+        np.testing.assert_allclose(iso @ got.tau, expected, rtol=0, atol=1e-13, err_msg=f"r={r}")
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 20), (2, 80), (2, 200), (3, 2), (3, 12), (3, 30)])
+def test_frame_power_is_unitary_and_maps_psi_power_to_last_type(d, n):
+    rng = np.random.default_rng(1000 * d + n)
+    psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    psi /= np.linalg.norm(psi)
+    types, mult = type_table(n, d)
+    nodes = np.repeat(psi[None, :], len(mult), axis=0)
+    # column c is the frame's symmetric power applied to Dicke basis vector c
+    frame = _rotate(n, d, _givens_angles(nodes), site_phases(n, nodes) * np.eye(len(mult)))
+    np.testing.assert_allclose(frame.conj().T @ frame, np.eye(len(mult)), rtol=0, atol=1e-13)
+    power = np.sqrt(mult) * np.prod(psi**types, axis=1)  # psi^(x)n in Dicke coordinates
+    np.testing.assert_allclose(frame @ power, np.eye(len(mult))[-1], rtol=0, atol=1e-13)
+
+
+def test_pass_at_forty_sites_reads_only_dicke_coefficients():
+    # 2^80 amplitudes cannot be held, so the pass must work from the sym_dim(80, 2) coefficients
+    rng = np.random.default_rng(40)
+    coefficients = rng.standard_normal(81) + 1j * rng.standard_normal(81)
+    coefficients /= np.linalg.norm(coefficients)
+    rule = exact_qubit_rule(80)
+    inst = SimpleNamespace(d=2, n=40, k=40, coefficients=coefficients)
+    cond = _condition(inst, _coupling(inst), rule.node_matrix)
+    assert float(rule.weights @ cond.density) == pytest.approx(1.0, abs=1e-12)
+    for r in (0, 1, 20, 40):
+        nodes = _truncate(SimpleNamespace(d=2, n=40, r=r), cond, DEFAULT_FALLBACK_TOL)
+        np.testing.assert_allclose(
+            nodes.kept + nodes.escaped, cond.density / sym_dim(40, 2), rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(np.linalg.norm(nodes.tau, axis=0), 1.0, rtol=0, atol=1e-12)
+        assert nodes.fallback.all() == (r == 0)
 
 
 def fresh(obj):
@@ -201,19 +329,21 @@ def test_reuse_misses_on_new_split_state_or_rule():
         assert verify(Instance(d=2, n=n, k=k, r=1, rho=rho), rule) == want, (n, k, rule.describe())
 
 
-def stacked_values(nodes):
-    """The per-node values density_j |tau_j><tau_j| stacked on axis 0."""
-    return np.einsum("j,aj,bj->jab", nodes.density, nodes.tau, nodes.tau.conj())
+def stacked_values(inst, nodes):
+    """The per-node values density_j |tau_j><tau_j| on the d^n space, stacked on axis 0."""
+    taus = dicke_isometry(inst.n, inst.d).matrix @ nodes.tau
+    return np.einsum("j,aj,bj->jab", nodes.density, taus, taus.conj())
 
 
 @pytest.mark.parametrize("block_nodes", [None, 7])
 def test_blocked_standard_error_matches_full_stack(block_nodes, monkeypatch):
     inst = instances(3, 2, 2)[1]
-    dim = inst.d**inst.n
+    dim = sym_dim(inst.n, inst.d)
     if block_nodes is not None:
         monkeypatch.setattr(certifier, "_BLOCK_ENTRIES", block_nodes * dim**2)
     nodes = _node_pass(inst, monte_carlo_rule(3, 30, seed=4).node_matrix, DEFAULT_FALLBACK_TOL)
     assert 30 % max(1, certifier._BLOCK_ENTRIES // dim**2) != 0
-    assert _standard_error(nodes) == pytest.approx(standard_error(stacked_values(nodes)), rel=1e-12)
+    expected = standard_error(stacked_values(inst, nodes))
+    assert _standard_error(inst, nodes) == pytest.approx(expected, rel=1e-12)
     single = _node_pass(inst, monte_carlo_rule(3, 1, seed=4).node_matrix, DEFAULT_FALLBACK_TOL)
-    assert _standard_error(single) == 0.0
+    assert _standard_error(inst, single) == 0.0
