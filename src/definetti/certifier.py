@@ -133,7 +133,7 @@ class Instance:
                 raise InstanceError(f"rho must be pure, second eigenvalue {eigs[-2]:.3e}")
             rho = PureState(rho.site_dim, rho.sites, vecs[:, -1])
             object.__setattr__(self, "rho", rho)
-        coefficients, beta = _dicke_coefficients(rho)
+        coefficients, beta = _reduce_or_reuse(rho)
         object.__setattr__(self, "coefficients", coefficients)
         # trace norm of P rho P - rho for rho = |Phi><Phi| whose component
         # outside the symmetric subspace has norm beta
@@ -373,6 +373,22 @@ def _reuse_or_prepare(inst: Instance, rule: QuadratureRule) -> _Prepared:
     return prepared
 
 
+# The last (state, (coefficients, beta)) of `Instance`, so that a sweep over r
+# on one state reduces it once. It is matched by identity like `_last_prepared`;
+# the symmetric-support check still runs on every `Instance`.
+_last_reduced = None
+
+
+def _reduce_or_reuse(state: PureState) -> tuple[np.ndarray, float]:
+    global _last_reduced
+    last = _last_reduced
+    if last is not None and last[0] is state:
+        return last[1]
+    reduced = _dicke_coefficients(state)
+    _last_reduced = (state, reduced)
+    return reduced
+
+
 def _standard_error(inst: Instance, nodes: _NodePass) -> float:
     """`haar.standard_error` of the per-node values density_j |tau_j><tau_j| on the d^n space.
 
@@ -476,8 +492,32 @@ def explicit_bound(n: int, k: int, d: int, r: int) -> float:
     return 3.0 * sym_dim(k, d) * math.sqrt(sym_dim(n + k, d)) * math.exp(-(r / 6.0) * rate)
 
 
+def _horner(coefficients, t: float) -> float:
+    """sum_j coefficients[j] t^(len - 1 - j), highest power first."""
+    total = 0.0
+    for c in coefficients:
+        total = total * t + c
+    return total
+
+
 def g_max(n: int, k: int, r: int) -> float:
-    """Max over x in [0,1] of x^k tail(n, r, x), by dense grid plus refinement.
+    """Max over x in [0,1] of f(x) = x^k tail(n, r, x), located by bisection.
+
+    tail(n, r, x) is the Beta(r, n-r+1) distribution function at 1-x, and
+    the distribution function of a log-concave density is log-concave
+    (Bagnoli and Bergstrom, Economic Theory 26, 2005). So f, a product of
+    log-concave factors, is log-concave with a single maximizer. For
+    1 <= r <= n, x tail(x) (ln f)'(x) equals
+
+        h(x) = k tail(x) - n C(n-1, r-1) x^(n-r+1) (1-x)^(r-1),
+
+    which is positive left of the maximizer and negative right of it. The
+    bisection runs over x = m 2^-53 for integers m, where x and 1 - x are both
+    exact floats, so the rounding of 1 - x is never raised to a power. It
+    halves [0, 1] on the sign of h until no such x is left between its ends,
+    then takes the larger f of the two, summed term by term with fsum. The
+    sign comes from one Horner sum in t = min(x, 1-x) / max(x, 1-x) <= 1,
+    with positive coefficients, so each step costs O(n - r + 1).
 
     The maximum never exceeds e^(-(r/3) min(k/n, 1)): for x below 1 - r/(3n)
     the power x^k decays enough, and above that point the binomial tail
@@ -487,18 +527,37 @@ def g_max(n: int, k: int, r: int) -> float:
         raise ValueError("n and k must be >= 1")
     if not 0 <= r <= n + 1:
         raise ValueError(f"r={r} outside 0..{n + 1}")
-    lo, hi = 0.0, 1.0
-    best_x, best = 0.0, 0.0
-    points = 10001
-    for _ in range(3):
-        xs = np.linspace(lo, hi, points)
-        values = xs**k * tail_function_grid(n, r, xs)
-        at = int(values.argmax())
-        if values[at] >= best:
-            best_x, best = float(xs[at]), float(values[at])
-        step = (hi - lo) / (points - 1)
-        lo, hi = max(best_x - step, 0.0), min(best_x + step, 1.0)
-        points = 201
+    if r == 0:
+        return 1.0
+    if r == n + 1:
+        return 0.0
+    # plain floats: at a few hundred terms numpy's per-call cost exceeds the arithmetic
+    span = range(r, n + 1)
+    coeff = [float(math.comb(n, i)) for i in span]
+    reverse = coeff[::-1]
+    slope = n * float(math.comb(n - 1, r - 1))
+    steps = 1 << 53
+
+    def tail(m):
+        x, y = m / steps, (steps - m) / steps
+        return math.fsum([c * x ** (n - i) * y**i for c, i in zip(coeff, span)])
+
+    def rising(m):
+        # the sign of h(x) / (1-x)^n below x = 1/2, of h(x) / (x^n t^(r-1)) above
+        if 2 * m < steps:
+            t = m / (steps - m)
+            return k * _horner(coeff, t) > slope * t ** (n - r + 1)
+        t = (steps - m) / m
+        return k * t * _horner(reverse, t) > slope
+
+    lo, hi = 0, steps
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if rising(mid):
+            lo = mid
+        else:
+            hi = mid
+    best = max((m / steps) ** k * tail(m) for m in (lo, hi))
     ceiling = math.exp(-(r / 3.0) * min(k / n, 1.0))
     if best > ceiling + _GRID_SLACK:
         raise ArithmeticError(
@@ -552,6 +611,13 @@ def binary_divergence(p: float, q: float) -> float:
     return first + second
 
 
+def _binary_divergences(p: float, q: np.ndarray) -> np.ndarray:
+    """`binary_divergence(p, q_j)` for every entry of q, each in (0, 1)."""
+    first = 0.0 if p == 0.0 else p * np.log(p / q)
+    second = 0.0 if p == 1.0 else (1 - p) * np.log((1 - p) / (1 - q))
+    return first + second
+
+
 def check_chernoff_claim(n: int, r: int, grid_points: int = 1000) -> float:
     """Slack of the tail bound on the window where failures are rare.
 
@@ -566,9 +632,7 @@ def check_chernoff_claim(n: int, r: int, grid_points: int = 1000) -> float:
     xs = left + (1.0 - left) * np.arange(grid_points) / grid_points
     tails = tail_function_grid(n, r, xs)
     slack = float((math.exp(-r / 3.0) - tails).min())
-    rate = r / n
-    divergences = np.array([binary_divergence(rate, 1.0 - float(x)) for x in xs])
-    worst = float((n * divergences - r / 3.0).min())
+    worst = float((n * _binary_divergences(r / n, 1.0 - xs) - r / 3.0).min())
     if worst < -_GRID_SLACK:
         raise ArithmeticError(
             f"large-deviation form fails at n={n} r={r}: min slack {worst:.3e}"

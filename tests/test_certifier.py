@@ -1,3 +1,5 @@
+import dataclasses
+import decimal
 import math
 from fractions import Fraction
 
@@ -5,12 +7,15 @@ import numpy as np
 import pytest
 from scipy import integrate as scipy_integrate
 
+from definetti import certifier, cli
 from definetti.certifier import (
+    DEFAULT_FALLBACK_TOL,
     INCONCLUSIVE,
     PASS,
     VIOLATION,
     Instance,
     InstanceError,
+    _binary_divergences,
     _dicke_coefficients,
     approximant,
     binary_divergence,
@@ -28,7 +33,7 @@ from definetti.certifier import (
     verify,
 )
 from definetti.haar import QuadratureRule, exact_qubit_rule, haar_state, monte_carlo_rule
-from definetti.hamming import tail_function, weight_family, threshold_projectors
+from definetti.hamming import tail_function, tail_function_grid, threshold_projectors, weight_family
 from definetti.linalg import Operator, PureState, partial_trace_last, trace_norm
 from definetti.symmetric import (
     dicke_isometry,
@@ -124,6 +129,64 @@ def test_dicke_coefficients_are_accurate_at_large_multiplicity():
     np.testing.assert_allclose(
         _dicke_coefficients(state)[0], drawn / np.linalg.norm(drawn), rtol=1e-14, atol=0
     )
+
+
+def counting_reductions(monkeypatch):
+    """Count the calls of certifier._dicke_coefficients from here on."""
+    calls = []
+    reduce = certifier._dicke_coefficients
+
+    def counting(state):
+        calls.append(state)
+        return reduce(state)
+
+    monkeypatch.setattr(certifier, "_dicke_coefficients", counting)
+    return calls
+
+
+def test_sweep_over_r_reduces_the_state_once(monkeypatch):
+    calls = counting_reductions(monkeypatch)
+    rows = cli.build_rows(2, 6, [2], range(7), "random-sym:7", "exact:8", DEFAULT_FALLBACK_TOL, False)
+    assert [row.r for row in rows] == list(range(7))
+    assert len(calls) == 1
+
+
+def test_reduction_memo_misses_on_a_new_state(monkeypatch):
+    calls = counting_reductions(monkeypatch)
+    state = random_symmetric_pure(4, 2, seed=1)
+    first = Instance(d=2, n=2, k=2, r=1, rho=state)
+    Instance(d=2, n=3, k=1, r=2, rho=state)
+    assert len(calls) == 1
+    copy = dataclasses.replace(state)  # equal amplitudes, a new object
+    np.testing.assert_array_equal(Instance(d=2, n=2, k=2, r=1, rho=copy).coefficients, first.coefficients)
+    assert calls[-1] is copy
+    Instance(d=2, n=2, k=2, r=1, rho=state)  # the memo holds one state only
+    assert len(calls) == 3
+
+
+def test_reduction_memo_keeps_every_instance_check(monkeypatch):
+    calls = counting_reductions(monkeypatch)
+    antisym = PureState(2, 2, np.array([0, 1, -1, 0]) / np.sqrt(2))
+    for r in (0, 1, 1):
+        with pytest.raises(InstanceError, match="symmetric"):
+            Instance(d=2, n=1, k=1, r=r, rho=antisym)
+    assert len(calls) == 1
+    good = ghz_state(2, 2).projector()
+    skewed = good.entries.copy()
+    skewed[0, 1] += 0.1
+    bad = [
+        (Operator(2, 2, skewed), "hermitian"),
+        (Operator(2, 2, 2 * good.entries), "unit trace"),
+        (Operator(2, 2, np.diag([1.5, 0, 0, -0.5])), "PSD"),
+        (Operator(2, 2, np.eye(4) / 4), "pure"),
+    ]
+    for _ in range(2):
+        # each Operator instance becomes a new vector, reduced again
+        Instance(d=2, n=1, k=1, r=1, rho=good)
+        for rho, match in bad:
+            with pytest.raises(InstanceError, match=match):
+                Instance(d=2, n=1, k=1, r=1, rho=rho)
+    assert len(calls) == 3
 
 
 def test_rho_psi_product():
@@ -311,6 +374,110 @@ def test_g_max_dominates_samples():
         assert x**k * tail_function(n, r, x) <= peak + 1e-9
 
 
+def grid_g_max(n, k, r, first_tails=None):
+    """The former g_max as (best x, best value): a 10001-point grid, then two 201-point refinements.
+
+    `first_tails` may carry tail_function_grid(n, r, .) on the first grid,
+    which does not depend on k.
+    """
+    lo, hi = 0.0, 1.0
+    best_x, best = 0.0, 0.0
+    points = 10001
+    for _ in range(3):
+        xs = np.linspace(lo, hi, points)
+        if points == 10001 and first_tails is not None:
+            tails = first_tails
+        else:
+            tails = tail_function_grid(n, r, xs)
+        values = xs**k * tails
+        at = int(values.argmax())
+        if values[at] >= best:
+            best_x, best = float(xs[at]), float(values[at])
+        step = (hi - lo) / (points - 1)
+        lo, hi = max(best_x - step, 0.0), min(best_x + step, 1.0)
+        points = 201
+    return best_x, best
+
+
+def decimal_profile(n, k, r, x):
+    """x^k tail(n, r, x) in the current decimal context, for a Decimal x."""
+    one = decimal.Decimal(1)
+    return x**k * sum(math.comb(n, i) * x ** (n - i) * (one - x) ** i for i in range(r, n + 1))
+
+
+def decimal_g_max(n, k, r):
+    """Max of x^k tail(n, r, x) by golden-section search in 40-digit decimal arithmetic.
+
+    Independent of the derivative that g_max bisects on; it needs only that
+    the profile is unimodal.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        ratio = (decimal.Decimal(5).sqrt() - 1) / 2
+        lo, hi = decimal.Decimal(0), decimal.Decimal(1)
+        a, b = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+        fa, fb = decimal_profile(n, k, r, a), decimal_profile(n, k, r, b)
+        while hi - lo > decimal.Decimal("1e-24"):
+            if fa < fb:
+                lo, a, fa = a, b, fb
+                b = lo + ratio * (hi - lo)
+                fb = decimal_profile(n, k, r, b)
+            else:
+                hi, b, fb = b, a, fa
+                a = hi - ratio * (hi - lo)
+                fa = decimal_profile(n, k, r, a)
+        return float(decimal_profile(n, k, r, (lo + hi) / 2))
+
+
+def test_g_max_matches_grid_oracle():
+    # The grid's float value rounds 1 - x before raising it to powers up to n,
+    # which puts it up to 3.4e-15 above the true maximum here; the profile at
+    # the grid's best point, taken in 40 digits, is what g_max must not fall below.
+    first = np.linspace(0.0, 1.0, 10001)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        for n in range(1, 41):
+            for r in range(n + 2):
+                tails = tail_function_grid(n, r, first)
+                for k in range(1, 41, 3):
+                    value = g_max(n, k, r)
+                    best_x, grid = grid_g_max(n, k, r, tails)
+                    assert value == pytest.approx(grid, rel=1e-12, abs=0), (n, k, r)
+                    if 0 < r <= n:  # else both are exactly 1 or 0
+                        at_best_x = float(decimal_profile(n, k, r, decimal.Decimal(best_x)))
+                        assert value >= at_best_x * (1 - 1e-15), (n, k, r)
+
+
+@pytest.mark.parametrize(
+    "n,k,r",
+    [(6, 2, 3), (40, 40, 20), (100, 3, 90), (200, 200, 100), (200, 1, 1), (200, 1, 200), (1, 1, 1)],
+)
+def test_g_max_matches_high_precision_maximum(n, k, r):
+    assert g_max(n, k, r) == pytest.approx(decimal_g_max(n, k, r), rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("steps_from_one", [7.4, 7.6])
+def test_g_max_takes_the_better_end_of_the_last_bracket(steps_from_one):
+    # x^k (1 - x) peaks at 1 - 1/(k+1); with 1/(k+1) a few float steps of 2^-53
+    # below 1, the profile changes by 0.2% from one representable x to the next,
+    # and the maximum over them lies at the right (7.4) or left (7.6) end of the last bracket
+    k = round(2**53 / steps_from_one)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        expected = max(
+            decimal_profile(1, k, 1, 1 - decimal.Decimal(u) / 2**53) for u in range(1, 30)
+        )
+    assert g_max(1, k, 1) == pytest.approx(float(expected), rel=1e-14, abs=0)
+
+
+def test_g_max_stays_below_ceiling_up_to_200_sites():
+    for n in (20, 50, 100, 150, 200):
+        for k in (1, n // 2, n, 2 * n):
+            for r in range(n + 2):
+                ceiling = math.exp(-(r / 3) * min(k / n, 1))
+                assert g_max(n, k, r) <= ceiling + 1e-12, f"n={n} k={k} r={r}"
+
+
 def test_check_operator_inequality_bell_example():
     # conditioning on |0> leaves diag(1/2, 0); the averaged upper bound is
     # (I + |0><0|)/2; the gap has smallest eigenvalue 1/2
@@ -384,6 +551,21 @@ def test_binary_divergence():
         binary_divergence(1.5, 0.5)
     with pytest.raises(ValueError):
         binary_divergence(0.5, 0.0)
+
+
+def test_binary_divergences_match_scalar_oracle():
+    for n in (1, 5, 13, 37, 50):
+        for r in range(1, n + 1):
+            left = 1.0 - r / (3.0 * n)
+            q = 1.0 - (left + (1.0 - left) * np.arange(1000) / 1000)
+            expected = [binary_divergence(r / n, float(value)) for value in q]
+            np.testing.assert_allclose(_binary_divergences(r / n, q), expected, rtol=1e-14, atol=0)
+
+
+def test_check_chernoff_claim_reports_a_failed_divergence_bound(monkeypatch):
+    monkeypatch.setattr(certifier, "_binary_divergences", lambda p, q: np.zeros_like(q))
+    with pytest.raises(ArithmeticError, match="large-deviation"):
+        check_chernoff_claim(20, 6)
 
 
 def test_check_chernoff_claim():
