@@ -17,7 +17,7 @@ from definetti.certifier import (
 )
 from definetti.haar import QuadratureRule, exact_qubit_rule, monte_carlo_rule
 from definetti.linalg import Operator, PureState
-from definetti.symmetric import dicke_state, ghz_state, random_symmetric_pure
+from definetti.symmetric import SymmetricState, dicke_state, ghz_state, random_symmetric_pure
 
 __version__ = "0.1.0"
 
@@ -29,6 +29,7 @@ __all__ = [
     "PASS",
     "PureState",
     "QuadratureRule",
+    "SymmetricState",
     "VIOLATION",
     "VerificationReport",
     "dicke_state",

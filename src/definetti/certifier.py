@@ -39,7 +39,7 @@ from definetti.linalg import (
     power_rows,
     trace_norm,
 )
-from definetti.symmetric import sym_dim, type_codes, type_table
+from definetti.symmetric import SymmetricState, sym_dim, type_codes, type_table
 
 PASS = "PASS"
 VIOLATION = "VIOLATION"
@@ -91,18 +91,20 @@ def _dicke_coefficients(state: PureState) -> tuple[np.ndarray, float]:
 class Instance:
     """A certification problem: sites split as n kept + k conditioned.
 
-    rho is a PureState on n+k sites of dimension d, supported on the symmetric
-    subspace; a density Operator must be hermitian, unit trace, PSD and pure,
-    and is replaced by its top eigenvector. The truncation threshold r lies
-    in 0..n. Violations raise InstanceError at construction. `coefficients`
-    holds rho's Dicke coefficients, which is all that `verify` reads of it.
+    rho is a state on n+k sites of dimension d. A SymmetricState is taken as
+    it is: it is symmetric by construction. A PureState must be supported on
+    the symmetric subspace; a density Operator must be hermitian, unit trace,
+    PSD and pure, and is replaced by its top eigenvector. Both are reduced to
+    Dicke coefficients. The truncation threshold r lies in 0..n. Violations
+    raise InstanceError at construction. `coefficients` holds rho's Dicke
+    coefficients, which is all that `verify` reads of it.
     """
 
     d: int
     n: int
     k: int
     r: int
-    rho: PureState
+    rho: SymmetricState | PureState
     label: str = ""
     coefficients: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -121,6 +123,9 @@ class Instance:
                 f"rho must act on {self.n + self.k} sites of dimension {self.d}, "
                 f"got {rho.sites} sites of dimension {rho.site_dim}"
             )
+        if isinstance(rho, SymmetricState):
+            object.__setattr__(self, "coefficients", rho.coefficients)
+            return
         if isinstance(rho, Operator):
             if not rho.is_hermitian(1e-12):
                 raise InstanceError("rho must be hermitian")

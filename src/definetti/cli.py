@@ -39,7 +39,7 @@ from .certifier import (
     verify,
 )
 from .haar import exact_qubit_rule, monte_carlo_rule, pure_power_moment
-from .linalg import Operator, PureState
+from .linalg import Operator
 from .symmetric import dicke_state, ghz_state, random_symmetric_pure, sym_dim, symmetrizer
 
 EXIT_OK = 0
@@ -151,14 +151,13 @@ def _parse_int_list(name: str, text: str) -> list:
 
 
 def parse_state_spec(spec: str, d: int, sites: int):
-    """Build the pure state named by SPEC on `sites` sites; returns (state, seed)."""
+    """Build the symmetric state named by SPEC on `sites` sites; returns (state, seed)."""
     name, _, arg = spec.partition(":")
     try:
         if name == "product":
             if arg:
                 raise UsageError("state 'product' takes no argument")
-            base = PureState(d, 1, [1.0] + [0.0] * (d - 1))
-            return base.tensor_power(sites), None
+            return dicke_state(sites, d, (sites,) + (0,) * (d - 1)), None
         if name == "ghz":
             if arg:
                 raise UsageError("state 'ghz' takes no argument")

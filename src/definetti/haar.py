@@ -83,6 +83,23 @@ class QuadratureRule:
         return f"mc(samples={self.samples}, seed={self.seed})"
 
 
+def _gauss_legendre(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes on [-1, 1], ascending, and their weights, which sum to 2.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    Legendre polynomials, zero on the diagonal and j / sqrt(4 j^2 - 1) beside
+    it, and the weights are 2 v_0^2 for the first entries v_0 of its unit
+    eigenvectors. Nodes and weights are symmetrized about 0 and the weights
+    renormalized. Unlike `numpy.polynomial.legendre.leggauss`, this needs no
+    import beyond the `numpy.linalg` that `import numpy` already loads.
+    """
+    j = np.arange(1, points)
+    beside = j / np.sqrt(4.0 * j * j - 1.0)
+    nodes, vectors = np.linalg.eigh(np.diag(beside, 1) + np.diag(beside, -1))
+    weights = vectors[0] ** 2 + vectors[0, ::-1] ** 2
+    return (nodes - nodes[::-1]) / 2, 2 * weights / weights.sum()
+
+
 def exact_qubit_rule(t: int) -> QuadratureRule:
     """Rule exact for qubit polynomials of degree <= t in |theta><theta|.
 
@@ -94,7 +111,7 @@ def exact_qubit_rule(t: int) -> QuadratureRule:
     """
     if t < 0:
         raise ValueError(f"degree must be >= 0, got {t}")
-    u, gauss_w = np.polynomial.legendre.leggauss(t + 1)
+    u, gauss_w = _gauss_legendre(t + 1)
     n_phi = 2 * t + 2
     phi = 2 * np.pi * np.arange(n_phi) / n_phi
     nodes = np.empty(((t + 1) * n_phi, 2), dtype=np.complex128)

@@ -40,6 +40,15 @@ def _norm(vec: np.ndarray) -> float:
     return float(np.sqrt(np.sum(vec.real**2 + vec.imag**2)))
 
 
+def _unit_vector(vector, length: int, what: str) -> np.ndarray:
+    """`vector` as a read-only complex array of `length` entries, checked to have unit norm."""
+    arr = _as_complex_readonly(vector, (length,), what)
+    defect = abs(_norm(arr) - 1.0)
+    if defect > NORM_ATOL:
+        raise ValueError(f"{what} must be normalized: |norm - 1| = {defect:.3e}")
+    return arr
+
+
 @dataclass(frozen=True)
 class PureState:
     """Unit vector on `sites` subsystems of dimension `site_dim` each."""
@@ -53,12 +62,7 @@ class PureState:
             raise ValueError(f"site_dim must be >= 2, got {self.site_dim}")
         if self.sites < 1:
             raise ValueError(f"sites must be >= 1, got {self.sites}")
-        amps = _as_complex_readonly(
-            self.amplitudes, (self.site_dim**self.sites,), "PureState amplitudes"
-        )
-        nrm = _norm(amps)
-        if abs(nrm - 1.0) > NORM_ATOL:
-            raise ValueError(f"PureState must be normalized: |norm - 1| = {abs(nrm - 1.0):.3e}")
+        amps = _unit_vector(self.amplitudes, self.site_dim**self.sites, "PureState amplitudes")
         object.__setattr__(self, "amplitudes", amps)
 
     @classmethod

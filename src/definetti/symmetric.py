@@ -1,10 +1,13 @@
-"""Symmetric subspace machinery: the type table, Dicke isometries, symmetrizers.
+"""Symmetric subspace machinery: the type table, symmetric states, Dicke isometries.
 
 The permutation-symmetric subspace of n sites of dimension d has one basis
 vector per occupation vector (m_1, ..., m_d) with sum n: the equal-amplitude
-superposition of all basis strings of that type. Collecting those vectors as
-columns gives an isometry from C^{sym_dim(n, d)} into the full space, and the
-orthogonal projector onto the subspace is the isometry times its adjoint.
+superposition of all basis strings of that type. A symmetric pure state is
+its sym_dim(n, d) coefficients in that basis (`SymmetricState`), which is how
+the state builders return it. Collecting the basis vectors as columns gives
+an isometry from C^{sym_dim(n, d)} into the full space, and the orthogonal
+projector onto the subspace is the isometry times its adjoint; both are
+built only as dense reference oracles.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from definetti.linalg import Operator, PureState
+from definetti.linalg import Operator, PureState, _unit_vector
 
 
 def sym_dim(n: int, d: int) -> int:
@@ -75,6 +78,38 @@ def type_codes(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(types, code)
 
 
+@dataclass(frozen=True)
+class SymmetricState:
+    """Pure state of `sites` sites of dimension `site_dim`, given by its Dicke coefficients.
+
+    coefficients[t] is the amplitude of the Dicke state of the t-th type of
+    `type_table(sites, site_dim)`, so the state is symmetric by construction
+    and nothing of size site_dim**sites is held. The coefficients must number
+    sym_dim(sites, site_dim) and have unit norm (the pairwise-sum check of
+    `PureState`); they are stored read-only.
+    """
+
+    site_dim: int
+    sites: int
+    coefficients: np.ndarray
+
+    def __post_init__(self):
+        if self.site_dim < 2:
+            raise ValueError(f"site_dim must be >= 2, got {self.site_dim}")
+        if self.sites < 1:
+            raise ValueError(f"sites must be >= 1, got {self.sites}")
+        coefficients = _unit_vector(
+            self.coefficients, sym_dim(self.sites, self.site_dim), "SymmetricState coefficients"
+        )
+        object.__setattr__(self, "coefficients", coefficients)
+
+    def pure(self) -> PureState:
+        """The site_dim**sites amplitudes: c_t / sqrt(mult_t) on every basis string of type t."""
+        code = type_codes(self.sites, self.site_dim)[1]
+        amplitudes = (1.0 / np.sqrt(np.bincount(code)))[code] * self.coefficients[code]
+        return PureState(self.site_dim, self.sites, amplitudes)
+
+
 def _site_strings(n: int, d: int) -> np.ndarray:
     """(d**n, n) table of base-d digits; row j spells basis index j, site 1 first."""
     idx = np.arange(d**n)
@@ -122,16 +157,12 @@ def dicke_isometry(n: int, d: int) -> DickeIsometry:
     return DickeIsometry(n=n, d=d, occupations=occs, matrix=matrix)
 
 
-def dicke_state(n: int, d: int, occupation) -> PureState:
+def dicke_state(n: int, d: int, occupation) -> SymmetricState:
     """Equal-amplitude superposition of all basis strings with the given type."""
     occ = tuple(int(x) for x in occupation)
     if len(occ) != d or any(x < 0 for x in occ) or sum(occ) != n:
         raise ValueError(f"occupation {occ} is not a d={d} type of total {n}")
-    types, code = type_codes(n, d)
-    mask = code == np.flatnonzero((types == occ).all(axis=1))[0]
-    amps = np.zeros(d**n, dtype=np.complex128)
-    amps[mask] = 1.0 / math.sqrt(int(mask.sum()))
-    return PureState(d, n, amps)
+    return SymmetricState(d, n, (type_table(n, d)[0] == occ).all(axis=1))
 
 
 def symmetrizer(n: int, d: int) -> Operator:
@@ -155,22 +186,20 @@ def permutation_operator(n: int, d: int, perm) -> Operator:
     return Operator(d, n, mat)
 
 
-def random_symmetric_pure(n: int, d: int, seed: int) -> PureState:
+def random_symmetric_pure(n: int, d: int, seed: int) -> SymmetricState:
     """Haar-like random symmetric state: complex gaussian Dicke coefficients."""
-    types, code = type_codes(n, d)
+    size = sym_dim(n, d)
     rng = np.random.default_rng(seed)
-    coeff = rng.standard_normal(len(types)) + 1j * rng.standard_normal(len(types))
+    coeff = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     coeff /= np.linalg.norm(coeff)
-    return PureState(d, n, (1.0 / np.sqrt(np.bincount(code)))[code] * coeff[code])
+    return SymmetricState(d, n, coeff)
 
 
-def ghz_state(n: int, d: int) -> PureState:
-    """Equal superposition of the d constant strings |j j ... j>."""
+def ghz_state(n: int, d: int) -> SymmetricState:
+    """Equal superposition of the d constant strings |j j ... j>, the types n e_j."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
-    amps = np.zeros(d**n, dtype=np.complex128)
-    stride = (d**n - 1) // (d - 1)  # 1 + d + ... + d^(n-1)
-    amps[np.arange(d) * stride] = 1.0 / math.sqrt(d)
-    return PureState(d, n, amps)
+    constant = type_table(n, d)[0].max(axis=1) == n
+    return SymmetricState(d, n, constant / math.sqrt(d))

@@ -135,7 +135,7 @@ def test_operator_upper_bound():
     for seed in range(20):
         n, k = cells[seed % len(cells)]
         state = random_symmetric_pure(n + k, 2, seed)
-        inst = Instance(d=2, n=n, k=k, r=0, rho=state.projector())
+        inst = Instance(d=2, n=n, k=k, r=0, rho=state.pure().projector())
         psi = haar_state(2, rng)
         min_slack = min(min_slack, check_operator_inequality(inst, psi, exact_qubit_rule(n + k)))
     _report(
@@ -153,11 +153,11 @@ def _end_to_end():
     base = PureState(2, 1, [1.0, 0.0])
     states = {
         "product": base.tensor_power(8),
-        "ghz": ghz_state(8, 2),
-        "dicke:4,4": dicke_state(8, 2, (4, 4)),
+        "ghz": ghz_state(8, 2).pure(),
+        "dicke:4,4": dicke_state(8, 2, (4, 4)).pure(),
     }
     for seed in range(1, 6):
-        states[f"random-sym:{seed}"] = random_symmetric_pure(8, 2, seed)
+        states[f"random-sym:{seed}"] = random_symmetric_pure(8, 2, seed).pure()
 
     reports = {}
     support = {"fallback": 0, "kept": 0, "worst_fallback": -1, "worst_kept": -1, "ok": True}
@@ -193,7 +193,7 @@ def test_end_to_end_certification():
     )
 
     bell = verify(
-        Instance(d=2, n=1, k=1, r=1, rho=ghz_state(2, 2).projector()), exact_qubit_rule(6)
+        Instance(d=2, n=1, k=1, r=1, rho=ghz_state(2, 2).pure().projector()), exact_qubit_rule(6)
     )
     anchor_ok = (
         bell.lhs <= 1e-8

@@ -36,6 +36,7 @@ from definetti.haar import QuadratureRule, exact_qubit_rule, haar_state, monte_c
 from definetti.hamming import tail_function, tail_function_grid, threshold_projectors, weight_family
 from definetti.linalg import Operator, PureState, partial_trace_last, trace_norm
 from definetti.symmetric import (
+    SymmetricState,
     dicke_isometry,
     dicke_state,
     ghz_state,
@@ -45,7 +46,7 @@ from definetti.symmetric import (
 
 
 def bell_instance(r=1):
-    return Instance(d=2, n=1, k=1, r=r, rho=ghz_state(2, 2).projector(), label="bell")
+    return Instance(d=2, n=1, k=1, r=r, rho=ghz_state(2, 2).pure().projector(), label="bell")
 
 
 def product_instance(n, k, r, d=2):
@@ -66,12 +67,13 @@ def exact_beta_mass(n, k, r):
 
 def test_instance_validation():
     bell_instance()  # valid
+    ghz = ghz_state(2, 2).pure()
     # the state vector and its density operator give the same instance
-    for rho in (ghz_state(2, 2), ghz_state(2, 2).projector()):
+    for rho in (ghz, ghz.projector()):
         inst = Instance(d=2, n=1, k=1, r=1, rho=rho)
         assert isinstance(inst.rho, PureState)
-        assert abs(inst.rho.overlap(ghz_state(2, 2))) == pytest.approx(1.0, abs=1e-12)
-    for rho in (ghz_state(2, 2), ghz_state(2, 2).projector()):
+        assert abs(inst.rho.overlap(ghz)) == pytest.approx(1.0, abs=1e-12)
+    for rho in (ghz_state(2, 2), ghz, ghz.projector()):
         with pytest.raises(InstanceError):
             Instance(d=2, n=1, k=1, r=2, rho=rho)
         with pytest.raises(InstanceError):
@@ -90,7 +92,7 @@ def test_instance_validation():
     # a symmetric state with a small antisymmetric admixture: the defect is
     # beta sqrt(beta^2 + 4 (1 - beta^2)) for admixture amplitude beta
     for beta, ok in ((1e-11, True), (1e-9, False)):
-        mixed = math.sqrt(1 - beta**2) * ghz_state(2, 2).amplitudes + beta * antisym.amplitudes
+        mixed = math.sqrt(1 - beta**2) * ghz.amplitudes + beta * antisym.amplitudes
         for rho in (PureState(2, 2, mixed), PureState(2, 2, mixed).projector()):
             if ok:
                 Instance(d=2, n=1, k=1, r=0, rho=rho)
@@ -98,9 +100,54 @@ def test_instance_validation():
                 with pytest.raises(InstanceError, match="symmetric"):
                     Instance(d=2, n=1, k=1, r=0, rho=rho)
     with pytest.raises(InstanceError):
-        Instance(d=2, n=1, k=1, r=0, rho=Operator(2, 2, 2 * ghz_state(2, 2).projector().entries))
+        Instance(d=2, n=1, k=1, r=0, rho=Operator(2, 2, 2 * ghz.projector().entries))
     with pytest.raises(InstanceError):
         Instance(d=2, n=1, k=1, r=0, rho=Operator(2, 2, np.diag([1.5, 0, 0, -0.5])))  # not PSD
+
+
+def test_symmetric_state_instance_validation():
+    ghz = ghz_state(3, 2)
+    inst = Instance(d=2, n=2, k=1, r=1, rho=ghz)
+    assert inst.rho is ghz and inst.coefficients is ghz.coefficients
+    for d, n, k in ((3, 2, 1), (2, 1, 1), (2, 3, 1)):
+        with pytest.raises(InstanceError, match="sites of dimension"):
+            Instance(d=d, n=n, k=k, r=0, rho=ghz)
+    # like a PureState, a SymmetricState refuses a wrong length or norm when it is built,
+    # with a ValueError (the base of InstanceError), so no Instance ever sees one
+    with pytest.raises(ValueError, match="shape"):
+        SymmetricState(2, 3, [1, 0, 0])
+    for scale in (1 + 2e-12, 1 - 2e-12):
+        with pytest.raises(ValueError, match="normalized"):
+            SymmetricState(2, 3, scale * ghz.coefficients)
+    SymmetricState(2, 3, (1 + 5e-13) * ghz.coefficients)  # within NORM_ATOL
+    with pytest.raises(ValueError):
+        ghz.coefficients[0] = 1
+
+
+@pytest.mark.parametrize(
+    "d,n,k,rule",
+    [
+        (2, 4, 3, exact_qubit_rule(7)),
+        (2, 3, 5, exact_qubit_rule(8)),
+        (3, 2, 2, monte_carlo_rule(3, 500, seed=2)),
+        (3, 3, 2, monte_carlo_rule(3, 300, seed=1)),
+    ],
+)
+def test_verify_on_symmetric_state_matches_its_pure_adapter(d, n, k, rule):
+    # lhs_err is the distance between two unit-trace approximants, so beside the
+    # relative 1e-12 it is allowed an absolute 1e-14 at roundoff
+    occupation = (n + k - 1, 1) + (0,) * (d - 2)
+    states = (random_symmetric_pure(n + k, d, 11), ghz_state(n + k, d), dicke_state(n + k, d, occupation))
+    for state in states:
+        for r in range(n + 1):
+            got = verify(Instance(d=d, n=n, k=k, r=r, rho=state), rule)
+            want = verify(Instance(d=d, n=n, k=k, r=r, rho=state.pure()), rule)
+            assert (got.status, got.fallback_node_count) == (want.status, want.fallback_node_count)
+            for name in ("lhs", "chain_bound", "explicit_bound", "g_max_value"):
+                assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=0)
+            assert got.lhs_integration_error == pytest.approx(
+                want.lhs_integration_error, rel=1e-12, abs=1e-14
+            )
 
 
 @pytest.mark.parametrize("d,sites", [(2, 1), (2, 5), (3, 1), (3, 4), (4, 3)])
@@ -109,8 +156,8 @@ def test_symmetric_residual_matches_dense_projection(d, sites):
     rng = np.random.default_rng(10 * d + sites)
     generic = rng.standard_normal(d**sites) + 1j * rng.standard_normal(d**sites)
     for state in (
-        random_symmetric_pure(sites, d, seed=sites),
-        ghz_state(sites, d),
+        random_symmetric_pure(sites, d, seed=sites).pure(),
+        ghz_state(sites, d).pure(),
         PureState.normalized(d, sites, generic),
     ):
         amps = state.amplitudes
@@ -123,7 +170,7 @@ def test_symmetric_residual_matches_dense_projection(d, sites):
 def test_dicke_coefficients_are_accurate_at_large_multiplicity():
     # the middle type of 18 qubits has C(18, 9) = 48620 equal amplitudes; summed in
     # order they lose about 1e-12 relative, which the second pass over the deviations removes
-    state = random_symmetric_pure(18, 2, seed=3)
+    state = random_symmetric_pure(18, 2, seed=3).pure()
     rng = np.random.default_rng(3)
     drawn = rng.standard_normal(19) + 1j * rng.standard_normal(19)
     np.testing.assert_allclose(
@@ -148,12 +195,17 @@ def test_sweep_over_r_reduces_the_state_once(monkeypatch):
     calls = counting_reductions(monkeypatch)
     rows = cli.build_rows(2, 6, [2], range(7), "random-sym:7", "exact:8", DEFAULT_FALLBACK_TOL, False)
     assert [row.r for row in rows] == list(range(7))
+    assert calls == []  # the CLI's states are Dicke coefficients already
+    state = random_symmetric_pure(8, 2, seed=7).pure()
+    rule = exact_qubit_rule(8)
+    for r in range(7):
+        verify(Instance(d=2, n=6, k=2, r=r, rho=state), rule)
     assert len(calls) == 1
 
 
 def test_reduction_memo_misses_on_a_new_state(monkeypatch):
     calls = counting_reductions(monkeypatch)
-    state = random_symmetric_pure(4, 2, seed=1)
+    state = random_symmetric_pure(4, 2, seed=1).pure()
     first = Instance(d=2, n=2, k=2, r=1, rho=state)
     Instance(d=2, n=3, k=1, r=2, rho=state)
     assert len(calls) == 1
@@ -171,7 +223,7 @@ def test_reduction_memo_keeps_every_instance_check(monkeypatch):
         with pytest.raises(InstanceError, match="symmetric"):
             Instance(d=2, n=1, k=1, r=r, rho=antisym)
     assert len(calls) == 1
-    good = ghz_state(2, 2).projector()
+    good = ghz_state(2, 2).pure().projector()
     skewed = good.entries.copy()
     skewed[0, 1] += 0.1
     bad = [
@@ -202,7 +254,7 @@ def test_rho_psi_product():
 
 def test_rho_psi_ghz_trace():
     # conditioning the n+k site GHZ on psi^k leaves (|a|^2k + |b|^2k)/2 of mass
-    inst = Instance(d=2, n=2, k=3, r=0, rho=ghz_state(5, 2).projector())
+    inst = Instance(d=2, n=2, k=3, r=0, rho=ghz_state(5, 2).pure().projector())
     rng = np.random.default_rng(1)
     for _ in range(5):
         psi = haar_state(2, rng)
@@ -290,7 +342,7 @@ def test_lhs_distance_bell():
 
 
 def test_lhs_distance_bounded_by_two():
-    inst = Instance(d=2, n=2, k=2, r=1, rho=random_symmetric_pure(4, 2, 12).projector())
+    inst = Instance(d=2, n=2, k=2, r=1, rho=random_symmetric_pure(4, 2, 12).pure().projector())
     value, err = lhs_distance(inst, exact_qubit_rule(4))
     assert 0 <= value <= 2 + 1e-10
     assert err >= 0
@@ -497,7 +549,7 @@ def test_check_operator_inequality_random_instances():
     for seed in range(10):
         n = int(rng.integers(1, 4))
         k = int(rng.integers(1, 4))
-        inst = Instance(d=2, n=n, k=k, r=0, rho=random_symmetric_pure(n + k, 2, seed).projector())
+        inst = Instance(d=2, n=n, k=k, r=0, rho=random_symmetric_pure(n + k, 2, seed).pure().projector())
         psi = haar_state(2, rng)
         slack = check_operator_inequality(inst, psi, exact_qubit_rule(n + k))
         assert slack >= -1e-9
@@ -592,7 +644,7 @@ def test_reconstruction_identity():
     # over an exact rule rebuilds the reduction: the lhs of the whole
     # artifact vanishes before truncation
     for inst in [bell_instance(), product_instance(2, 2, 1),
-                 Instance(d=2, n=2, k=2, r=1, rho=random_symmetric_pure(4, 2, 3).projector())]:
+                 Instance(d=2, n=2, k=2, r=1, rho=random_symmetric_pure(4, 2, 3).pure().projector())]:
         rule = exact_qubit_rule(inst.n + inst.k)
         from definetti.haar import integrate
 
@@ -607,7 +659,7 @@ def test_chain_bound_consistent_with_g_max():
     from definetti.haar import integrate
 
     for seed in range(3):
-        inst = Instance(d=2, n=3, k=2, r=2, rho=random_symmetric_pure(5, 2, seed).projector())
+        inst = Instance(d=2, n=3, k=2, r=2, rho=random_symmetric_pure(5, 2, seed).pure().projector())
         rule = exact_qubit_rule(5)
 
         def escaped(node):
@@ -637,7 +689,7 @@ def test_verify_passes_across_states_and_r():
     rule = exact_qubit_rule(6)
     for state in [ghz_state(4, 2), dicke_state(4, 2, (2, 2)), random_symmetric_pure(4, 2, 1)]:
         for r in (0, 1, 2):
-            inst = Instance(d=2, n=2, k=2, r=r, rho=state.projector())
+            inst = Instance(d=2, n=2, k=2, r=r, rho=state.pure().projector())
             report = verify(inst, rule)
             assert report.status == PASS, f"{state} r={r}: {report}"
             assert report.lhs - report.lhs_integration_error <= report.chain_bound + 1e-9

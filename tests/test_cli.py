@@ -6,9 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from definetti import cli
+from definetti import certifier, cli, symmetric
 from definetti.cli import (
     CSV_HEADER,
     EXIT_INCONCLUSIVE,
@@ -19,6 +20,9 @@ from definetti.cli import (
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+# one spec per state builder; each is a small sweep on n + k = 6 sites
+STATE_SPECS = ["product", "ghz", "dicke:3,3", "random-sym:7"]
 
 BELL_ARGS = [
     "verify", "--d", "2", "--n", "1", "--k", "1", "--r", "1",
@@ -65,6 +69,69 @@ def test_python_m_entry_points(module):
     rows = parse_csv(proc.stdout)
     assert len(rows) == 1
     assert (rows[0]["state"], rows[0]["status"]) == ("ghz", "PASS")
+
+
+def cold_sweep_args(spec, output):
+    return [
+        "sweep", "--d", "2", "--n", "3", "--k", "3", "--r", "0,2",
+        "--state", spec, "--rule", "exact:6", "--output", str(output),
+    ]
+
+
+@pytest.mark.parametrize("spec", STATE_SPECS)
+def test_sweep_does_not_import_numpy_polynomial(spec, tmp_path):
+    script = (
+        "import sys\n"
+        "from definetti.cli import main\n"
+        f"code = main({cold_sweep_args(spec, tmp_path / 'rows.csv')!r})\n"
+        "print(code, 'numpy.polynomial' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} False"
+
+
+def test_sweep_never_handles_the_full_state(monkeypatch, tmp_path):
+    # nothing indexed by the d^(n+k) basis strings is built or reduced
+    calls = []
+    type_codes = symmetric.type_codes
+    reduce = certifier._dicke_coefficients
+
+    def counting_type_codes(n, d):
+        calls.append(("type_codes", n))
+        return type_codes(n, d)
+
+    def counting_reduce(state):
+        calls.append(("_dicke_coefficients", state.sites))
+        return reduce(state)
+
+    monkeypatch.setattr(symmetric, "type_codes", counting_type_codes)
+    monkeypatch.setattr(certifier, "type_codes", counting_type_codes)
+    monkeypatch.setattr(certifier, "_dicke_coefficients", counting_reduce)
+    for spec in STATE_SPECS:
+        assert main(cold_sweep_args(spec, tmp_path / "rows.csv")) == EXIT_OK, spec
+    assert [call for call in calls if call[1] == 6] == []
+
+
+@pytest.mark.parametrize(
+    "make_state",
+    [
+        lambda sites, d: symmetric.ghz_state(sites + 1, d),  # site count
+        lambda sites, d: symmetric.ghz_state(sites, d + 1),  # site dimension
+        lambda sites, d: symmetric.SymmetricState(d, sites, np.ones(sites) / np.sqrt(sites)),  # length
+        lambda sites, d: symmetric.SymmetricState(d, sites, np.ones(sites + 1)),  # norm
+    ],
+)
+def test_invalid_symmetric_state_exits_usage(make_state, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "ghz_state", make_state)
+    assert main(BELL_ARGS) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_crash_exits_internal_not_violation(monkeypatch, capsys):

@@ -1,8 +1,11 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
 from definetti.haar import (
     QuadratureRule,
+    _gauss_legendre,
     exact_qubit_rule,
     haar_state,
     integrate,
@@ -43,7 +46,7 @@ def test_exact_rule_basic_shape():
 
 def loop_qubit_rule(t):
     """exact_qubit_rule's nodes and weights built one (polar, azimuth) pair at a time."""
-    u, gauss_w = np.polynomial.legendre.leggauss(t + 1)
+    u, gauss_w = _gauss_legendre(t + 1)
     n_phi = 2 * t + 2
     phi = 2 * np.pi * np.arange(n_phi) / n_phi
     upper = np.sqrt((1 + u) / 2)
@@ -66,6 +69,51 @@ def test_exact_rule_matches_loop_oracle(t):
     nodes, weights = loop_qubit_rule(t)
     assert rule.node_matrix.tobytes() == nodes.tobytes()
     assert rule.weights.tobytes() == weights.tobytes()
+
+
+def legendre_reference(points):
+    """Gauss-Legendre nodes and weights in 40-digit decimals: Newton steps on P_points."""
+
+    def legendre_pair(x):
+        # (P_{points-1}(x), P_points(x)) by the three-term recurrence
+        low, high = Decimal(1), x
+        for j in range(1, points):
+            low, high = high, ((2 * j + 1) * x * high - j * low) / (j + 1)
+        return (Decimal(1), x) if points == 1 else (low, high)
+
+    out = []
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for guess in _gauss_legendre(points)[0]:
+            x = Decimal(float(guess))
+            for _ in range(6):
+                low, high = legendre_pair(x)
+                x -= high / (points * (x * high - low) / (x * x - 1))
+            low, high = legendre_pair(x)
+            slope = points * (x * high - low) / (x * x - 1)
+            out.append((x, 2 / ((1 - x * x) * slope * slope)))
+    return out
+
+
+@pytest.mark.parametrize("t", range(41))
+def test_gauss_legendre_matches_leggauss_and_a_40_digit_reference(t):
+    u, w = _gauss_legendre(t + 1)
+    ref_u, ref_w = np.polynomial.legendre.leggauss(t + 1)
+    np.testing.assert_allclose(u, ref_u, rtol=0, atol=1e-15)
+    # leggauss's smallest weights drift up to 1.2e-12 relative from the true ones at t = 40,
+    # so against it the weights are compared relative to the largest weight
+    np.testing.assert_allclose(w, ref_w, rtol=0, atol=1e-13 * ref_w.max())
+    for node, weight, (x, exact) in zip(u, w, legendre_reference(t + 1)):
+        assert abs(Decimal(float(node)) - x) <= Decimal("1e-15")
+        assert abs(Decimal(float(weight)) - exact) <= Decimal("1e-13") * exact
+
+
+@pytest.mark.parametrize("t", [*range(25), 80, 160, 200])
+def test_gauss_legendre_integrates_even_monomials(t):
+    # sum_i w_i u_i^j / 2 = integral of u^j over [-1, 1] / 2 = 1/(j+1) for even j <= 2t+1
+    u, w = _gauss_legendre(t + 1)
+    for j in range(0, 2 * t + 2, 2):
+        assert abs(float(w @ u**j) / 2 - 1 / (j + 1)) <= 1e-13, j
 
 
 def test_exact_rule_first_moment():

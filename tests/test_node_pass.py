@@ -72,7 +72,7 @@ def instances(d, n, k):
 
 def dense_terms(inst, rule, fallback_tol):
     """Per node: (trace(rho_psi), kept mass, escaped mass, tau_psi, fallback)."""
-    rho = inst.rho.projector()
+    rho = inst.rho.pure().projector()
     terms = []
     for node in rule.nodes:
         conditioned = sandwich_bra_last(rho, node, inst.k)
@@ -97,7 +97,7 @@ def dense_report(inst, rule, fallback_tol):
     """(lhs, lhs_err, chain_bound, fallback count) of `verify`, from dense operators."""
     terms = dense_terms(inst, rule, fallback_tol)
     values, approx = dense_approximant(inst, rule, terms)
-    reduced = partial_trace_last(inst.rho.projector(), inst.k)
+    reduced = partial_trace_last(inst.rho.pure().projector(), inst.k)
     lhs = trace_norm(reduced - Operator(inst.d, inst.n, approx))
     if rule.kind == "exact":
         escalated = exact_qubit_rule(rule.exact_degree + DEGREE_ESCALATION)
@@ -314,8 +314,8 @@ def test_reuse_misses_on_new_split_state_or_rule():
         (state, 2, 2, mc),
         (other, 2, 2, mc),
         (state, 2, 2, exact),
-        (state.projector(), 2, 2, exact),  # each Operator instance gets its own vector
-        (state.projector(), 2, 2, exact),
+        (state.pure().projector(), 2, 2, exact),  # each Operator instance gets its own vector
+        (state.pure().projector(), 2, 2, exact),
     ]
 
     def fresh_rho(rho):

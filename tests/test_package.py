@@ -15,6 +15,7 @@ ROOT_API = {
     "PureState",
     "Operator",
     "QuadratureRule",
+    "SymmetricState",
     "exact_qubit_rule",
     "monte_carlo_rule",
     "ghz_state",

@@ -85,11 +85,11 @@ def test_occupations_order():
 
 
 def test_dicke_state_values():
-    np.testing.assert_allclose(dicke_state(2, 2, (2, 0)).amplitudes, [1, 0, 0, 0])
+    np.testing.assert_allclose(dicke_state(2, 2, (2, 0)).pure().amplitudes, [1, 0, 0, 0])
     np.testing.assert_allclose(
-        dicke_state(2, 2, (1, 1)).amplitudes, np.array([0, 1, 1, 0]) / np.sqrt(2)
+        dicke_state(2, 2, (1, 1)).pure().amplitudes, np.array([0, 1, 1, 0]) / np.sqrt(2)
     )
-    w = dicke_state(3, 2, (2, 1)).amplitudes
+    w = dicke_state(3, 2, (2, 1)).pure().amplitudes
     expect = np.zeros(8)
     expect[[1, 2, 4]] = 1 / np.sqrt(3)  # 001, 010, 100
     np.testing.assert_allclose(w, expect)
@@ -106,7 +106,7 @@ def test_dicke_state_invalid_occupation():
 
 def test_dicke_states_orthonormal():
     for n, d in [(3, 2), (2, 3), (4, 2)]:
-        states = [dicke_state(n, d, occ) for occ in dicke_isometry(n, d).occupations]
+        states = [dicke_state(n, d, occ).pure() for occ in dicke_isometry(n, d).occupations]
         for i, a in enumerate(states):
             for j, b in enumerate(states):
                 expect = 1.0 if i == j else 0.0
@@ -125,7 +125,7 @@ def test_dicke_isometry_structure():
 def test_isometry_matches_dicke_states():
     iso = dicke_isometry(3, 3)
     for occ in iso.occupations:
-        np.testing.assert_allclose(iso.column(occ), dicke_state(3, 3, occ).amplitudes, atol=1e-13)
+        np.testing.assert_allclose(iso.column(occ), dicke_state(3, 3, occ).pure().amplitudes, atol=1e-13)
 
 
 def test_isometry_identities_small_grid():
@@ -196,7 +196,7 @@ def test_permutation_operator_composition():
 
 def test_random_symmetric_pure_lives_in_subspace():
     for n, d, seed in [(4, 2, 0), (8, 2, 1), (3, 3, 2)]:
-        psi = random_symmetric_pure(n, d, seed)
+        psi = random_symmetric_pure(n, d, seed).pure()
         proj = symmetrizer(n, d)
         residual = proj.entries @ psi.amplitudes - psi.amplitudes
         assert np.linalg.norm(residual) < 1e-12
@@ -206,18 +206,18 @@ def test_random_symmetric_pure_deterministic():
     a = random_symmetric_pure(4, 2, 7)
     b = random_symmetric_pure(4, 2, 7)
     c = random_symmetric_pure(4, 2, 8)
-    np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
-    assert np.abs(a.amplitudes - c.amplitudes).max() > 1e-3
+    np.testing.assert_array_equal(a.coefficients, b.coefficients)
+    assert np.abs(a.coefficients - c.coefficients).max() > 1e-3
 
 
 def test_random_symmetric_pure_moments():
     # uniform on the subspace sphere: each Dicke weight has mean 1/sym_dim
     n, d, trials = 2, 2, 10000
-    dicke = dicke_state(n, d, (1, 1)).amplitudes
+    dicke = dicke_state(n, d, (1, 1)).pure().amplitudes
     samples = np.empty(trials)
     for seed in range(trials):
         psi = random_symmetric_pure(n, d, seed)
-        samples[seed] = abs(np.vdot(dicke, psi.amplitudes)) ** 2
+        samples[seed] = abs(np.vdot(dicke, psi.pure().amplitudes)) ** 2
     c = sym_dim(n, d)
     # |<D|psi>|^2 is Beta(1, c-1): mean 1/c, var (c-1)/(c^2 (c+1))
     sigma = math.sqrt((c - 1) / (c**2 * (c + 1)) / trials)
@@ -225,8 +225,8 @@ def test_random_symmetric_pure_moments():
 
 
 def test_ghz_values():
-    np.testing.assert_allclose(ghz_state(2, 2).amplitudes, np.array([1, 0, 0, 1]) / np.sqrt(2))
-    g = ghz_state(2, 3)
+    np.testing.assert_allclose(ghz_state(2, 2).pure().amplitudes, np.array([1, 0, 0, 1]) / np.sqrt(2))
+    g = ghz_state(2, 3).pure()
     expect = np.zeros(9)
     expect[[0, 4, 8]] = 1 / np.sqrt(3)
     np.testing.assert_allclose(g.amplitudes, expect)
@@ -234,13 +234,13 @@ def test_ghz_values():
 
 def test_ghz_is_symmetric():
     for n, d in [(3, 2), (4, 2), (2, 3)]:
-        g = ghz_state(n, d)
+        g = ghz_state(n, d).pure()
         proj = symmetrizer(n, d)
         assert np.linalg.norm(proj.entries @ g.amplitudes - g.amplitudes) < 1e-12
 
 
 def test_ghz_partial_trace_is_classical_mixture():
-    g = ghz_state(4, 2)
+    g = ghz_state(4, 2).pure()
     reduced = partial_trace_last(g.projector(), 2)
     expect = np.zeros((4, 4))
     expect[0, 0] = expect[3, 3] = 0.5
@@ -251,7 +251,7 @@ def test_dicke_states_span_fixed_points_of_symmetrizer():
     n, d = 3, 2
     proj = symmetrizer(n, d)
     for occ in dicke_isometry(n, d).occupations:
-        psi = dicke_state(n, d, occ)
+        psi = dicke_state(n, d, occ).pure()
         np.testing.assert_allclose(proj.entries @ psi.amplitudes, psi.amplitudes, atol=1e-12)
 
 
@@ -275,10 +275,10 @@ def test_dicke_isometry_matches_dense_construction():
 def test_state_builders_bitwise_match_dense_oracles():
     for n, d in _TYPE_GRID:
         for seed in (0, 1, 7, 12):
-            new = random_symmetric_pure(n, d, seed).amplitudes
+            new = random_symmetric_pure(n, d, seed).pure().amplitudes
             old = _dense_random_symmetric_pure(n, d, seed)
             assert np.array_equal(new.view(np.float64), old.view(np.float64)), (n, d, seed)
         for occ in _dense_isometry(n, d)[0]:
-            new = dicke_state(n, d, occ).amplitudes
+            new = dicke_state(n, d, occ).pure().amplitudes
             old = _dense_dicke_state(n, d, occ)
             assert np.array_equal(new.view(np.float64), old.view(np.float64)), (n, d, occ)
