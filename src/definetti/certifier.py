@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -39,7 +39,7 @@ from definetti.linalg import (
     power_rows,
     trace_norm,
 )
-from definetti.symmetric import SymmetricState, sym_dim, type_codes, type_table
+from definetti.symmetric import SymmetricState, strings_from_dicke, sym_dim, type_table
 
 PASS = "PASS"
 VIOLATION = "VIOLATION"
@@ -50,8 +50,6 @@ COMPARISON_SLACK = 1e-9
 INCONCLUSIVE_FRACTION = 0.05
 INCONCLUSIVE_FLOOR = 1e-6
 
-_PURITY_ATOL = 1e-10
-_SYMMETRIC_SUPPORT_ATOL = 1e-9
 _GRID_SLACK = 1e-12
 # complex entries per block of stacked per-node matrices in the Monte Carlo
 # standard error, so that its memory does not grow with the sample count
@@ -62,51 +60,21 @@ class InstanceError(ValueError):
     """The problem instance violates its invariants; nothing was certified."""
 
 
-def _dicke_coefficients(state: PureState) -> tuple[np.ndarray, float]:
-    """(c, beta): the Dicke coefficients of `state` and the norm of its non-symmetric part.
-
-    With S_t the sum of the amplitudes over the basis strings of type t,
-    c_t = S_t / sqrt(mult_t) in the order of `type_table`. Projecting onto the
-    symmetric subspace replaces each amplitude by S_t / mult_t. `np.bincount`
-    sums in order, so S_t carries up to about mult_t ulps of error (4e-12
-    relative at n+k = 21); summing the deviations from those means once more
-    removes it. The residual beta is the norm of the deviations, summed
-    directly: 1 - sum_t |c_t|^2 loses it to cancellation near 1e-8, above the
-    defect bound.
-    """
-    code = type_codes(state.sites, state.site_dim)[1]
-    mult = np.bincount(code)
-
-    def type_sums(values):
-        return np.bincount(code, values.real) + 1j * np.bincount(code, values.imag)
-
-    sums = type_sums(state.amplitudes)
-    deviation = state.amplitudes - (sums / mult)[code]
-    coefficients = (sums + type_sums(deviation)) / np.sqrt(mult)
-    coefficients.setflags(write=False)
-    return coefficients, float(np.linalg.norm(deviation))
-
-
 @dataclass(frozen=True)
 class Instance:
     """A certification problem: sites split as n kept + k conditioned.
 
-    rho is a state on n+k sites of dimension d. A SymmetricState is taken as
-    it is: it is symmetric by construction. A PureState must be supported on
-    the symmetric subspace; a density Operator must be hermitian, unit trace,
-    PSD and pure, and is replaced by its top eigenvector. Both are reduced to
-    Dicke coefficients. The truncation threshold r lies in 0..n. Violations
-    raise InstanceError at construction. `coefficients` holds rho's Dicke
-    coefficients, which is all that `verify` reads of it.
+    rho is a SymmetricState on n+k sites of dimension d; `verify` reads only
+    its Dicke coefficients. A dense PureState or density Operator is converted
+    once by `SymmetricState.from_dense`. The truncation threshold r lies in
+    0..n. Violations raise InstanceError at construction.
     """
 
     d: int
     n: int
     k: int
     r: int
-    rho: SymmetricState | PureState
-    label: str = ""
-    coefficients: np.ndarray = field(init=False, repr=False, compare=False)
+    rho: SymmetricState
 
     def __post_init__(self):
         if self.d < 2:
@@ -118,34 +86,14 @@ class Instance:
         if not 0 <= self.r <= self.n:
             raise InstanceError(f"r={self.r} outside 0..{self.n}")
         rho = self.rho
+        if not isinstance(rho, SymmetricState):
+            raise InstanceError(
+                f"rho is a {type(rho).__name__}; convert it with SymmetricState.from_dense"
+            )
         if rho.site_dim != self.d or rho.sites != self.n + self.k:
             raise InstanceError(
                 f"rho must act on {self.n + self.k} sites of dimension {self.d}, "
                 f"got {rho.sites} sites of dimension {rho.site_dim}"
-            )
-        if isinstance(rho, SymmetricState):
-            object.__setattr__(self, "coefficients", rho.coefficients)
-            return
-        if isinstance(rho, Operator):
-            if not rho.is_hermitian(1e-12):
-                raise InstanceError("rho must be hermitian")
-            if not rho.is_trace_one(1e-10):
-                raise InstanceError(f"rho must have unit trace, got {rho.trace():.6g}")
-            eigs, vecs = np.linalg.eigh(rho.entries)
-            if eigs[0] < -1e-10:
-                raise InstanceError(f"rho must be PSD, smallest eigenvalue {eigs[0]:.3e}")
-            if eigs[-2] > _PURITY_ATOL:
-                raise InstanceError(f"rho must be pure, second eigenvalue {eigs[-2]:.3e}")
-            rho = PureState(rho.site_dim, rho.sites, vecs[:, -1])
-            object.__setattr__(self, "rho", rho)
-        coefficients, beta = _reduce_or_reuse(rho)
-        object.__setattr__(self, "coefficients", coefficients)
-        # trace norm of P rho P - rho for rho = |Phi><Phi| whose component
-        # outside the symmetric subspace has norm beta
-        defect = beta * math.sqrt(beta**2 + 4.0 * (1.0 - beta**2))
-        if defect > _SYMMETRIC_SUPPORT_ATOL:
-            raise InstanceError(
-                f"rho must be supported on the symmetric subspace (defect {defect:.3e})"
             )
 
 
@@ -170,10 +118,11 @@ class _Conditioned(NamedTuple):
     `type_table(n, d)`. The frame U = R_1 ... R_{d-1} D of node psi maps psi
     to e_0: D removes the phases of psi's entries and the real rotation R_j
     on levels (j-1, j) moves the remaining weight of levels j.. onto j-1.
+    The inverse rotation in `_truncate` reads the conjugate of `turns`.
     """
 
     density: np.ndarray  # sym_dim(k,d) trace(rho_psi), the density of nu
-    angles: np.ndarray  # (d-1, count): the angle of R_j in row j-1
+    turns: tuple  # `_rotation_phases` of the nodes' Givens angles
     phases: np.ndarray  # D^(x)n, diagonal in type coordinates
     rotated: np.ndarray  # phi_psi with U^(x)n applied
 
@@ -241,15 +190,22 @@ def _rotation_blocks(n: int, d: int) -> tuple[tuple[_Block, ...], ...]:
     return tuple(out)
 
 
-def _rotate(n: int, d: int, angles: np.ndarray, columns: np.ndarray, inverse=False) -> np.ndarray:
-    """Column c mapped by the symmetric power of R_1 ... R_{d-1} at angles[:, c], or its inverse."""
+def _rotation_phases(n: int, d: int, angles: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
+    """exp(-i lambda_m angles[j-1]) for each block of `_rotation_blocks(n, d)`, level by level."""
+    return tuple(
+        tuple(np.exp(-1j * block.spectrum[:, None] * angles[j - 1]) for block in blocks)
+        for j, blocks in enumerate(_rotation_blocks(n, d), start=1)
+    )
+
+
+def _rotate(n: int, d: int, turns, columns: np.ndarray, inverse=False) -> np.ndarray:
+    """Column c mapped by the symmetric power of R_1 ... R_{d-1} (`turns`), or its inverse."""
     levels = range(1, d) if inverse else range(d - 1, 0, -1)
-    sign = 1j if inverse else -1j
     blocks = _rotation_blocks(n, d)
     for j in levels:
         out = columns.copy()
-        for block in blocks[j - 1]:
-            phase = np.exp(sign * block.spectrum[:, None] * angles[j - 1])
+        for block, phase in zip(blocks[j - 1], turns[j - 1]):
+            phase = phase.conj() if inverse else phase
             out[block.rows] = block.basis @ (phase * (block.basis.conj().T @ columns[block.rows]))
         columns = out
     return columns
@@ -283,7 +239,7 @@ def _coupling(inst: Instance) -> np.ndarray:
     # every type of n+k sites splits as s + u, so the sorted joint types are type_table(n+k, d)
     index = np.unique(joint, axis=0, return_inverse=True)[1].reshape(len(mult_n), len(mult_k))
     mult = np.outer(mult_n, mult_k) / type_table(n + k, d)[1][index]
-    return inst.coefficients[index] * np.sqrt(mult)
+    return inst.rho.coefficients[index] * np.sqrt(mult)
 
 
 def _condition(inst: Instance, coupling: np.ndarray, nodes: np.ndarray) -> _Conditioned:
@@ -296,12 +252,12 @@ def _condition(inst: Instance, coupling: np.ndarray, nodes: np.ndarray) -> _Cond
     d, n = inst.d, inst.n
     phi = coupling @ _bra_powers(nodes, inst.k)
     phases = np.exp(-1j * (type_table(n, d)[0] @ np.angle(nodes).T))
-    angles = _givens_angles(nodes)
+    turns = _rotation_phases(n, d, _givens_angles(nodes))
     return _Conditioned(
         density=sym_dim(inst.k, d) * np.sum(np.abs(phi) ** 2, axis=0),
-        angles=angles,
+        turns=turns,
         phases=phases,
-        rotated=_rotate(n, d, angles, phases * phi),
+        rotated=_rotate(n, d, turns, phases * phi),
     )
 
 
@@ -319,7 +275,7 @@ def _truncate(inst: Instance, cond: _Conditioned, fallback_tol: float) -> _NodeP
     tau = cond.rotated * below[:, None] / np.sqrt(np.where(fallback, 1, kept))
     tau[:, fallback] = 0
     tau[-1, fallback] = 1
-    tau = cond.phases.conj() * _rotate(inst.n, inst.d, cond.angles, tau, inverse=True)
+    tau = cond.phases.conj() * _rotate(inst.n, inst.d, cond.turns, tau, inverse=True)
     return _NodePass(cond.density, kept, escaped, tau, fallback)
 
 
@@ -341,9 +297,8 @@ def _gram(columns: np.ndarray, coefficients=1.0) -> np.ndarray:
 
 def _spread(inst: Instance, columns: np.ndarray, coefficients=1.0) -> Operator:
     """`_gram` of Dicke columns of the n kept sites, mapped into the d^n space."""
-    code = type_codes(inst.n, inst.d)[1]
-    scale = 1 / np.sqrt(type_table(inst.n, inst.d)[1])
-    return Operator(inst.d, inst.n, _gram((scale[:, None] * columns)[code], coefficients))
+    dense = strings_from_dicke(inst.n, inst.d, columns)
+    return Operator(inst.d, inst.n, _gram(dense, coefficients))
 
 
 def _approximant(inst: Instance, weights: np.ndarray, cond: _Conditioned, fallback_tol: float):
@@ -376,22 +331,6 @@ def _reuse_or_prepare(inst: Instance, rule: QuadratureRule) -> _Prepared:
     prepared = _prepare(inst, rule)
     _last_prepared = (key, prepared)
     return prepared
-
-
-# The last (state, (coefficients, beta)) of `Instance`, so that a sweep over r
-# on one state reduces it once. It is matched by identity like `_last_prepared`;
-# the symmetric-support check still runs on every `Instance`.
-_last_reduced = None
-
-
-def _reduce_or_reuse(state: PureState) -> tuple[np.ndarray, float]:
-    global _last_reduced
-    last = _last_reduced
-    if last is not None and last[0] is state:
-        return last[1]
-    reduced = _dicke_coefficients(state)
-    _last_reduced = (state, reduced)
-    return reduced
 
 
 def _standard_error(inst: Instance, nodes: _NodePass) -> float:

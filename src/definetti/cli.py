@@ -274,7 +274,7 @@ def build_rows(d, n, k_list, r_list, state_spec, rule_spec, fallback_tol, allow_
             if not 0 <= r <= n:
                 raise UsageError(f"r must lie in [0, n]; got r={r} with n={n}")
             try:
-                inst = Instance(d=d, n=n, k=k, r=r, rho=state, label=state_spec)
+                inst = Instance(d=d, n=n, k=k, r=r, rho=state)
             except ValueError as exc:
                 raise UsageError(f"cannot build instance: {exc}") from None
             report = verify(inst, rule, fallback_tol=fallback_tol)

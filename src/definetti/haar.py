@@ -101,13 +101,13 @@ def _gauss_legendre(points: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def exact_qubit_rule(t: int) -> QuadratureRule:
-    """Rule exact for qubit polynomials of degree <= t in |theta><theta|.
+    """Rule exact for qubit polynomials of degree <= 2t+1 in |theta><theta|.
 
     Haar measure on qubit pure states is the uniform measure on the Bloch
-    sphere. A monomial of degree <= t in the entries of |theta><theta| is a
-    polynomial of degree <= t in the Bloch coordinates, so Gauss-Legendre
-    with t+1 points in the polar cosine crossed with 2t+2 uniform azimuthal
-    angles integrates it without error.
+    sphere, where a monomial of degree s in |theta><theta| has degree s.
+    Gauss-Legendre with t+1 points in the polar cosine is exact through polar
+    degree 2t+1, and 2t+2 uniform azimuths cancel every frequency up to 2t+1.
+    `exact_degree` and `describe()` report the declared t.
     """
     if t < 0:
         raise ValueError(f"degree must be >= 0, got {t}")

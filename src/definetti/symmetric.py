@@ -4,7 +4,8 @@ The permutation-symmetric subspace of n sites of dimension d has one basis
 vector per occupation vector (m_1, ..., m_d) with sum n: the equal-amplitude
 superposition of all basis strings of that type. A symmetric pure state is
 its sym_dim(n, d) coefficients in that basis (`SymmetricState`), which is how
-the state builders return it. Collecting the basis vectors as columns gives
+the state builders return it and what `SymmetricState.from_dense` reduces a
+dense state to. Collecting the basis vectors as columns gives
 an isometry from C^{sym_dim(n, d)} into the full space, and the orthogonal
 projector onto the subspace is the isometry times its adjoint; both are
 built only as dense reference oracles.
@@ -13,6 +14,7 @@ built only as dense reference oracles.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,13 +32,6 @@ def sym_dim(n: int, d: int) -> int:
     return math.comb(n + d - 1, n)
 
 
-def _grow(types: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Types of one more site, ascending, and the new row of types[i] + e_c at i * d + c."""
-    d = types.shape[1]
-    grown = (types[:, None, :] + np.eye(d, dtype=np.int64)).reshape(-1, d)
-    return np.unique(grown, axis=0, return_inverse=True)
-
-
 def _read_only(*arrays):
     for array in arrays:
         array.setflags(write=False)
@@ -49,12 +44,13 @@ def type_table(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
 
     types is the (sym_dim(n, d), d) table of occupation vectors in ascending
     lexicographic order, the order of `type_codes`; mult[t] is the multinomial
-    n! / prod_i types[t, i]!, as a float. Nothing of size d**n is built. Both
-    arrays are read-only and cached.
+    n! / prod_i types[t, i]!, as a float. Each type counts the levels of one
+    sorted n-tuple of `combinations_with_replacement`, read in reverse to
+    ascend. Both arrays are read-only and cached.
     """
-    types = np.zeros((1, d), dtype=np.int64)
-    for _ in range(n):
-        types = _grow(types)[0]
+    levels = itertools.combinations_with_replacement(range(d), n)
+    levels = np.array(list(levels)[::-1], dtype=np.int64).reshape(sym_dim(n, d), n)
+    types = np.stack([(levels == c).sum(axis=1) for c in range(d)], axis=1)
     mult = [math.factorial(n) // math.prod(map(math.factorial, row)) for row in types.tolist()]
     return _read_only(types, np.array(mult, dtype=np.float64))
 
@@ -73,9 +69,41 @@ def type_codes(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     types = np.zeros((1, d), dtype=np.int64)
     code = np.zeros(1, dtype=np.int64)
     for _ in range(n):
-        types, renumber = _grow(types)
+        grown = (types[:, None, :] + np.eye(d, dtype=np.int64)).reshape(-1, d)
+        types, renumber = np.unique(grown, axis=0, return_inverse=True)
         code = renumber.reshape(-1, d)[code].reshape(-1)
     return _read_only(types, code)
+
+
+def strings_from_dicke(n: int, d: int, columns: np.ndarray) -> np.ndarray:
+    """Dicke columns of n sites spread over the d**n strings: row t / sqrt(mult_t) on type t."""
+    scale = 1.0 / np.sqrt(type_table(n, d)[1])
+    return (scale[:, None] * columns)[type_codes(n, d)[1]]
+
+
+def _dicke_coefficients(state: PureState) -> tuple[np.ndarray, float]:
+    """(c, beta): the Dicke coefficients of `state` and the norm of its non-symmetric part.
+
+    With S_t the sum of the amplitudes over the basis strings of type t,
+    c_t = S_t / sqrt(mult_t) in the order of `type_table`. Projecting onto the
+    symmetric subspace replaces each amplitude by S_t / mult_t. `np.bincount`
+    sums in order, so S_t carries up to about mult_t ulps of error (4e-12
+    relative at n+k = 21); summing the deviations from those means once more
+    removes it. The residual beta is the norm of the deviations, summed
+    directly: 1 - sum_t |c_t|^2 loses it to cancellation near 1e-8, above the
+    defect bound.
+    """
+    code = type_codes(state.sites, state.site_dim)[1]
+    mult = np.bincount(code)
+
+    def type_sums(values):
+        return np.bincount(code, values.real) + 1j * np.bincount(code, values.imag)
+
+    sums = type_sums(state.amplitudes)
+    deviation = state.amplitudes - (sums / mult)[code]
+    coefficients = (sums + type_sums(deviation)) / np.sqrt(mult)
+    coefficients.setflags(write=False)
+    return coefficients, float(np.linalg.norm(deviation))
 
 
 @dataclass(frozen=True)
@@ -103,11 +131,40 @@ class SymmetricState:
         )
         object.__setattr__(self, "coefficients", coefficients)
 
+    @classmethod
+    def from_dense(cls, rho: PureState | Operator) -> SymmetricState:
+        """The SymmetricState of a dense PureState or density Operator.
+
+        An Operator must be hermitian, unit trace, PSD and pure, and gives its
+        top eigenvector. The state must lie in the symmetric subspace up to a
+        trace-norm defect of 1e-9. A failed check raises ValueError.
+        """
+        if isinstance(rho, Operator):
+            if not rho.is_hermitian(1e-12):
+                raise ValueError("rho must be hermitian")
+            if not rho.is_trace_one(1e-10):
+                raise ValueError(f"rho must have unit trace, got {rho.trace():.6g}")
+            eigs, vecs = np.linalg.eigh(rho.entries)
+            if eigs[0] < -1e-10:
+                raise ValueError(f"rho must be PSD, smallest eigenvalue {eigs[0]:.3e}")
+            second = eigs[:-1].max(initial=0.0)  # a 1x1 operator on no sites has none
+            if second > 1e-10:
+                raise ValueError(f"rho must be pure, second eigenvalue {second:.3e}")
+            rho = PureState(rho.site_dim, rho.sites, vecs[:, -1])
+        coefficients, beta = _dicke_coefficients(rho)
+        # trace norm of P rho P - rho for rho = |Phi><Phi| whose component
+        # outside the symmetric subspace has norm beta
+        defect = beta * math.sqrt(beta**2 + 4.0 * (1.0 - beta**2))
+        if defect > 1e-9:
+            raise ValueError(
+                f"rho must be supported on the symmetric subspace (defect {defect:.3e})"
+            )
+        return cls(rho.site_dim, rho.sites, coefficients)
+
     def pure(self) -> PureState:
         """The site_dim**sites amplitudes: c_t / sqrt(mult_t) on every basis string of type t."""
-        code = type_codes(self.sites, self.site_dim)[1]
-        amplitudes = (1.0 / np.sqrt(np.bincount(code)))[code] * self.coefficients[code]
-        return PureState(self.site_dim, self.sites, amplitudes)
+        amplitudes = strings_from_dicke(self.sites, self.site_dim, self.coefficients[:, None])
+        return PureState(self.site_dim, self.sites, amplitudes[:, 0])
 
 
 def _site_strings(n: int, d: int) -> np.ndarray:

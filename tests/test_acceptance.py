@@ -22,6 +22,7 @@ from definetti.haar import exact_qubit_rule, haar_state, monte_carlo_rule, pure_
 from definetti.hamming import hamming_distance, tail_function, threshold_projectors, weight_family
 from definetti.linalg import Operator, PureState
 from definetti.symmetric import (
+    SymmetricState,
     dicke_state,
     ghz_state,
     random_symmetric_pure,
@@ -135,7 +136,7 @@ def test_operator_upper_bound():
     for seed in range(20):
         n, k = cells[seed % len(cells)]
         state = random_symmetric_pure(n + k, 2, seed)
-        inst = Instance(d=2, n=n, k=k, r=0, rho=state.pure().projector())
+        inst = Instance(d=2, n=n, k=k, r=0, rho=SymmetricState.from_dense(state.pure().projector()))
         psi = haar_state(2, rng)
         min_slack = min(min_slack, check_operator_inequality(inst, psi, exact_qubit_rule(n + k)))
     _report(
@@ -162,9 +163,9 @@ def _end_to_end():
     reports = {}
     support = {"fallback": 0, "kept": 0, "worst_fallback": -1, "worst_kept": -1, "ok": True}
     for name, state in states.items():
-        rho = state.projector()
+        rho = SymmetricState.from_dense(state.projector())
         for r in range(5):
-            inst = Instance(d=2, n=4, k=4, r=r, rho=rho, label=name)
+            inst = Instance(d=2, n=4, k=4, r=r, rho=rho)
             reports[(name, r)] = verify(inst, rule)
             for j in range(rule.node_count):
                 node = rule.node(j)
@@ -192,9 +193,8 @@ def test_end_to_end_certification():
         for report in reports.values()
     )
 
-    bell = verify(
-        Instance(d=2, n=1, k=1, r=1, rho=ghz_state(2, 2).pure().projector()), exact_qubit_rule(6)
-    )
+    bell_state = SymmetricState.from_dense(ghz_state(2, 2).pure().projector())
+    bell = verify(Instance(d=2, n=1, k=1, r=1, rho=bell_state), exact_qubit_rule(6))
     anchor_ok = (
         bell.lhs <= 1e-8
         and abs(bell.chain_bound - math.sqrt(6)) <= 1e-9

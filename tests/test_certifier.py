@@ -1,4 +1,3 @@
-import dataclasses
 import decimal
 import math
 from fractions import Fraction
@@ -7,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate as scipy_integrate
 
-from definetti import certifier, cli
+from definetti import certifier, cli, symmetric
 from definetti.certifier import (
     DEFAULT_FALLBACK_TOL,
     INCONCLUSIVE,
@@ -16,7 +15,6 @@ from definetti.certifier import (
     Instance,
     InstanceError,
     _binary_divergences,
-    _dicke_coefficients,
     approximant,
     binary_divergence,
     chain_bound,
@@ -37,6 +35,7 @@ from definetti.hamming import tail_function, tail_function_grid, threshold_proje
 from definetti.linalg import Operator, PureState, partial_trace_last, trace_norm
 from definetti.symmetric import (
     SymmetricState,
+    _dicke_coefficients,
     dicke_isometry,
     dicke_state,
     ghz_state,
@@ -45,13 +44,18 @@ from definetti.symmetric import (
 )
 
 
+def from_projector(state):
+    """`state` rebuilt by `SymmetricState.from_dense` from its dense density operator."""
+    return SymmetricState.from_dense(state.pure().projector())
+
+
 def bell_instance(r=1):
-    return Instance(d=2, n=1, k=1, r=r, rho=ghz_state(2, 2).pure().projector(), label="bell")
+    return Instance(d=2, n=1, k=1, r=r, rho=from_projector(ghz_state(2, 2)))
 
 
 def product_instance(n, k, r, d=2):
-    base = PureState(d, 1, [1] + [0] * (d - 1))
-    return Instance(d=d, n=n, k=k, r=r, rho=base.tensor_power(n + k).projector())
+    base = PureState(d, 1, [1] + [0] * (d - 1)).tensor_power(n + k)
+    return Instance(d=d, n=n, k=k, r=r, rho=SymmetricState.from_dense(base.projector()))
 
 
 def exact_beta_mass(n, k, r):
@@ -67,48 +71,35 @@ def exact_beta_mass(n, k, r):
 
 def test_instance_validation():
     bell_instance()  # valid
-    ghz = ghz_state(2, 2).pure()
-    # the state vector and its density operator give the same instance
-    for rho in (ghz, ghz.projector()):
-        inst = Instance(d=2, n=1, k=1, r=1, rho=rho)
-        assert isinstance(inst.rho, PureState)
-        assert abs(inst.rho.overlap(ghz)) == pytest.approx(1.0, abs=1e-12)
-    for rho in (ghz_state(2, 2), ghz, ghz.projector()):
+    ghz = ghz_state(2, 2)
+    for rho in (ghz, from_projector(ghz)):
+        Instance(d=2, n=1, k=1, r=1, rho=rho)
         with pytest.raises(InstanceError):
             Instance(d=2, n=1, k=1, r=2, rho=rho)
         with pytest.raises(InstanceError):
             Instance(d=2, n=2, k=1, r=0, rho=rho)  # wrong site count
         with pytest.raises(InstanceError):
             Instance(d=3, n=1, k=1, r=0, rho=rho)  # wrong site dimension
-    for rho in (PureState(2, 1, [1, 0]), PureState(2, 1, [1, 0]).projector()):
         with pytest.raises(InstanceError):
             Instance(d=2, n=1, k=0, r=0, rho=rho)
-    with pytest.raises(InstanceError):
-        Instance(d=2, n=1, k=1, r=0, rho=Operator(2, 2, np.eye(4) / 4))  # mixed
-    antisym = PureState(2, 2, np.array([0, 1, -1, 0]) / np.sqrt(2))
-    for rho in (antisym, antisym.projector()):
         with pytest.raises(InstanceError):
-            Instance(d=2, n=1, k=1, r=0, rho=rho)  # not symmetric
-    # a symmetric state with a small antisymmetric admixture: the defect is
-    # beta sqrt(beta^2 + 4 (1 - beta^2)) for admixture amplitude beta
-    for beta, ok in ((1e-11, True), (1e-9, False)):
-        mixed = math.sqrt(1 - beta**2) * ghz.amplitudes + beta * antisym.amplitudes
-        for rho in (PureState(2, 2, mixed), PureState(2, 2, mixed).projector()):
-            if ok:
-                Instance(d=2, n=1, k=1, r=0, rho=rho)
-            else:
-                with pytest.raises(InstanceError, match="symmetric"):
-                    Instance(d=2, n=1, k=1, r=0, rho=rho)
-    with pytest.raises(InstanceError):
-        Instance(d=2, n=1, k=1, r=0, rho=Operator(2, 2, 2 * ghz.projector().entries))
-    with pytest.raises(InstanceError):
-        Instance(d=2, n=1, k=1, r=0, rho=Operator(2, 2, np.diag([1.5, 0, 0, -0.5])))  # not PSD
+            Instance(d=1, n=1, k=1, r=0, rho=rho)
+        with pytest.raises(InstanceError):
+            Instance(d=2, n=0, k=2, r=0, rho=rho)
+
+
+def test_instance_takes_only_symmetric_states():
+    # dense inputs are converted once, by SymmetricState.from_dense, never by Instance
+    ghz = ghz_state(2, 2).pure()
+    for rho in (ghz, ghz.projector(), ghz.amplitudes):
+        with pytest.raises(InstanceError, match="from_dense"):
+            Instance(d=2, n=1, k=1, r=1, rho=rho)
 
 
 def test_symmetric_state_instance_validation():
     ghz = ghz_state(3, 2)
     inst = Instance(d=2, n=2, k=1, r=1, rho=ghz)
-    assert inst.rho is ghz and inst.coefficients is ghz.coefficients
+    assert inst.rho is ghz
     for d, n, k in ((3, 2, 1), (2, 1, 1), (2, 3, 1)):
         with pytest.raises(InstanceError, match="sites of dimension"):
             Instance(d=d, n=n, k=k, r=0, rho=ghz)
@@ -139,9 +130,10 @@ def test_verify_on_symmetric_state_matches_its_pure_adapter(d, n, k, rule):
     occupation = (n + k - 1, 1) + (0,) * (d - 2)
     states = (random_symmetric_pure(n + k, d, 11), ghz_state(n + k, d), dicke_state(n + k, d, occupation))
     for state in states:
+        dense = SymmetricState.from_dense(state.pure())
         for r in range(n + 1):
             got = verify(Instance(d=d, n=n, k=k, r=r, rho=state), rule)
-            want = verify(Instance(d=d, n=n, k=k, r=r, rho=state.pure()), rule)
+            want = verify(Instance(d=d, n=n, k=k, r=r, rho=dense), rule)
             assert (got.status, got.fallback_node_count) == (want.status, want.fallback_node_count)
             for name in ("lhs", "chain_bound", "explicit_bound", "g_max_value"):
                 assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=0)
@@ -178,66 +170,27 @@ def test_dicke_coefficients_are_accurate_at_large_multiplicity():
     )
 
 
-def counting_reductions(monkeypatch):
-    """Count the calls of certifier._dicke_coefficients from here on."""
+def test_only_from_dense_reduces_a_dense_state(monkeypatch):
     calls = []
-    reduce = certifier._dicke_coefficients
+    reduce = symmetric._dicke_coefficients
 
     def counting(state):
         calls.append(state)
         return reduce(state)
 
-    monkeypatch.setattr(certifier, "_dicke_coefficients", counting)
-    return calls
-
-
-def test_sweep_over_r_reduces_the_state_once(monkeypatch):
-    calls = counting_reductions(monkeypatch)
+    monkeypatch.setattr(symmetric, "_dicke_coefficients", counting)
     rows = cli.build_rows(2, 6, [2], range(7), "random-sym:7", "exact:8", DEFAULT_FALLBACK_TOL, False)
     assert [row.r for row in rows] == list(range(7))
     assert calls == []  # the CLI's states are Dicke coefficients already
-    state = random_symmetric_pure(8, 2, seed=7).pure()
+    dense = random_symmetric_pure(8, 2, seed=7).pure()
+    for count in (1, 2):
+        state = SymmetricState.from_dense(dense)
+        assert len(calls) == count and calls[-1] is dense
+    SymmetricState.from_dense(dense.projector())
+    assert len(calls) == 3
     rule = exact_qubit_rule(8)
     for r in range(7):
         verify(Instance(d=2, n=6, k=2, r=r, rho=state), rule)
-    assert len(calls) == 1
-
-
-def test_reduction_memo_misses_on_a_new_state(monkeypatch):
-    calls = counting_reductions(monkeypatch)
-    state = random_symmetric_pure(4, 2, seed=1).pure()
-    first = Instance(d=2, n=2, k=2, r=1, rho=state)
-    Instance(d=2, n=3, k=1, r=2, rho=state)
-    assert len(calls) == 1
-    copy = dataclasses.replace(state)  # equal amplitudes, a new object
-    np.testing.assert_array_equal(Instance(d=2, n=2, k=2, r=1, rho=copy).coefficients, first.coefficients)
-    assert calls[-1] is copy
-    Instance(d=2, n=2, k=2, r=1, rho=state)  # the memo holds one state only
-    assert len(calls) == 3
-
-
-def test_reduction_memo_keeps_every_instance_check(monkeypatch):
-    calls = counting_reductions(monkeypatch)
-    antisym = PureState(2, 2, np.array([0, 1, -1, 0]) / np.sqrt(2))
-    for r in (0, 1, 1):
-        with pytest.raises(InstanceError, match="symmetric"):
-            Instance(d=2, n=1, k=1, r=r, rho=antisym)
-    assert len(calls) == 1
-    good = ghz_state(2, 2).pure().projector()
-    skewed = good.entries.copy()
-    skewed[0, 1] += 0.1
-    bad = [
-        (Operator(2, 2, skewed), "hermitian"),
-        (Operator(2, 2, 2 * good.entries), "unit trace"),
-        (Operator(2, 2, np.diag([1.5, 0, 0, -0.5])), "PSD"),
-        (Operator(2, 2, np.eye(4) / 4), "pure"),
-    ]
-    for _ in range(2):
-        # each Operator instance becomes a new vector, reduced again
-        Instance(d=2, n=1, k=1, r=1, rho=good)
-        for rho, match in bad:
-            with pytest.raises(InstanceError, match=match):
-                Instance(d=2, n=1, k=1, r=1, rho=rho)
     assert len(calls) == 3
 
 
@@ -254,7 +207,7 @@ def test_rho_psi_product():
 
 def test_rho_psi_ghz_trace():
     # conditioning the n+k site GHZ on psi^k leaves (|a|^2k + |b|^2k)/2 of mass
-    inst = Instance(d=2, n=2, k=3, r=0, rho=ghz_state(5, 2).pure().projector())
+    inst = Instance(d=2, n=2, k=3, r=0, rho=from_projector(ghz_state(5, 2)))
     rng = np.random.default_rng(1)
     for _ in range(5):
         psi = haar_state(2, rng)
@@ -342,7 +295,7 @@ def test_lhs_distance_bell():
 
 
 def test_lhs_distance_bounded_by_two():
-    inst = Instance(d=2, n=2, k=2, r=1, rho=random_symmetric_pure(4, 2, 12).pure().projector())
+    inst = Instance(d=2, n=2, k=2, r=1, rho=from_projector(random_symmetric_pure(4, 2, 12)))
     value, err = lhs_distance(inst, exact_qubit_rule(4))
     assert 0 <= value <= 2 + 1e-10
     assert err >= 0
@@ -549,7 +502,7 @@ def test_check_operator_inequality_random_instances():
     for seed in range(10):
         n = int(rng.integers(1, 4))
         k = int(rng.integers(1, 4))
-        inst = Instance(d=2, n=n, k=k, r=0, rho=random_symmetric_pure(n + k, 2, seed).pure().projector())
+        inst = Instance(d=2, n=n, k=k, r=0, rho=from_projector(random_symmetric_pure(n + k, 2, seed)))
         psi = haar_state(2, rng)
         slack = check_operator_inequality(inst, psi, exact_qubit_rule(n + k))
         assert slack >= -1e-9
@@ -644,13 +597,13 @@ def test_reconstruction_identity():
     # over an exact rule rebuilds the reduction: the lhs of the whole
     # artifact vanishes before truncation
     for inst in [bell_instance(), product_instance(2, 2, 1),
-                 Instance(d=2, n=2, k=2, r=1, rho=random_symmetric_pure(4, 2, 3).pure().projector())]:
+                 Instance(d=2, n=2, k=2, r=1, rho=from_projector(random_symmetric_pure(4, 2, 3)))]:
         rule = exact_qubit_rule(inst.n + inst.k)
         from definetti.haar import integrate
 
         total = integrate(rule, lambda node: rho_psi(inst, node))
         rebuilt = sym_dim(inst.k, inst.d) * total
-        reduced = partial_trace_last(inst.rho.projector(), inst.k)
+        reduced = partial_trace_last(inst.rho.pure().projector(), inst.k)
         assert trace_norm(reduced - rebuilt) < 1e-9
 
 
@@ -659,7 +612,7 @@ def test_chain_bound_consistent_with_g_max():
     from definetti.haar import integrate
 
     for seed in range(3):
-        inst = Instance(d=2, n=3, k=2, r=2, rho=random_symmetric_pure(5, 2, seed).pure().projector())
+        inst = Instance(d=2, n=3, k=2, r=2, rho=from_projector(random_symmetric_pure(5, 2, seed)))
         rule = exact_qubit_rule(5)
 
         def escaped(node):
@@ -689,7 +642,7 @@ def test_verify_passes_across_states_and_r():
     rule = exact_qubit_rule(6)
     for state in [ghz_state(4, 2), dicke_state(4, 2, (2, 2)), random_symmetric_pure(4, 2, 1)]:
         for r in (0, 1, 2):
-            inst = Instance(d=2, n=2, k=2, r=r, rho=state.pure().projector())
+            inst = Instance(d=2, n=2, k=2, r=r, rho=from_projector(state))
             report = verify(inst, rule)
             assert report.status == PASS, f"{state} r={r}: {report}"
             assert report.lhs - report.lhs_integration_error <= report.chain_bound + 1e-9

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from definetti import certifier, cli, symmetric
+from definetti import cli, symmetric
 from definetti.cli import (
     CSV_HEADER,
     EXIT_INCONCLUSIVE,
@@ -99,7 +99,7 @@ def test_sweep_never_handles_the_full_state(monkeypatch, tmp_path):
     # nothing indexed by the d^(n+k) basis strings is built or reduced
     calls = []
     type_codes = symmetric.type_codes
-    reduce = certifier._dicke_coefficients
+    reduce = symmetric._dicke_coefficients
 
     def counting_type_codes(n, d):
         calls.append(("type_codes", n))
@@ -110,8 +110,7 @@ def test_sweep_never_handles_the_full_state(monkeypatch, tmp_path):
         return reduce(state)
 
     monkeypatch.setattr(symmetric, "type_codes", counting_type_codes)
-    monkeypatch.setattr(certifier, "type_codes", counting_type_codes)
-    monkeypatch.setattr(certifier, "_dicke_coefficients", counting_reduce)
+    monkeypatch.setattr(symmetric, "_dicke_coefficients", counting_reduce)
     for spec in STATE_SPECS:
         assert main(cold_sweep_args(spec, tmp_path / "rows.csv")) == EXIT_OK, spec
     assert [call for call in calls if call[1] == 6] == []

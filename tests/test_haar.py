@@ -134,6 +134,17 @@ def test_exact_rule_reproduces_symmetric_projector():
             assert err < 1e-11, f"t={t} s={s}: {err:.2e}"
 
 
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_exact_rule_is_exact_through_degree_2t_plus_1(t):
+    # t+1 Gauss-Legendre points cover polar degree 2t+1 and 2t+2 azimuths cover
+    # frequencies up to 2t+1, so the degree-t rule is exact one degree past 2t
+    rule = exact_qubit_rule(t)
+    for s, exact in ((2 * t + 1, True), (2 * t + 2, False)):
+        moment = sym_dim(s, 2) * pure_power_moment(rule, s).entries
+        err = np.abs(moment - symmetrizer(s, 2).entries).max()
+        assert (err <= 1e-14) if exact else (err > 1e-3), f"t={t} s={s}: {err:.2e}"
+
+
 def test_exact_rule_large_degrees_full_space():
     for s, t in [(7, 7), (8, 8), (10, 10), (9, 12)]:
         moment = pure_power_moment(exact_qubit_rule(t), s)

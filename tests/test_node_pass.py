@@ -38,6 +38,7 @@ from definetti.certifier import (
     _givens_angles,
     _node_pass,
     _rotate,
+    _rotation_phases,
     _standard_error,
     _truncate,
     verify,
@@ -51,7 +52,13 @@ from definetti.linalg import (
     sandwich_bra_last,
     trace_norm,
 )
-from definetti.symmetric import dicke_isometry, random_symmetric_pure, sym_dim, type_table
+from definetti.symmetric import (
+    SymmetricState,
+    dicke_isometry,
+    random_symmetric_pure,
+    sym_dim,
+    type_table,
+)
 
 # (d, n, k); every r in 0..n is checked for each
 GRID = [(2, 1, 1), (2, 3, 2), (2, 2, 4), (2, 4, 4), (3, 2, 2), (3, 1, 2), (3, 3, 3), (4, 1, 1)]
@@ -216,17 +223,17 @@ def test_rotate_sites_matches_batched_matmul(d, n, count):
     frames = givens_frames(nodes)
     frame_of_node = np.einsum("abj,jb->aj", frames, nodes)
     np.testing.assert_allclose(frame_of_node, np.eye(d)[:, [0] * count], rtol=0, atol=1e-15)
-    angles, phases = _givens_angles(nodes), site_phases(n, nodes)
-    forward = _rotate(n, d, angles, phases * columns)
+    turns, phases = _rotation_phases(n, d, _givens_angles(nodes)), site_phases(n, nodes)
+    forward = _rotate(n, d, turns, phases * columns)
     dense = rotate_sites(frames, iso @ columns, n)
     np.testing.assert_allclose(iso @ forward, dense, rtol=0, atol=tol)
-    back = phases.conj() * _rotate(n, d, angles, forward, inverse=True)
+    back = phases.conj() * _rotate(n, d, turns, forward, inverse=True)
     np.testing.assert_allclose(back, columns, rtol=0, atol=tol)
 
     householder = householder_frames(nodes)
     reflected = rotate_sites(householder, iso @ columns, n)
     weight = deviation_weights(n, d)
-    cond = _Conditioned(np.ones(count), angles, phases, forward)
+    cond = _Conditioned(np.ones(count), turns, phases, forward)
     for r in range(n + 1):
         below = weight < r
         kept = np.sum(np.abs(reflected[below]) ** 2, axis=0)
@@ -250,7 +257,8 @@ def test_frame_power_is_unitary_and_maps_psi_power_to_last_type(d, n):
     types, mult = type_table(n, d)
     nodes = np.repeat(psi[None, :], len(mult), axis=0)
     # column c is the frame's symmetric power applied to Dicke basis vector c
-    frame = _rotate(n, d, _givens_angles(nodes), site_phases(n, nodes) * np.eye(len(mult)))
+    turns = _rotation_phases(n, d, _givens_angles(nodes))
+    frame = _rotate(n, d, turns, site_phases(n, nodes) * np.eye(len(mult)))
     np.testing.assert_allclose(frame.conj().T @ frame, np.eye(len(mult)), rtol=0, atol=1e-13)
     power = np.sqrt(mult) * np.prod(psi**types, axis=1)  # psi^(x)n in Dicke coordinates
     np.testing.assert_allclose(frame @ power, np.eye(len(mult))[-1], rtol=0, atol=1e-13)
@@ -262,7 +270,7 @@ def test_pass_at_forty_sites_reads_only_dicke_coefficients():
     coefficients = rng.standard_normal(81) + 1j * rng.standard_normal(81)
     coefficients /= np.linalg.norm(coefficients)
     rule = exact_qubit_rule(80)
-    inst = SimpleNamespace(d=2, n=40, k=40, coefficients=coefficients)
+    inst = Instance(d=2, n=40, k=40, r=0, rho=SymmetricState(2, 80, coefficients))
     cond = _condition(inst, _coupling(inst), rule.node_matrix)
     assert float(rule.weights @ cond.density) == pytest.approx(1.0, abs=1e-12)
     for r in (0, 1, 20, 40):
@@ -314,15 +322,11 @@ def test_reuse_misses_on_new_split_state_or_rule():
         (state, 2, 2, mc),
         (other, 2, 2, mc),
         (state, 2, 2, exact),
-        (state.pure().projector(), 2, 2, exact),  # each Operator instance gets its own vector
-        (state.pure().projector(), 2, 2, exact),
+        (SymmetricState.from_dense(state.pure().projector()), 2, 2, exact),  # a new object
+        (SymmetricState.from_dense(state.pure().projector()), 2, 2, exact),
     ]
-
-    def fresh_rho(rho):
-        return rho if isinstance(rho, Operator) else fresh(rho)
-
     expected = [
-        verify(Instance(d=2, n=n, k=k, r=1, rho=fresh_rho(rho)), fresh(rule))
+        verify(Instance(d=2, n=n, k=k, r=1, rho=fresh(rho)), fresh(rule))
         for rho, n, k, rule in calls
     ]
     for (rho, n, k, rule), want in zip(calls, expected):

@@ -6,6 +6,7 @@ import pytest
 
 from definetti.linalg import Operator, PureState, partial_trace_last, trace_norm
 from definetti.symmetric import (
+    SymmetricState,
     dicke_isometry,
     dicke_state,
     ghz_state,
@@ -14,6 +15,7 @@ from definetti.symmetric import (
     sym_dim,
     symmetrizer,
     type_codes,
+    type_table,
 )
 
 
@@ -262,6 +264,9 @@ def test_type_codes_match_digit_counts():
         assert len(types) == sym_dim(n, d), f"n={n} d={d}"
         assert list(map(tuple, types.tolist())) == sorted(set(map(tuple, counts.tolist())))
         np.testing.assert_array_equal(types[code], counts, err_msg=f"n={n} d={d}")
+        table, mult = type_table(n, d)
+        np.testing.assert_array_equal(table, types, err_msg=f"n={n} d={d}")
+        np.testing.assert_array_equal(mult, np.bincount(code), err_msg=f"n={n} d={d}")
 
 
 def test_dicke_isometry_matches_dense_construction():
@@ -282,3 +287,46 @@ def test_state_builders_bitwise_match_dense_oracles():
             new = dicke_state(n, d, occ).pure().amplitudes
             old = _dense_dicke_state(n, d, occ)
             assert np.array_equal(new.view(np.float64), old.view(np.float64)), (n, d, occ)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_from_dense_recovers_the_coefficients(d):
+    for sites in (1, 2, 4):
+        for state in (random_symmetric_pure(sites, d, seed=sites), ghz_state(sites, d)):
+            got = SymmetricState.from_dense(state.pure())
+            assert (got.site_dim, got.sites) == (d, sites)
+            np.testing.assert_allclose(got.coefficients, state.coefficients, rtol=0, atol=1e-14)
+            # a density operator fixes its top eigenvector up to a global phase
+            got = SymmetricState.from_dense(state.pure().projector()).coefficients
+            overlap = np.vdot(got, state.coefficients)
+            aligned = got * overlap / abs(overlap)
+            np.testing.assert_allclose(aligned, state.coefficients, rtol=0, atol=1e-14)
+
+
+def test_from_dense_rejects_invalid_states():
+    ghz = ghz_state(2, 2).pure()
+    antisym = PureState(2, 2, np.array([0, 1, -1, 0]) / np.sqrt(2))
+    skewed = ghz.projector().entries.copy()
+    skewed[0, 1] += 0.1
+    bad = [
+        (antisym, "symmetric"),
+        (antisym.projector(), "symmetric"),
+        (Operator(2, 2, skewed), "hermitian"),
+        (Operator(2, 2, 2 * ghz.projector().entries), "unit trace"),
+        (Operator(2, 2, np.diag([1.5, 0, 0, -0.5])), "PSD"),
+        (Operator(2, 2, np.eye(4) / 4), "pure"),
+        (Operator(2, 0, [[1.0]]), "sites"),  # a scalar, not a state
+    ]
+    for rho, match in bad:
+        with pytest.raises(ValueError, match=match):
+            SymmetricState.from_dense(rho)
+    # a symmetric state with a small antisymmetric admixture: the defect is
+    # beta sqrt(beta^2 + 4 (1 - beta^2)) for admixture amplitude beta
+    for beta, ok in ((1e-11, True), (1e-9, False)):
+        mixed = PureState(2, 2, math.sqrt(1 - beta**2) * ghz.amplitudes + beta * antisym.amplitudes)
+        for rho in (mixed, mixed.projector()):
+            if ok:
+                SymmetricState.from_dense(rho)
+            else:
+                with pytest.raises(ValueError, match="symmetric"):
+                    SymmetricState.from_dense(rho)
