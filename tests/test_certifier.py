@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import math
 from fractions import Fraction
@@ -170,7 +171,8 @@ def test_dicke_coefficients_are_accurate_at_large_multiplicity():
     )
 
 
-def test_only_from_dense_reduces_a_dense_state(monkeypatch):
+def counting_reductions(monkeypatch):
+    """Count the calls of symmetric._dicke_coefficients from here on."""
     calls = []
     reduce = symmetric._dicke_coefficients
 
@@ -179,19 +181,38 @@ def test_only_from_dense_reduces_a_dense_state(monkeypatch):
         return reduce(state)
 
     monkeypatch.setattr(symmetric, "_dicke_coefficients", counting)
+    return calls
+
+
+def test_sweep_over_r_reduces_the_state_once(monkeypatch):
+    calls = counting_reductions(monkeypatch)
     rows = cli.build_rows(2, 6, [2], range(7), "random-sym:7", "exact:8", DEFAULT_FALLBACK_TOL, False)
     assert [row.r for row in rows] == list(range(7))
     assert calls == []  # the CLI's states are Dicke coefficients already
     dense = random_symmetric_pure(8, 2, seed=7).pure()
-    for count in (1, 2):
-        state = SymmetricState.from_dense(dense)
-        assert len(calls) == count and calls[-1] is dense
-    SymmetricState.from_dense(dense.projector())
-    assert len(calls) == 3
+    state = SymmetricState.from_dense(dense)
+    assert calls == [dense]
     rule = exact_qubit_rule(8)
     for r in range(7):
         verify(Instance(d=2, n=6, k=2, r=r, rho=state), rule)
-    assert len(calls) == 3
+    assert len(calls) == 1  # Instance and verify read the coefficients, never the dense state
+
+
+def test_reduction_memo_misses_on_a_new_state(monkeypatch):
+    # no reduction is memoised: every from_dense call reduces its argument, once
+    calls = counting_reductions(monkeypatch)
+    dense = random_symmetric_pure(4, 2, seed=1).pure()
+    first = SymmetricState.from_dense(dense)
+    Instance(d=2, n=2, k=2, r=1, rho=first)
+    Instance(d=2, n=3, k=1, r=2, rho=first)
+    assert calls == [dense]
+    copy = dataclasses.replace(dense)  # equal amplitudes, a new object
+    np.testing.assert_array_equal(SymmetricState.from_dense(copy).coefficients, first.coefficients)
+    assert len(calls) == 2 and calls[-1] is copy
+    SymmetricState.from_dense(dense)
+    assert len(calls) == 3 and calls[-1] is dense
+    SymmetricState.from_dense(dense.projector())
+    assert len(calls) == 4
 
 
 def test_rho_psi_product():
