@@ -51,9 +51,6 @@ INCONCLUSIVE_FRACTION = 0.05
 INCONCLUSIVE_FLOOR = 1e-6
 
 _GRID_SLACK = 1e-12
-# complex entries per block of stacked per-node matrices in the Monte Carlo
-# standard error, so that its memory does not grow with the sample count
-_BLOCK_ENTRIES = 1 << 16
 
 
 class InstanceError(ValueError):
@@ -118,13 +115,14 @@ class _Conditioned(NamedTuple):
     `type_table(n, d)`. The frame U = R_1 ... R_{d-1} D of node psi maps psi
     to e_0: D removes the phases of psi's entries and the real rotation R_j
     on levels (j-1, j) moves the remaining weight of levels j.. onto j-1.
-    The inverse rotation in `_truncate` reads the conjugate of `turns`.
+    The inverse rotation in `_truncate` reads `turns` reversed, their conjugate.
     """
 
     density: np.ndarray  # sym_dim(k,d) trace(rho_psi), the density of nu
-    turns: tuple  # `_rotation_phases` of the nodes' Givens angles
-    phases: np.ndarray  # D^(x)n, diagonal in type coordinates
+    turns: tuple  # from `_frame`
+    unphase: np.ndarray  # (D^dag)^(x)n, diagonal in type coordinates
     rotated: np.ndarray  # phi_psi with U^(x)n applied
+    mass: np.ndarray  # |rotated|^2
 
 
 class _NodePass(NamedTuple):
@@ -155,21 +153,22 @@ class _Block(NamedTuple):
 
     rows: np.ndarray  # (blocks, m+1): type rows, by t_j = 0..m within each block
     basis: np.ndarray  # W_m
-    spectrum: np.ndarray  # lambda_m
+    adjoint: np.ndarray  # W_m^dag
+    spectrum: np.ndarray  # 2a - m for a = 0..m
 
 
 def _generator_eigenbasis(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(W_m, lambda_m) with exp(theta K_m) = W_m diag(exp(-i theta lambda_m)) W_m^dag.
+    """(W_m, W_m^dag) with exp(theta K_m) = W_m diag(exp(-i theta (2a - m))) W_m^dag, a = 0..m.
 
     K_m is a_{j-1}^dag a_j - a_j^dag a_{j-1}, the generator of R_j, on the m+1
     types with t_{j-1} + t_j = m, indexed by a = t_j: the real antisymmetric
-    matrix with <a|K_m|a+1> = -<a+1|K_m|a> = sqrt((a+1)(m-a)). Diagonalizing
-    i K_m keeps every rotation unitary to roundoff, where expanding the
-    rotated monomials does not.
+    matrix with <a|K_m|a+1> = -<a+1|K_m|a> = sqrt((a+1)(m-a)). i K_m is twice a
+    spin-m/2 J_y, with spectrum exactly 2a - m, so `eigh` supplies only W_m. Its
+    rotations stay unitary to roundoff, where expanding rotated monomials does not.
     """
     coupling = np.sqrt((np.arange(m) + 1.0) * (m - np.arange(m)))
-    spectrum, basis = np.linalg.eigh(np.diag(1j * coupling, 1) - np.diag(1j * coupling, -1))
-    return basis, spectrum
+    basis = np.linalg.eigh(np.diag(1j * coupling, 1) - np.diag(1j * coupling, -1))[1]
+    return basis, basis.conj().T.copy()
 
 
 @functools.lru_cache(maxsize=8)
@@ -185,17 +184,9 @@ def _rotation_blocks(n: int, d: int) -> tuple[tuple[_Block, ...], ...]:
         for m in range(1, n + 1):
             rows = order[total[order] == m].reshape(-1, m + 1)
             if rows.size:
-                blocks.append(_Block(rows, *_generator_eigenbasis(m)))
+                blocks.append(_Block(rows, *_generator_eigenbasis(m), np.arange(-m, m + 1, 2)))
         out.append(tuple(blocks))
     return tuple(out)
-
-
-def _rotation_phases(n: int, d: int, angles: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
-    """exp(-i lambda_m angles[j-1]) for each block of `_rotation_blocks(n, d)`, level by level."""
-    return tuple(
-        tuple(np.exp(-1j * block.spectrum[:, None] * angles[j - 1]) for block in blocks)
-        for j, blocks in enumerate(_rotation_blocks(n, d), start=1)
-    )
 
 
 def _rotate(n: int, d: int, turns, columns: np.ndarray, inverse=False) -> np.ndarray:
@@ -205,26 +196,51 @@ def _rotate(n: int, d: int, turns, columns: np.ndarray, inverse=False) -> np.nda
     for j in levels:
         out = columns.copy()
         for block, phase in zip(blocks[j - 1], turns[j - 1]):
-            phase = phase.conj() if inverse else phase
-            out[block.rows] = block.basis @ (phase * (block.basis.conj().T @ columns[block.rows]))
+            phase = phase[::-1] if inverse else phase  # w^(m - 2a) is conj(w^(2a - m))
+            out[block.rows] = block.basis @ (phase * (block.adjoint @ columns[block.rows]))
         columns = out
     return columns
 
 
-def _givens_angles(nodes: np.ndarray) -> np.ndarray:
-    """(d-1, count): R_j turns (|psi_{j-1}|, |(psi_j, ..., psi_{d-1})|) onto level j-1."""
-    moduli = np.abs(nodes)
-    tails = np.sqrt(np.cumsum(moduli[:, ::-1] ** 2, axis=1)[:, ::-1])
-    return np.arctan2(tails[:, 1:], moduli[:, :-1]).T
+def _unit(values: np.ndarray) -> np.ndarray:
+    """values / |values|, and 1 where a value is 0, as arctan2(0, 0) = 0 would give."""
+    return np.divide(values, np.abs(values), out=np.ones_like(values), where=values != 0)
+
+
+def _powers(values: np.ndarray, top: int) -> np.ndarray:
+    """values^p for p = 0..top on a new leading axis, by repeated products."""
+    powers = np.ones((top + 1, *values.shape), dtype=np.complex128)
+    np.cumprod(np.broadcast_to(values, (top, *values.shape)), axis=0, out=powers[1:])
+    return powers
+
+
+def _monomials(values: np.ndarray, n: int) -> np.ndarray:
+    """(sym_dim(n, d), count): prod_i values[:, i]^t_i for each type t of n sites."""
+    d = values.shape[1]
+    return _powers(values.T, n)[type_table(n, d)[0], np.arange(d)].prod(axis=1)
 
 
 def _bra_powers(nodes: np.ndarray, k: int) -> np.ndarray:
     """b(psi) per column: <psi|^(x)k in Dicke coordinates, sqrt(mult_u) prod_i conj(psi_i)^u_i."""
-    count, d = nodes.shape
-    types, mult = type_table(k, d)
-    powers = np.ones((k + 1, d, count), dtype=np.complex128)
-    powers[1:] = np.cumprod(np.broadcast_to(nodes.conj().T, (k, d, count)), axis=0)
-    return np.sqrt(mult)[:, None] * powers[types, np.arange(d)].prod(axis=1)
+    return np.sqrt(type_table(k, nodes.shape[1])[1])[:, None] * _monomials(nodes.conj(), k)
+
+
+def _frame(n: int, nodes: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """(turns, unphase) of `_Conditioned`: U^(x)n is `_rotate` with turns after unphase^*.
+
+    R_j turns (|psi_{j-1}|, tail_j = |(psi_j, ..., psi_{d-1})|) onto level j-1 by
+    theta_j, so w = exp(-i theta_j) is the unit of |psi_{j-1}| - i tail_j; turns[j-1]
+    holds w^(2a - m), a = 0..m, per block on levels (j-1, j). No angle is formed.
+    """
+    unphase = _monomials(_unit(nodes), n)
+    tails = np.sqrt(np.cumsum(np.abs(nodes[:, ::-1]) ** 2, axis=1)[:, ::-1])
+    givens = _unit(np.abs(nodes[:, :-1]) - 1j * tails[:, 1:])
+    turns = []
+    for w, blocks in zip(givens.T, _rotation_blocks(n, nodes.shape[1])):
+        powers = _powers(w, n)  # w is a unit number, so w^-p is conj(w^p)
+        signed = np.concatenate([powers[:0:-1].conj(), powers])  # w^p at row n + p
+        turns.append(tuple(signed[n + block.spectrum] for block in blocks))
+    return tuple(turns), unphase
 
 
 def _coupling(inst: Instance) -> np.ndarray:
@@ -249,16 +265,11 @@ def _condition(inst: Instance, coupling: np.ndarray, nodes: np.ndarray) -> _Cond
     of psi the deviation weight of a type is n - t_0, so truncation below
     weight r is a mask on t_0; nothing here depends on r.
     """
-    d, n = inst.d, inst.n
     phi = coupling @ _bra_powers(nodes, inst.k)
-    phases = np.exp(-1j * (type_table(n, d)[0] @ np.angle(nodes).T))
-    turns = _rotation_phases(n, d, _givens_angles(nodes))
-    return _Conditioned(
-        density=sym_dim(inst.k, d) * np.sum(np.abs(phi) ** 2, axis=0),
-        turns=turns,
-        phases=phases,
-        rotated=_rotate(n, d, turns, phases * phi),
-    )
+    density = sym_dim(inst.k, inst.d) * np.sum(np.abs(phi) ** 2, axis=0)
+    turns, unphase = _frame(inst.n, nodes)
+    rotated = _rotate(inst.n, inst.d, turns, unphase.conj() * phi)
+    return _Conditioned(density, turns, unphase, rotated, np.abs(rotated) ** 2)
 
 
 def _truncate(inst: Instance, cond: _Conditioned, fallback_tol: float) -> _NodePass:
@@ -268,14 +279,13 @@ def _truncate(inst: Instance, cond: _Conditioned, fallback_tol: float) -> _NodeP
     the frame maps psi^(x)n to the last type, (n, 0, ..., 0).
     """
     below = type_table(inst.n, inst.d)[0][:, 0] > inst.n - inst.r
-    mass = np.abs(cond.rotated) ** 2
-    kept = mass[below].sum(axis=0)
-    escaped = mass[~below].sum(axis=0)
+    kept = cond.mass[below].sum(axis=0)
+    escaped = cond.mass[~below].sum(axis=0)
     fallback = kept <= fallback_tol
     tau = cond.rotated * below[:, None] / np.sqrt(np.where(fallback, 1, kept))
     tau[:, fallback] = 0
     tau[-1, fallback] = 1
-    tau = cond.phases.conj() * _rotate(inst.n, inst.d, cond.turns, tau, inverse=True)
+    tau = cond.unphase * _rotate(inst.n, inst.d, cond.turns, tau, inverse=True)
     return _NodePass(cond.density, kept, escaped, tau, fallback)
 
 
@@ -336,21 +346,17 @@ def _reuse_or_prepare(inst: Instance, rule: QuadratureRule) -> _Prepared:
 def _standard_error(inst: Instance, nodes: _NodePass) -> float:
     """`haar.standard_error` of the per-node values density_j |tau_j><tau_j| on the d^n space.
 
-    Entry (x, y) of a value there is its Dicke entry (s, t) over
-    sqrt(mult_s mult_t), for x of type s and y of type t. The squared
-    deviations from the mean are summed over fixed blocks of nodes, so memory
-    stays bounded whatever the number of nodes.
+    Entry (x, y) of a value there is its Dicke entry (s, t) over sqrt(mult_s mult_t),
+    for x of type s and y of type t. Each value X_j has rank one, so the squared
+    deviations from the mean M sum to sum_j |X_j|^2 - N |M|^2, a Gram of |tau|^2;
+    clamping at 0 keeps the cancellation's roundoff from going negative.
     """
-    dim, count = nodes.tau.shape
+    count = nodes.tau.shape[1]
     if count < 2:
         return 0.0
     mean = _gram(nodes.tau, nodes.density / count)
-    block = max(1, _BLOCK_ENTRIES // dim**2)
-    total = np.zeros((dim, dim))
-    for start in range(0, count, block):
-        tau = nodes.tau[:, start : start + block]
-        values = np.einsum("j,aj,bj->jab", nodes.density[start : start + block], tau, tau.conj())
-        total += (np.abs(values - mean) ** 2).sum(axis=0)
+    square = _gram(np.abs(nodes.tau) ** 2, nodes.density**2)
+    total = np.maximum(square - count * np.abs(mean) ** 2, 0)
     mult = type_table(inst.n, inst.d)[1]
     return float(np.max(np.sqrt(total / np.outer(mult, mult) / (count - 1) / count)))
 

@@ -50,11 +50,6 @@ EXIT_INTERNAL = 70
 
 DESK_SCALE_LIMIT = 2**20
 
-CSV_HEADER = (
-    "d,n,k,r,state,lhs,lhs_err,chain_bound,explicit_bound,"
-    "g_max,fallback_nodes,nodes,seed,status"
-)
-
 _CONFIG_KEYS = (
     "d",
     "n",
@@ -101,8 +96,7 @@ class ReportRow:
                 raise ValueError(f"non-finite report field {value!r}")
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
+CSV_HEADER = ",".join(field.name for field in dataclasses.fields(ReportRow))
 
 
 def _csv_field(text: str) -> str:
@@ -115,7 +109,7 @@ def row_to_csv(row: ReportRow) -> str:
     fields = []
     for value in dataclasses.astuple(row):
         if isinstance(value, float):
-            fields.append(_fmt(value))
+            fields.append(f"{value:.12g}")
         else:
             fields.append("" if value is None else _csv_field(str(value)))
     return ",".join(fields)

@@ -351,6 +351,19 @@ def test_chain_bound_product_exact_oracle():
         assert numeric == pytest.approx(float(mass), abs=max(quad_err, 1e-12))
 
 
+def test_chain_bound_roundoff_at_forty_sites():
+    # the chain bound is 3 sym_dim(k) sqrt(E) for every state (Schur's lemma), with E the
+    # product oracle's rational; at r near n the escaped mass is ~1e-25 of the state's, so
+    # the frame rotation's roundoff shows here first
+    n = k = 40
+    state = random_symmetric_pure(n + k, 2, 1)
+    rule = exact_qubit_rule(40)
+    for r in (38, 39, 40):
+        inst = Instance(d=2, n=n, k=k, r=r, rho=state)
+        expect = 3 * sym_dim(k, 2) * math.sqrt(exact_beta_mass(n, k, r))
+        assert chain_bound(inst, rule) == pytest.approx(expect, rel=1e-6), r
+
+
 def test_explicit_bound_values():
     assert explicit_bound(4, 4, 2, 0) == pytest.approx(45.0, abs=1e-12)
     assert explicit_bound(4, 4, 2, 3) == pytest.approx(45.0 * math.exp(-0.5), abs=1e-12)

@@ -35,10 +35,11 @@ from definetti.certifier import (
     _condition,
     _Conditioned,
     _coupling,
-    _givens_angles,
+    _frame,
+    _generator_eigenbasis,
     _node_pass,
     _rotate,
-    _rotation_phases,
+    _rotation_blocks,
     _standard_error,
     _truncate,
     verify,
@@ -175,13 +176,20 @@ def rotate_sites(frames, columns, n):
     return columns.reshape(d**n, count)
 
 
+def givens_angles(nodes):
+    """(d-1, count): R_j turns (|psi_{j-1}|, |(psi_j, ..., psi_{d-1})|) onto level j-1 by theta_j."""
+    moduli = np.abs(nodes)
+    tails = np.sqrt(np.cumsum(moduli[:, ::-1] ** 2, axis=1)[:, ::-1])
+    return np.arctan2(tails[:, 1:], moduli[:, :-1]).T
+
+
 def givens_frames(nodes):
     """(d, d, count): the dense frame U = R_1 ... R_{d-1} D of each node.
 
     D = diag(exp(-i arg psi)) and R_j = exp(theta_j (|j-1><j| - |j><j-1|)).
     """
     count, d = nodes.shape
-    angles = _givens_angles(nodes)
+    angles = givens_angles(nodes)
     frames = np.empty((d, d, count), dtype=np.complex128)
     for j, psi in enumerate(nodes):
         frame = np.diag(np.exp(-1j * np.angle(psi)))
@@ -197,6 +205,11 @@ def givens_frames(nodes):
 def site_phases(n, nodes):
     """D^(x)n per node in Dicke coordinates: prod_i exp(-i arg psi_i)^t_i."""
     return np.exp(-1j * (type_table(n, nodes.shape[1])[0] @ np.angle(nodes).T))
+
+
+def conditioned(turns, unphase, rotated):
+    """A `_Conditioned` of unit density for columns already in the frame."""
+    return _Conditioned(np.ones(rotated.shape[1]), turns, unphase, rotated, np.abs(rotated) ** 2)
 
 
 def deviation_weights(n, d):
@@ -223,17 +236,17 @@ def test_rotate_sites_matches_batched_matmul(d, n, count):
     frames = givens_frames(nodes)
     frame_of_node = np.einsum("abj,jb->aj", frames, nodes)
     np.testing.assert_allclose(frame_of_node, np.eye(d)[:, [0] * count], rtol=0, atol=1e-15)
-    turns, phases = _rotation_phases(n, d, _givens_angles(nodes)), site_phases(n, nodes)
-    forward = _rotate(n, d, turns, phases * columns)
+    turns, unphase = _frame(n, nodes)
+    forward = _rotate(n, d, turns, unphase.conj() * columns)
     dense = rotate_sites(frames, iso @ columns, n)
     np.testing.assert_allclose(iso @ forward, dense, rtol=0, atol=tol)
-    back = phases.conj() * _rotate(n, d, turns, forward, inverse=True)
+    back = unphase * _rotate(n, d, turns, forward, inverse=True)
     np.testing.assert_allclose(back, columns, rtol=0, atol=tol)
 
     householder = householder_frames(nodes)
     reflected = rotate_sites(householder, iso @ columns, n)
     weight = deviation_weights(n, d)
-    cond = _Conditioned(np.ones(count), turns, phases, forward)
+    cond = conditioned(turns, unphase, forward)
     for r in range(n + 1):
         below = weight < r
         kept = np.sum(np.abs(reflected[below]) ** 2, axis=0)
@@ -257,11 +270,45 @@ def test_frame_power_is_unitary_and_maps_psi_power_to_last_type(d, n):
     types, mult = type_table(n, d)
     nodes = np.repeat(psi[None, :], len(mult), axis=0)
     # column c is the frame's symmetric power applied to Dicke basis vector c
-    turns = _rotation_phases(n, d, _givens_angles(nodes))
-    frame = _rotate(n, d, turns, site_phases(n, nodes) * np.eye(len(mult)))
+    turns, unphase = _frame(n, nodes)
+    frame = _rotate(n, d, turns, unphase.conj() * np.eye(len(mult)))
     np.testing.assert_allclose(frame.conj().T @ frame, np.eye(len(mult)), rtol=0, atol=1e-13)
     power = np.sqrt(mult) * np.prod(psi**types, axis=1)  # psi^(x)n in Dicke coordinates
     np.testing.assert_allclose(frame @ power, np.eye(len(mult))[-1], rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 10, 41, 80])
+def test_generator_eigenbasis_has_spectrum_two_a_minus_m(m):
+    coupling = np.sqrt((np.arange(m) + 1.0) * (m - np.arange(m)))
+    generator = np.diag(1j * coupling, 1) - np.diag(1j * coupling, -1)  # i K_m
+    basis, adjoint = _generator_eigenbasis(m)
+    np.testing.assert_array_equal(adjoint, basis.conj().T)
+    np.testing.assert_allclose(basis.conj().T @ basis, np.eye(m + 1), rtol=0, atol=1e-13)
+    rotated = basis.conj().T @ generator @ basis
+    spectrum = 2.0 * np.arange(m + 1) - m
+    np.testing.assert_allclose(np.diag(rotated).real, spectrum, rtol=0, atol=1e-13)
+    # what is off the diagonal is eigh's residual, a few eps times the norm m of i K_m
+    np.testing.assert_allclose(rotated, np.diag(spectrum), rtol=0, atol=4e-15 * m)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_frame_tables_match_angle_exponentials(d, n):
+    rng = np.random.default_rng(10 * d + n)
+    nodes = rng.standard_normal((5, d)) + 1j * rng.standard_normal((5, d))
+    nodes[1, 0] = 0  # a zero entry
+    nodes[2, 1:] = 0  # every entry after level 0 zero
+    nodes[-1] = np.eye(d)[-1]  # e_{d-1}
+    nodes /= np.linalg.norm(nodes, axis=1)[:, None]
+    turns, unphase = _frame(n, nodes)
+    angles = givens_angles(nodes)
+    for j, blocks in enumerate(_rotation_blocks(n, d), start=1):
+        for block, phase in zip(blocks, turns[j - 1]):
+            m = block.rows.shape[1] - 1
+            spectrum = 2.0 * np.arange(m + 1) - m
+            expected = np.exp(-1j * spectrum[:, None] * angles[j - 1])
+            np.testing.assert_allclose(phase, expected, rtol=0, atol=1e-12, err_msg=f"j={j} m={m}")
+    np.testing.assert_allclose(unphase.conj(), site_phases(n, nodes), rtol=0, atol=1e-12)
 
 
 def test_pass_at_forty_sites_reads_only_dicke_coefficients():
@@ -339,15 +386,18 @@ def stacked_values(inst, nodes):
     return np.einsum("j,aj,bj->jab", nodes.density, taus, taus.conj())
 
 
-@pytest.mark.parametrize("block_nodes", [None, 7])
-def test_blocked_standard_error_matches_full_stack(block_nodes, monkeypatch):
-    inst = instances(3, 2, 2)[1]
-    dim = sym_dim(inst.n, inst.d)
-    if block_nodes is not None:
-        monkeypatch.setattr(certifier, "_BLOCK_ENTRIES", block_nodes * dim**2)
-    nodes = _node_pass(inst, monte_carlo_rule(3, 30, seed=4).node_matrix, DEFAULT_FALLBACK_TOL)
-    assert 30 % max(1, certifier._BLOCK_ENTRIES // dim**2) != 0
+# named after the blocked sum it replaced; the closed form still adds up node by node
+@pytest.mark.parametrize("d", [3, 2])
+def test_blocked_standard_error_matches_full_stack(d):
+    inst = instances(d, 2, 2)[1]
+    nodes = _node_pass(inst, monte_carlo_rule(d, 30, seed=4).node_matrix, DEFAULT_FALLBACK_TOL)
     expected = standard_error(stacked_values(inst, nodes))
     assert _standard_error(inst, nodes) == pytest.approx(expected, rel=1e-12)
-    single = _node_pass(inst, monte_carlo_rule(3, 1, seed=4).node_matrix, DEFAULT_FALLBACK_TOL)
+    single = _node_pass(inst, monte_carlo_rule(d, 1, seed=4).node_matrix, DEFAULT_FALLBACK_TOL)
     assert _standard_error(inst, single) == 0.0
+    # 30 copies of one node: the exact error is 0, and sum_j |X_j|^2 - N |M|^2 cancels to
+    # roundoff of order eps |X|^2, so what is left is near sqrt(eps) |X|, below 1e-8 |X|
+    repeated = np.repeat(monte_carlo_rule(d, 1, seed=4).node_matrix, 30, axis=0)
+    same = _node_pass(inst, repeated, DEFAULT_FALLBACK_TOL)
+    err = _standard_error(inst, same)
+    assert math.isfinite(err) and 0.0 <= err <= 1e-8 * same.density[0]
