@@ -232,7 +232,7 @@ def _frame(n: int, nodes: np.ndarray) -> tuple[tuple, np.ndarray]:
     theta_j, so w = exp(-i theta_j) is the unit of |psi_{j-1}| - i tail_j; turns[j-1]
     holds w^(2a - m), a = 0..m, per block on levels (j-1, j). No angle is formed.
     """
-    unphase = _monomials(_unit(nodes), n)
+    unphase = _monomials(_unit(nodes), n)  # first: its power table and the turns' never coexist
     tails = np.sqrt(np.cumsum(np.abs(nodes[:, ::-1]) ** 2, axis=1)[:, ::-1])
     givens = _unit(np.abs(nodes[:, :-1]) - 1j * tails[:, 1:])
     turns = []
