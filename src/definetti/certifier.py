@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -136,7 +136,7 @@ class _NodePass(NamedTuple):
 
 
 class _Prepared(NamedTuple):
-    """The threshold-independent half of `verify` for one state, split and rule.
+    """The threshold-independent half of one `verify` call, shared by all its thresholds.
 
     `escalated` is the rule DEGREE_ESCALATION degrees higher with its
     conditioned nodes for exact rules, None for Monte Carlo rules; `reduced`
@@ -325,24 +325,6 @@ def _prepare(inst: Instance, rule: QuadratureRule) -> _Prepared:
     return _Prepared(_condition(inst, coupling, rule.node_matrix), escalated, _gram(coupling))
 
 
-# The last (key, _Prepared) of `verify`, so that a sweep over r on one state
-# and rule prepares once. The key holds the state and rule objects themselves:
-# both are frozen with read-only arrays, and holding them keeps their ids from
-# being reused, so matching by identity cannot confuse two inputs.
-_last_prepared = None
-
-
-def _reuse_or_prepare(inst: Instance, rule: QuadratureRule) -> _Prepared:
-    global _last_prepared
-    key = (inst.rho, inst.n, inst.k, rule)
-    last = _last_prepared
-    if last is not None and all(a is b for a, b in zip(last[0], key)):
-        return last[1]
-    prepared = _prepare(inst, rule)
-    _last_prepared = (key, prepared)
-    return prepared
-
-
 def _standard_error(inst: Instance, nodes: _NodePass) -> float:
     """`haar.standard_error` of the per-node values density_j |tau_j><tau_j| on the d^n space.
 
@@ -359,21 +341,6 @@ def _standard_error(inst: Instance, nodes: _NodePass) -> float:
     total = np.maximum(square - count * np.abs(mean) ** 2, 0)
     mult = type_table(inst.n, inst.d)[1]
     return float(np.max(np.sqrt(total / np.outer(mult, mult) / (count - 1) / count)))
-
-
-def _lhs_and_error(inst: Instance, rule: QuadratureRule, fallback_tol: float, prepared: _Prepared):
-    """(node pass, lhs, integration error) of the approximant.
-
-    Both trace norms are taken in Dicke coordinates; the isometry into the
-    d^n space does not change them.
-    """
-    nodes, approx = _approximant(inst, rule.weights, prepared.base, fallback_tol)
-    if prepared.escalated is None:
-        err = _standard_error(inst, nodes)
-    else:
-        higher, cond = prepared.escalated
-        err = trace_norm(approx - _approximant(inst, higher.weights, cond, fallback_tol)[1])
-    return nodes, trace_norm(prepared.reduced - approx), err
 
 
 def _chain_bound(inst: Instance, rule: QuadratureRule, nodes: _NodePass) -> float:
@@ -416,11 +383,12 @@ def lhs_distance(
 ) -> tuple[float, float]:
     """Trace distance between the n-site reduction and the approximant.
 
-    Returns (value, integration error scale). The integrand is not a
-    polynomial (tau_psi carries a normalizing ratio), so even exact rules
-    report a degree-escalation discrepancy rather than zero.
+    Returns (value, integration error scale), as `verify` reports them. The
+    integrand is not a polynomial (tau_psi carries a normalizing ratio), so
+    even exact rules report a degree-escalation discrepancy rather than zero.
     """
-    return _lhs_and_error(inst, rule, fallback_tol, _prepare(inst, rule))[1:]
+    report = verify(inst, rule, fallback_tol)
+    return report.lhs, report.lhs_integration_error
 
 
 def chain_bound(inst: Instance, rule: QuadratureRule) -> float:
@@ -602,17 +570,19 @@ def check_exponent_sandwich(pairs) -> bool:
     return True
 
 
-def verify(
-    inst: Instance, rule: QuadratureRule, fallback_tol: float = DEFAULT_FALLBACK_TOL
-) -> VerificationReport:
-    """Run the full certification and classify the outcome.
+def _report(inst: Instance, rule: QuadratureRule, fallback_tol: float, prepared: _Prepared):
+    """The VerificationReport for threshold inst.r, from the threshold-free half `prepared`.
 
-    PASS requires lhs - err <= chain bound and chain bound <= explicit
-    bound, both with 1e-9 slack. A large integration error (above 5% of the
-    chain bound) yields INCONCLUSIVE rather than a verdict either way;
-    everything else is a VIOLATION.
+    Both trace norms are taken in Dicke coordinates; the isometry into the
+    d^n space does not change them.
     """
-    nodes, lhs, err = _lhs_and_error(inst, rule, fallback_tol, _reuse_or_prepare(inst, rule))
+    nodes, approx = _approximant(inst, rule.weights, prepared.base, fallback_tol)
+    if prepared.escalated is None:
+        err = _standard_error(inst, nodes)
+    else:
+        higher, cond = prepared.escalated
+        err = trace_norm(approx - _approximant(inst, higher.weights, cond, fallback_tol)[1])
+    lhs = trace_norm(prepared.reduced - approx)
     chain = _chain_bound(inst, rule, nodes)
     explicit = explicit_bound(inst.n, inst.k, inst.d, inst.r)
     tail_peak = g_max(inst.n, inst.k, inst.r)
@@ -632,3 +602,30 @@ def verify(
         rule_description=rule.describe(),
         status=status,
     )
+
+
+def verify(
+    inst: Instance,
+    rule: QuadratureRule,
+    fallback_tol: float = DEFAULT_FALLBACK_TOL,
+    thresholds=None,
+):
+    """Run the full certification and classify the outcome.
+
+    PASS requires lhs - err <= chain bound and chain bound <= explicit
+    bound, both with 1e-9 slack. A large integration error (above 5% of the
+    chain bound) yields INCONCLUSIVE rather than a verdict either way;
+    everything else is a VIOLATION.
+
+    Returns the report for inst.r, or, given a sequence of `thresholds`, a
+    tuple of the reports for `replace(inst, r=r)` in their order. The part
+    that does not depend on r is computed once per call, so a sweep is one call.
+    """
+    if rule.d != inst.d:
+        raise DimensionError(f"rule has site dimension {rule.d}, instance has d={inst.d}")
+    if not fallback_tol >= 0:
+        raise ValueError(f"fallback_tol must be >= 0, got {fallback_tol!r}")
+    prepared = _prepare(inst, rule)
+    if thresholds is None:
+        return _report(inst, rule, fallback_tol, prepared)
+    return tuple(_report(replace(inst, r=r), rule, fallback_tol, prepared) for r in thresholds)

@@ -192,6 +192,8 @@ def parse_rule_spec(spec: str, d: int, min_degree: int):
         seed = _parse_int("mc seed", parts[1]) if len(parts) == 2 else 0
         if samples < 1:
             raise UsageError("mc samples must be positive")
+        if seed < 0:
+            raise UsageError(f"mc seed must be non-negative, got {seed}")
         return monte_carlo_rule(d, samples, seed=seed), seed
     raise UsageError(f"unknown rule spec {spec!r}; expected exact:DEGREE or mc:SAMPLES[:SEED]")
 
@@ -240,12 +242,6 @@ def _merge_config(args) -> None:
             setattr(args, dest, value)
 
 
-def _require(args, names) -> None:
-    missing = [name for name in names if getattr(args, name.replace("-", "_"), None) is None]
-    if missing:
-        raise UsageError("missing required settings: " + ", ".join("--" + m for m in missing))
-
-
 def _check_desk_scale(d: int, sites: int, allow_large: bool) -> None:
     if d**sites > DESK_SCALE_LIMIT and not allow_large:
         raise UsageError(
@@ -255,7 +251,9 @@ def _check_desk_scale(d: int, sites: int, allow_large: bool) -> None:
 
 
 def build_rows(d, n, k_list, r_list, state_spec, rule_spec, fallback_tol, allow_large):
+    """Certify every (k, r) pair, with one `verify` call per k for all thresholds."""
     rows = []
+    thresholds = sorted(set(r_list))
     for k in sorted(set(k_list)):
         if k < 1:
             raise UsageError(f"k must be positive, got {k}")
@@ -264,14 +262,15 @@ def build_rows(d, n, k_list, r_list, state_spec, rule_spec, fallback_tol, allow_
         state, state_seed = parse_state_spec(state_spec, d, sites)
         rule, mc_seed = parse_rule_spec(rule_spec, d, sites)
         seed = state_seed if state_seed is not None else mc_seed
-        for r in sorted(set(r_list)):
+        for r in thresholds:
             if not 0 <= r <= n:
                 raise UsageError(f"r must lie in [0, n]; got r={r} with n={n}")
-            try:
-                inst = Instance(d=d, n=n, k=k, r=r, rho=state)
-            except ValueError as exc:
-                raise UsageError(f"cannot build instance: {exc}") from None
-            report = verify(inst, rule, fallback_tol=fallback_tol)
+        try:
+            inst = Instance(d=d, n=n, k=k, r=thresholds[0], rho=state)
+        except ValueError as exc:
+            raise UsageError(f"cannot build instance: {exc}") from None
+        reports = verify(inst, rule, fallback_tol=fallback_tol, thresholds=thresholds)
+        for r, report in zip(thresholds, reports):
             rows.append(
                 ReportRow(
                     d=d,
@@ -311,17 +310,27 @@ def _write_text(path: str, text: str) -> None:
         raise UsageError(f"cannot write {path}: {exc}") from None
 
 
-def cmd_verify(args) -> int:
+def _rows_from_args(args, required, k_list: bool) -> list:
+    """Merge the config file, parse the settings and certify; `k_list` lets --k be a list."""
     _merge_config(args)
-    _require(args, ("d", "n", "k", "r", "state", "rule"))
+    names = ("d", "n", "k", "r", "state", "rule") + required
+    missing = [name for name in names if getattr(args, name, None) is None]
+    if missing:
+        raise UsageError("missing required settings: " + ", ".join("--" + m for m in missing))
     d = _parse_int("--d", args.d)
     n = _parse_int("--n", args.n)
-    k = _parse_int("--k", args.k)
+    ks = _parse_int_list("--k", args.k) if k_list else [_parse_int("--k", args.k)]
     r_list = _parse_int_list("--r", args.r)
-    fallback_tol = (
-        DEFAULT_FALLBACK_TOL if args.fallback_tol is None else _parse_float("--fallback-tol", args.fallback_tol)
-    )
-    rows = build_rows(d, n, [k], r_list, args.state, args.rule, fallback_tol, args.allow_large)
+    fallback_tol = DEFAULT_FALLBACK_TOL
+    if args.fallback_tol is not None:
+        fallback_tol = _parse_float("--fallback-tol", args.fallback_tol)
+        if not fallback_tol >= 0:
+            raise UsageError(f"--fallback-tol must be >= 0, got {args.fallback_tol!r}")
+    return build_rows(d, n, ks, r_list, args.state, args.rule, fallback_tol, args.allow_large)
+
+
+def cmd_verify(args) -> int:
+    rows = _rows_from_args(args, (), k_list=False)
     text = rows_to_csv_text(rows)
     sys.stdout.write(text)
     if args.output is not None:
@@ -332,16 +341,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _merge_config(args)
-    _require(args, ("d", "n", "k", "r", "state", "rule", "output"))
-    d = _parse_int("--d", args.d)
-    n = _parse_int("--n", args.n)
-    k_list = _parse_int_list("--k", args.k)
-    r_list = _parse_int_list("--r", args.r)
-    fallback_tol = (
-        DEFAULT_FALLBACK_TOL if args.fallback_tol is None else _parse_float("--fallback-tol", args.fallback_tol)
-    )
-    rows = build_rows(d, n, k_list, r_list, args.state, args.rule, fallback_tol, args.allow_large)
+    rows = _rows_from_args(args, ("output",), k_list=True)
     _write_text(args.output, rows_to_csv_text(rows))
     print(f"wrote {len(rows)} rows to {args.output}")
     if args.json is not None:

@@ -33,7 +33,7 @@ from definetti.certifier import (
 )
 from definetti.haar import QuadratureRule, exact_qubit_rule, haar_state, monte_carlo_rule
 from definetti.hamming import tail_function, tail_function_grid, threshold_projectors, weight_family
-from definetti.linalg import Operator, PureState, partial_trace_last, trace_norm
+from definetti.linalg import DimensionError, Operator, PureState, partial_trace_last, trace_norm
 from definetti.symmetric import (
     SymmetricState,
     _dicke_coefficients,
@@ -192,9 +192,7 @@ def test_sweep_over_r_reduces_the_state_once(monkeypatch):
     dense = random_symmetric_pure(8, 2, seed=7).pure()
     state = SymmetricState.from_dense(dense)
     assert calls == [dense]
-    rule = exact_qubit_rule(8)
-    for r in range(7):
-        verify(Instance(d=2, n=6, k=2, r=r, rho=state), rule)
+    verify(Instance(d=2, n=6, k=2, r=0, rho=state), exact_qubit_rule(8), thresholds=range(7))
     assert len(calls) == 1  # Instance and verify read the coefficients, never the dense state
 
 
@@ -706,3 +704,37 @@ def test_verify_fallback_count_r_zero():
     report = verify(bell_instance(r=0), rule)
     assert report.fallback_node_count == rule.node_count
     assert report.status == PASS
+
+
+@pytest.mark.parametrize("fallback_tol", [-1.0, -1e-300, math.nan])
+def test_verify_rejects_fallback_tol_below_zero_or_nan(fallback_tol):
+    # at r = 0 every kept mass is 0, so with no fallback tau would divide by sqrt(0)
+    with pytest.raises(ValueError, match="fallback_tol"):
+        verify(bell_instance(r=0), exact_qubit_rule(4), fallback_tol=fallback_tol)
+    with pytest.raises(ValueError, match="fallback_tol"):
+        verify(bell_instance(), exact_qubit_rule(4), fallback_tol, thresholds=[0, 1])
+
+
+def test_verify_infinite_fallback_tol_sends_every_node_to_the_fallback():
+    # every kept mass of the Bell state is at most 1, so 1 already sends every node there
+    inst, rule = bell_instance(), exact_qubit_rule(4)
+    reports = verify(inst, rule, fallback_tol=math.inf, thresholds=[0, 1])
+    assert [report.fallback_node_count for report in reports] == [rule.node_count] * 2
+    assert reports == verify(inst, rule, fallback_tol=1.0, thresholds=[0, 1])
+
+
+def test_verify_rejects_a_rule_of_another_site_dimension():
+    inst = bell_instance()
+    with pytest.raises(DimensionError, match=r"site dimension 3.*d=2"):
+        verify(inst, monte_carlo_rule(3, 20, seed=1))
+    with pytest.raises(DimensionError):
+        verify(inst, monte_carlo_rule(3, 20, seed=1), thresholds=[0, 1])
+
+
+def test_verify_thresholds_are_checked_like_instance_r():
+    inst, rule = bell_instance(), exact_qubit_rule(4)
+    assert verify(inst, rule, thresholds=[]) == ()
+    assert verify(inst, rule, thresholds=(1,)) == (verify(inst, rule),)
+    for bad in ([2], [0, -1]):
+        with pytest.raises(InstanceError, match="outside 0..1"):
+            verify(inst, rule, thresholds=bad)

@@ -204,6 +204,17 @@ def test_verify_fallback_tol_flag(capsys):
     assert rows[0]["status"] == "PASS"
 
 
+def test_verify_infinite_fallback_tol_is_valid(capsys):
+    # infinity sends every node to the fallback, as 1 does for the Bell state
+    code = main([
+        "verify", "--d", "2", "--n", "1", "--k", "1", "--r", "0,1",
+        "--state", "ghz", "--rule", "exact:6", "--fallback-tol", "inf",
+    ])
+    rows = parse_csv(capsys.readouterr().out)
+    assert code == EXIT_OK
+    assert [row["fallback_nodes"] for row in rows] == [row["nodes"] for row in rows]
+
+
 def test_verify_inconclusive_exit_code(capsys):
     code = main([
         "verify", "--d", "2", "--n", "1", "--k", "1", "--r", "1",
@@ -228,6 +239,12 @@ def test_usage_errors(capsys):
          "--state", "ghz", "--rule", "exact:6"],
         ["verify", "--d", "2", "--n", "1", "--k", "1", "--r", "1",
          "--state", "ghz", "--rule", "mc:0"],
+        ["verify", "--d", "2", "--n", "1", "--k", "1", "--r", "1",
+         "--state", "ghz", "--rule", "mc:100:-1"],
+        BELL_ARGS + ["--fallback-tol", "-1"],
+        BELL_ARGS + ["--fallback-tol", "nan"],
+        ["sweep", "--d", "2", "--n", "1", "--k", "1", "--r", "0", "--state", "ghz",
+         "--rule", "exact:6", "--fallback-tol", "-1e-300", "--output", os.devnull],
         ["verify", "--d", "2", "--n", "1", "--k", "1", "--r", "1",
          "--state", "dicke:3", "--rule", "exact:2"],
         ["verify", "--d", "2", "--n", "1"],
@@ -266,6 +283,24 @@ def test_sweep_sorted_rows_and_monotone_explicit(tmp_path, capsys):
     for k in ("1", "2"):
         bounds = [float(row["explicit_bound"]) for row in rows if row["k"] == k]
         assert all(a > b for a, b in zip(bounds, bounds[1:]))
+
+
+def test_sweep_calls_verify_once_per_k(monkeypatch, tmp_path, capsys):
+    calls = []
+    real_verify = cli.verify
+
+    def counting_verify(inst, rule, **kwargs):
+        calls.append((inst.k, tuple(kwargs["thresholds"])))
+        return real_verify(inst, rule, **kwargs)
+
+    monkeypatch.setattr(cli, "verify", counting_verify)
+    code = main([
+        "sweep", "--d", "2", "--n", "2", "--k", "2,1", "--r", "2,0,1,0",
+        "--state", "ghz", "--rule", "exact:4", "--output", str(tmp_path / "sweep.csv"),
+    ])
+    capsys.readouterr()
+    assert code == EXIT_OK
+    assert calls == [(1, (0, 1, 2)), (2, (0, 1, 2))]
 
 
 def test_sweep_rerun_byte_identical(tmp_path, capsys):

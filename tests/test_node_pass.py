@@ -16,13 +16,16 @@ d^n vectors, and its truncation against the same truncation in the frame
 of a Householder reflection per node.
 
 The node pass splits into a threshold-independent half, which `verify`
-keeps for the last (state, split, rule) it saw, and the per-r truncation.
-The reuse across r is checked against `verify` on fresh copies of the inputs.
+computes once per call, and the per-r truncation. A call with `thresholds=`
+is checked against single calls on fresh copies of the inputs, and `verify`
+is checked to hold no reference to its inputs once it returns.
 """
 
 import dataclasses
+import gc
 import itertools
 import math
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -334,27 +337,39 @@ def fresh(obj):
     return dataclasses.replace(obj)
 
 
+def counting_prepares(monkeypatch):
+    """Count the calls of certifier._prepare from here on."""
+    calls = []
+    prepare = certifier._prepare
+
+    def counting(*args):
+        calls.append(args)
+        return prepare(*args)
+
+    monkeypatch.setattr(certifier, "_prepare", counting)
+    return calls
+
+
+# named after the memo that the thresholds= call replaced; it checks the one pass per sweep
 @pytest.mark.parametrize("d,n,k", [(2, 4, 3), (3, 2, 2)])
 def test_sweep_reuse_matches_fresh_inputs(d, n, k, monkeypatch):
     state = random_symmetric_pure(n + k, d, seed=5)
-    prepares = []
-    prepare = certifier._prepare
-
-    def counting_prepare(*args):
-        prepares.append(args)
-        return prepare(*args)
-
-    monkeypatch.setattr(certifier, "_prepare", counting_prepare)
+    prepares = counting_prepares(monkeypatch)
     for rule in rules(d, n, k):
+        prepares.clear()
         expected = [
             verify(Instance(d=d, n=n, k=k, r=r, rho=fresh(state)), fresh(rule))
             for r in range(n + 1)
         ]
+        assert len(prepares) == n + 1, rule.describe()  # single calls share nothing
         prepares.clear()
-        for r in range(n + 1):
-            report = verify(Instance(d=d, n=n, k=k, r=r, rho=state), rule)
-            assert report == expected[r], f"{rule.describe()} r={r}"
+        # inst.r is not among the thresholds: with thresholds=, only they count
+        inst = Instance(d=d, n=n, k=k, r=n, rho=state)
+        reports = verify(inst, rule, thresholds=range(n + 1))
         assert len(prepares) == 1, rule.describe()
+        assert reports == tuple(expected), rule.describe()
+        backwards = verify(inst, rule, thresholds=[n, 0, n, 1])
+        assert backwards == (expected[n], expected[0], expected[n], expected[1]), rule.describe()
 
 
 def test_reuse_misses_on_new_split_state_or_rule():
@@ -373,11 +388,28 @@ def test_reuse_misses_on_new_split_state_or_rule():
         (SymmetricState.from_dense(state.pure().projector()), 2, 2, exact),
     ]
     expected = [
-        verify(Instance(d=2, n=n, k=k, r=1, rho=fresh(rho)), fresh(rule))
+        tuple(
+            verify(Instance(d=2, n=n, k=k, r=r, rho=fresh(rho)), fresh(rule))
+            for r in range(n + 1)
+        )
         for rho, n, k, rule in calls
     ]
     for (rho, n, k, rule), want in zip(calls, expected):
-        assert verify(Instance(d=2, n=n, k=k, r=1, rho=rho), rule) == want, (n, k, rule.describe())
+        inst = Instance(d=2, n=n, k=k, r=1, rho=rho)
+        assert verify(inst, rule, thresholds=range(n + 1)) == want, (n, k, rule.describe())
+        assert verify(inst, rule) == want[1], (n, k, rule.describe())
+
+
+def test_verify_keeps_no_reference_to_its_inputs():
+    state = random_symmetric_pure(6, 2, seed=4)
+    rule = monte_carlo_rule(2, 40, seed=4)
+    inst = Instance(d=2, n=3, k=3, r=1, rho=state)
+    refs = [weakref.ref(obj) for obj in (state, rule, inst)]
+    verify(inst, rule)
+    verify(inst, exact_qubit_rule(6))
+    del state, rule, inst
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
 
 
 def stacked_values(inst, nodes):
