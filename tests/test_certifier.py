@@ -126,8 +126,8 @@ def test_symmetric_state_instance_validation():
     ],
 )
 def test_verify_on_symmetric_state_matches_its_pure_adapter(d, n, k, rule):
-    # lhs_err is the distance between two unit-trace approximants, so beside the
-    # relative 1e-12 it is allowed an absolute 1e-14 at roundoff
+    # lhs_err is the rule's post-selection defect, at roundoff for exact rules, so beside
+    # the relative 1e-12 it is allowed an absolute 1e-14
     occupation = (n + k - 1, 1) + (0,) * (d - 2)
     states = (random_symmetric_pure(n + k, d, 11), ghz_state(n + k, d), dicke_state(n + k, d, occupation))
     for state in states:
@@ -682,21 +682,36 @@ def test_verify_passes_across_states_and_r():
 
 
 def test_verify_inconclusive_on_tiny_monte_carlo():
-    report = verify(bell_instance(), monte_carlo_rule(2, 3, seed=2))
+    # one node cannot reproduce Tr_k rho: its post-selection defect exceeds the chain
+    report = verify(bell_instance(), monte_carlo_rule(2, 1, seed=3))
     assert report.status == INCONCLUSIVE
-    assert report.lhs_integration_error > 0.05 * max(report.chain_bound, 1e-6)
+    assert report.lhs_integration_error > report.chain_bound
 
 
-def test_verify_flags_broken_rule_as_violation():
-    # a fake rule concentrated on one direction misses the average entirely
-    # and reports zero spread: the classification must not say PASS
+def test_verify_never_passes_a_broken_rule():
+    # a fake rule concentrated on one direction misses the average entirely: its
+    # approximant is |0><0| against Tr_k rho = I/2, and the classification must not say PASS
     node = np.array([[1, 0], [1, 0]], dtype=complex)
     broken = QuadratureRule(
         d=2, node_matrix=node, weights=[0.5, 0.5], kind="monte_carlo", samples=2, seed=0
     )
     report = verify(bell_instance(), broken)
-    assert report.status == VIOLATION
-    assert report.lhs - report.lhs_integration_error > report.chain_bound + 1e-9
+    assert report.status == INCONCLUSIVE
+    assert report.lhs_integration_error == pytest.approx(1.0, rel=0, abs=1e-15)
+    assert report.lhs_integration_error > report.chain_bound
+
+
+def test_verify_violation_stays_reachable(monkeypatch):
+    # lhs <= delta + chain is a theorem, so only a broken kernel reports VIOLATION; a chain
+    # shrunk below lhs but above delta stands in for one
+    inst = Instance(d=2, n=2, k=2, r=1, rho=random_symmetric_pure(4, 2, 1))
+    rule = exact_qubit_rule(6)
+    report = verify(inst, rule)
+    assert report.status == PASS and report.lhs > 1e-3
+    monkeypatch.setattr(certifier, "_chain_bound", lambda inst, rule, nodes: 1e-12)
+    broken = verify(inst, rule)
+    assert broken.lhs_integration_error <= broken.chain_bound
+    assert broken.status == VIOLATION
 
 
 def test_verify_fallback_count_r_zero():
@@ -708,11 +723,19 @@ def test_verify_fallback_count_r_zero():
 
 @pytest.mark.parametrize("fallback_tol", [-1.0, -1e-300, math.nan])
 def test_verify_rejects_fallback_tol_below_zero_or_nan(fallback_tol):
-    # at r = 0 every kept mass is 0, so with no fallback tau would divide by sqrt(0)
-    with pytest.raises(ValueError, match="fallback_tol"):
-        verify(bell_instance(r=0), exact_qubit_rule(4), fallback_tol=fallback_tol)
-    with pytest.raises(ValueError, match="fallback_tol"):
-        verify(bell_instance(), exact_qubit_rule(4), fallback_tol, thresholds=[0, 1])
+    # at r = 0 every kept mass is 0, so with no fallback tau would divide by sqrt(0);
+    # the views share verify's check
+    inst, rule = bell_instance(r=0), exact_qubit_rule(4)
+    calls = [
+        lambda: verify(inst, rule, fallback_tol=fallback_tol),
+        lambda: verify(bell_instance(), rule, fallback_tol, thresholds=[0, 1]),
+        lambda: tau_psi(inst, rule.node(0), fallback_tol=fallback_tol),
+        lambda: approximant(inst, rule, fallback_tol=fallback_tol),
+        lambda: lhs_distance(inst, rule, fallback_tol=fallback_tol),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="fallback_tol must be >= 0"):
+            call()
 
 
 def test_verify_infinite_fallback_tol_sends_every_node_to_the_fallback():

@@ -216,9 +216,10 @@ def test_verify_infinite_fallback_tol_is_valid(capsys):
 
 
 def test_verify_inconclusive_exit_code(capsys):
+    # one Monte Carlo node: the rule's post-selection defect exceeds the chain bound
     code = main([
         "verify", "--d", "2", "--n", "1", "--k", "1", "--r", "1",
-        "--state", "ghz", "--rule", "mc:3:2",
+        "--state", "ghz", "--rule", "mc:1:3",
     ])
     rows = parse_csv(capsys.readouterr().out)
     assert code == EXIT_INCONCLUSIVE

@@ -5,10 +5,12 @@ in one batched pass on vectors of length sym_dim(n, d). Here each per-node
 quantity, mapped into the d^n space through the Dicke isometry, and then the
 whole report, is rebuilt from dense operators one node at a time:
 `sandwich_bra_last` conditions the dense rho, and `weight_family` /
-`threshold_projectors` truncate it. The reference error estimate is the same
-as `verify`'s: the nuclear-norm discrepancy against the rule
-DEGREE_ESCALATION degrees higher for exact rules, the standard error of the
-per-node values for Monte Carlo.
+`threshold_projectors` truncate it. The reference `lhs_err` is the rule's
+post-selection defect delta = ||Tr_k rho - sym_dim(k,d) sum_j w_j rho_psi_j||_1,
+from `partial_trace_last` and the dense conditioned states. Each node obeys
+||rho_psi - trace(rho_psi) tau_psi||_1 = 2 sqrt(trace(rho_psi) e_psi), so every
+report has lhs <= delta + 2 sym_dim(k,d) sum_j w_j sqrt(trace(rho_psi_j) e_j);
+both are checked here.
 
 The frame kernel (a phase and d-1 real rotations, applied in type
 coordinates) is checked against dense d x d frames applied site by site to
@@ -35,6 +37,7 @@ from definetti import certifier
 from definetti.certifier import (
     DEFAULT_FALLBACK_TOL,
     Instance,
+    _bra_powers,
     _condition,
     _Conditioned,
     _coupling,
@@ -43,11 +46,10 @@ from definetti.certifier import (
     _node_pass,
     _rotate,
     _rotation_blocks,
-    _standard_error,
     _truncate,
     verify,
 )
-from definetti.haar import DEGREE_ESCALATION, exact_qubit_rule, monte_carlo_rule, standard_error
+from definetti.haar import QuadratureRule, exact_qubit_rule, monte_carlo_rule
 from definetti.hamming import threshold_projectors, weight_family
 from definetti.linalg import (
     Operator,
@@ -97,25 +99,26 @@ def dense_terms(inst, rule, fallback_tol):
     return terms
 
 
-def dense_approximant(inst, rule, terms):
-    """Per-node integrand values sym_dim(k,d) trace(rho_psi) tau_psi and their average."""
-    scale = sym_dim(inst.k, inst.d)
-    values = np.stack([scale * weight * tau.entries for weight, _, _, tau, _ in terms])
-    return values, np.tensordot(rule.weights, values, axes=1)
+def dense_defect(inst, rule):
+    """delta = ||Tr_k rho - sym_dim(k,d) sum_j w_j rho_psi_j||_1, from dense operators."""
+    rho = inst.rho.pure().projector()
+    conditioned = sum(
+        weight * sandwich_bra_last(rho, node, inst.k).entries
+        for weight, node in zip(rule.weights, rule.nodes)
+    )
+    reduced = partial_trace_last(rho, inst.k)
+    return trace_norm(reduced - Operator(inst.d, inst.n, sym_dim(inst.k, inst.d) * conditioned))
 
 
 def dense_report(inst, rule, fallback_tol):
     """(lhs, lhs_err, chain_bound, fallback count) of `verify`, from dense operators."""
     terms = dense_terms(inst, rule, fallback_tol)
-    values, approx = dense_approximant(inst, rule, terms)
+    approx = sym_dim(inst.k, inst.d) * sum(
+        w * weight * tau.entries for w, (weight, _, _, tau, _) in zip(rule.weights, terms)
+    )
     reduced = partial_trace_last(inst.rho.pure().projector(), inst.k)
     lhs = trace_norm(reduced - Operator(inst.d, inst.n, approx))
-    if rule.kind == "exact":
-        escalated = exact_qubit_rule(rule.exact_degree + DEGREE_ESCALATION)
-        _, again = dense_approximant(inst, escalated, dense_terms(inst, escalated, fallback_tol))
-        err = float(np.linalg.svd(approx - again, compute_uv=False).sum())
-    else:
-        err = standard_error(values)
+    err = dense_defect(inst, rule)
     escaped = float(rule.weights @ np.array([term[2] for term in terms]))
     chain = 3.0 * sym_dim(inst.k, inst.d) * math.sqrt(escaped)
     return lhs, err, chain, sum(term[4] for term in terms)
@@ -156,6 +159,56 @@ def test_verify_matches_dense_reference(d, n, k, fallback_tol):
             assert report.lhs_integration_error == pytest.approx(err, abs=TOL), where
             assert report.chain_bound == pytest.approx(chain, abs=TOL), where
             assert report.fallback_node_count == fallback, where
+
+
+@pytest.mark.parametrize("d,n,k", GRID)
+def test_node_distance_is_twice_root_of_escaped_times_trace(d, n, k):
+    # rho_psi - a tau_psi has rank two, with eigenvalues +-sqrt(e a), for every node
+    # that keeps its truncation (a = trace(rho_psi), e = its escaped mass)
+    for rule in rules(d, n, k):
+        for inst in instances(d, n, k):
+            rho = inst.rho.pure().projector()
+            nodes = _node_pass(inst, rule.node_matrix, DEFAULT_FALLBACK_TOL)
+            trace = nodes.density / sym_dim(k, d)
+            for j, term in enumerate(dense_terms(inst, rule, DEFAULT_FALLBACK_TOL)):
+                if term[4]:
+                    continue
+                conditioned = sandwich_bra_last(rho, rule.node(j), k)
+                distance = trace_norm(conditioned - trace[j] * term[3])
+                expected = 2 * math.sqrt(nodes.escaped[j] * trace[j])
+                where = f"{rule.describe()} r={inst.r} node {j}"
+                assert distance == pytest.approx(expected, rel=0, abs=TOL), where
+
+
+@pytest.mark.parametrize("fallback_tol", [DEFAULT_FALLBACK_TOL, 1.0])
+@pytest.mark.parametrize("d,n,k", GRID)
+def test_lhs_within_defect_and_gentle_sum(d, n, k, fallback_tol):
+    # the per-node identity summed: a fallback node may exceed its 2 sqrt(e a) by twice
+    # its kept mass, so that term joins the sum where the fallback was taken
+    for rule in rules(d, n, k):
+        for inst in instances(d, n, k):
+            report = verify(inst, rule, fallback_tol=fallback_tol)
+            nodes = _node_pass(inst, rule.node_matrix, fallback_tol)
+            trace = nodes.density / sym_dim(k, d)
+            gentle = 2 * sym_dim(k, d) * float(rule.weights @ np.sqrt(nodes.escaped * trace))
+            excess = 2 * sym_dim(k, d) * float(rule.weights @ (nodes.fallback * nodes.kept))
+            where = f"{rule.describe()} r={inst.r}"
+            assert gentle <= report.chain_bound, where
+            assert report.lhs <= report.lhs_integration_error + gentle + excess + TOL, where
+
+
+@pytest.mark.parametrize("rule", [exact_qubit_rule(4), monte_carlo_rule(2, 20, seed=1)])
+def test_verify_conditions_once(monkeypatch, rule):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _condition(*args)
+
+    monkeypatch.setattr(certifier, "_condition", counted)
+    inst = Instance(d=2, n=2, k=2, r=1, rho=random_symmetric_pure(4, 2, seed=3))
+    assert len(verify(inst, rule, thresholds=range(3))) == 3
+    assert len(calls) == 1
 
 
 def householder_frames(nodes):
@@ -321,7 +374,8 @@ def test_pass_at_forty_sites_reads_only_dicke_coefficients():
     coefficients /= np.linalg.norm(coefficients)
     rule = exact_qubit_rule(80)
     inst = Instance(d=2, n=40, k=40, r=0, rho=SymmetricState(2, 80, coefficients))
-    cond = _condition(inst, _coupling(inst), rule.node_matrix)
+    phi = _coupling(inst) @ _bra_powers(rule.node_matrix, inst.k)
+    cond = _condition(inst, phi, rule.node_matrix)
     assert float(rule.weights @ cond.density) == pytest.approx(1.0, abs=1e-12)
     for r in (0, 1, 20, 40):
         nodes = _truncate(SimpleNamespace(d=2, n=40, r=r), cond, DEFAULT_FALLBACK_TOL)
@@ -412,24 +466,33 @@ def test_verify_keeps_no_reference_to_its_inputs():
     assert [ref() for ref in refs] == [None, None, None]
 
 
-def stacked_values(inst, nodes):
-    """The per-node values density_j |tau_j><tau_j| on the d^n space, stacked on axis 0."""
-    taus = dicke_isometry(inst.n, inst.d).matrix @ nodes.tau
-    return np.einsum("j,aj,bj->jab", nodes.density, taus, taus.conj())
-
-
-# named after the blocked sum it replaced; the closed form still adds up node by node
+# named after the Monte Carlo standard error that delta replaced as lhs_err
 @pytest.mark.parametrize("d", [3, 2])
 def test_blocked_standard_error_matches_full_stack(d):
+    for grid_d, n, k in GRID:
+        if grid_d != d:
+            continue
+        inst = instances(d, n, k)[1]
+        for rule in rules(d, n, k):
+            defect = verify(inst, rule).lhs_integration_error
+            if rule.kind == "exact":
+                # exact through degree n + k >= k: sym_dim(k,d) sum_j w_j b b^dag = I
+                assert defect <= 1e-13, (n, k)
+            else:
+                assert defect > 0, (n, k)
+                assert defect == pytest.approx(dense_defect(inst, rule), rel=1e-12), (n, k)
     inst = instances(d, 2, 2)[1]
-    nodes = _node_pass(inst, monte_carlo_rule(d, 30, seed=4).node_matrix, DEFAULT_FALLBACK_TOL)
-    expected = standard_error(stacked_values(inst, nodes))
-    assert _standard_error(inst, nodes) == pytest.approx(expected, rel=1e-12)
-    single = _node_pass(inst, monte_carlo_rule(d, 1, seed=4).node_matrix, DEFAULT_FALLBACK_TOL)
-    assert _standard_error(inst, single) == 0.0
-    # 30 copies of one node: the exact error is 0, and sum_j |X_j|^2 - N |M|^2 cancels to
-    # roundoff of order eps |X|^2, so what is left is near sqrt(eps) |X|, below 1e-8 |X|
-    repeated = np.repeat(monte_carlo_rule(d, 1, seed=4).node_matrix, 30, axis=0)
-    same = _node_pass(inst, repeated, DEFAULT_FALLBACK_TOL)
-    err = _standard_error(inst, same)
-    assert math.isfinite(err) and 0.0 <= err <= 1e-8 * same.density[0]
+    single = monte_carlo_rule(d, 1, seed=4)
+    defect = verify(inst, single).lhs_integration_error
+    assert defect > 0
+    assert defect == pytest.approx(dense_defect(inst, single), rel=1e-12)
+    # 30 copies of one node average to that node, so delta is the same
+    repeated = QuadratureRule(
+        d=d,
+        node_matrix=np.repeat(single.node_matrix, 30, axis=0),
+        weights=np.full(30, 1 / 30),
+        kind="monte_carlo",
+        samples=30,
+        seed=4,
+    )
+    assert verify(inst, repeated).lhs_integration_error == pytest.approx(defect, rel=1e-12)
