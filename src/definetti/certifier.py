@@ -59,6 +59,7 @@ DEFAULT_FALLBACK_TOL = 1e-12
 COMPARISON_SLACK = 1e-9
 
 _GRID_SLACK = 1e-12
+_NODE_BLOCK = 512  # nodes conditioned at a time in `verify`
 
 
 class InstanceError(ValueError):
@@ -148,15 +149,13 @@ class _NodePass(NamedTuple):
 
 
 class _Prepared(NamedTuple):
-    """The threshold-independent half of one `verify` call, shared by all its thresholds.
+    """What one `verify` call needs from the nodes; entry i of the last three is threshold i's."""
 
-    `reduced` is Tr_k rho in Dicke coordinates and `defect` the rule's
-    post-selection defect delta.
-    """
-
-    base: _Conditioned
-    reduced: np.ndarray
-    defect: float
+    reduced: np.ndarray  # Tr_k rho in Dicke coordinates
+    defect: float  # the rule's post-selection defect delta
+    grams: np.ndarray  # sum_j w_j density_j |tau_j><tau_j|, the approximant
+    escaped: np.ndarray  # sum_j w_j escaped_j
+    fallback: np.ndarray  # nodes that fell back
 
 
 class _Block(NamedTuple):
@@ -200,15 +199,21 @@ def _rotation_blocks(n: int, d: int) -> tuple[tuple[_Block, ...], ...]:
     return tuple(out)
 
 
-def _rotate(n: int, d: int, turns, columns: np.ndarray, inverse=False) -> np.ndarray:
-    """Column c mapped by the symmetric power of R_1 ... R_{d-1} (`turns`), or its inverse."""
+def _rotate(n: int, d: int, turns, columns: np.ndarray, inverse=False, floor=0) -> np.ndarray:
+    """Column c mapped by the symmetric power of R_1 ... R_{d-1} (`turns`), or its inverse.
+
+    An inverse reads only rows with t_0 >= `floor` at its first level; the rest must be zero.
+    """
     levels = range(1, d) if inverse else range(d - 1, 0, -1)
     blocks = _rotation_blocks(n, d)
     for j in levels:
-        out = columns.copy()
+        out = np.empty_like(columns) if d == 2 else columns.copy()  # d = 2: one block, all rows
         for block, phase in zip(blocks[j - 1], turns[j - 1]):
-            phase = phase[::-1] if inverse else phase  # w^(m - 2a) is conj(w^(2a - m))
-            out[block.rows] = block.basis @ (phase * (block.adjoint @ columns[block.rows]))
+            live = block.rows.shape[1] - (floor if j == 1 else 0)
+            if live > 0:
+                phase = phase[::-1] if inverse else phase  # w^(m - 2a) is conj(w^(2a - m))
+                rows = columns[block.rows[:, :live]]
+                out[block.rows] = block.basis @ (phase * (block.adjoint[:, :live] @ rows))
         columns = out
     return columns
 
@@ -220,7 +225,8 @@ def _unit(values: np.ndarray) -> np.ndarray:
 
 def _powers(values: np.ndarray, top: int) -> np.ndarray:
     """values^p for p = 0..top on a new leading axis, by repeated products."""
-    powers = np.ones((top + 1, *values.shape), dtype=np.complex128)
+    powers = np.empty((top + 1, *values.shape), dtype=np.complex128)
+    powers[0] = 1
     np.cumprod(np.broadcast_to(values, (top, *values.shape)), axis=0, out=powers[1:])
     return powers
 
@@ -295,7 +301,8 @@ def _truncate(inst: Instance, cond: _Conditioned, fallback_tol: float) -> _NodeP
     tau = cond.rotated * below[:, None] / np.sqrt(np.where(fallback, 1, kept))
     tau[:, fallback] = 0
     tau[-1, fallback] = 1
-    tau = cond.unphase * _rotate(inst.n, inst.d, cond.turns, tau, inverse=True)
+    floor = inst.n + 1 - max(inst.r, 1)  # kept rows have t_0 > n - r, the fallback t_0 = n
+    tau = cond.unphase * _rotate(inst.n, inst.d, cond.turns, tau, inverse=True, floor=floor)
     return _NodePass(cond.density, kept, escaped, tau, fallback)
 
 
@@ -329,17 +336,31 @@ def _spread(inst: Instance, columns: np.ndarray, coefficients=1.0) -> Operator:
     return Operator(inst.d, inst.n, _gram(dense, coefficients))
 
 
-def _prepare(inst: Instance, rule: QuadratureRule) -> _Prepared:
-    """Condition on every node once; delta is one Gram of the conditioned vectors."""
+def _prepare(inst: Instance, rule: QuadratureRule, fallback_tol: float, rows) -> _Prepared:
+    """Sum what each threshold in `rows` needs over the nodes, _NODE_BLOCK nodes at a time.
+
+    A block is conditioned once, truncated for every threshold and dropped. Peak memory is
+    O(_NODE_BLOCK sym_dim(n,d) + len(rows) sym_dim(n,d)^2); the fixed block fixes each sum's order.
+    """
     coupling = _coupling(inst)
     reduced = _gram(coupling)
-    phi = coupling @ _bra_powers(rule.node_matrix, inst.k)
-    defect = trace_norm(reduced - _gram(phi, sym_dim(inst.k, inst.d) * rule.weights))
-    return _Prepared(_condition(inst, phi, rule.node_matrix), reduced, defect)
+    posted, grams = np.zeros_like(reduced), np.zeros((len(rows), *reduced.shape), complex)
+    escaped, fallback = np.zeros(len(rows)), np.zeros(len(rows), dtype=np.int64)
+    cuts = range(_NODE_BLOCK, rule.node_count, _NODE_BLOCK)
+    for nodes, weights in zip(np.split(rule.node_matrix, cuts), np.split(rule.weights, cuts)):
+        phi = coupling @ _bra_powers(nodes, inst.k)
+        posted += _gram(phi, sym_dim(inst.k, inst.d) * weights)
+        cond = _condition(inst, phi, nodes)
+        for i, row in enumerate(rows):
+            node = _truncate(row, cond, fallback_tol)
+            grams[i] += _gram(node.tau, weights * node.density)
+            escaped[i] += weights @ node.escaped
+            fallback[i] += node.fallback.sum()
+    return _Prepared(reduced, trace_norm(reduced - posted), grams, escaped, fallback)
 
 
-def _chain_bound(inst: Instance, rule: QuadratureRule, nodes: _NodePass) -> float:
-    return 3.0 * sym_dim(inst.k, inst.d) * math.sqrt(float(rule.weights @ nodes.escaped))
+def _chain_bound(inst: Instance, escaped: float) -> float:
+    return 3.0 * sym_dim(inst.k, inst.d) * math.sqrt(escaped)
 
 
 def rho_psi(inst: Instance, psi: PureState) -> Operator:
@@ -392,7 +413,8 @@ def chain_bound(inst: Instance, rule: QuadratureRule) -> float:
     The integrand is a polynomial of degree n+k in the node projector, so a
     qubit rule of degree >= n+k evaluates the integral without error.
     """
-    return _chain_bound(inst, rule, _node_pass(inst, rule.node_matrix, DEFAULT_FALLBACK_TOL))
+    nodes = _node_pass(inst, rule.node_matrix, DEFAULT_FALLBACK_TOL)
+    return _chain_bound(inst, rule.weights @ nodes.escaped)
 
 
 def explicit_bound(n: int, k: int, d: int, r: int) -> float:
@@ -565,16 +587,14 @@ def check_exponent_sandwich(pairs) -> bool:
     return True
 
 
-def _report(inst: Instance, rule: QuadratureRule, fallback_tol: float, prepared: _Prepared):
-    """The VerificationReport for threshold inst.r, from the threshold-free half `prepared`.
+def _report(inst: Instance, rule: QuadratureRule, prepared: _Prepared, i: int):
+    """The VerificationReport for threshold inst.r, from entry i of `prepared`.
 
     Both trace norms are taken in Dicke coordinates; the isometry into the
     d^n space does not change them.
     """
-    nodes = _truncate(inst, prepared.base, fallback_tol)
-    lhs = trace_norm(prepared.reduced - _gram(nodes.tau, rule.weights * nodes.density))
-    err = prepared.defect
-    chain = _chain_bound(inst, rule, nodes)
+    lhs = trace_norm(prepared.reduced - prepared.grams[i])
+    err, chain = prepared.defect, _chain_bound(inst, prepared.escaped[i])
     explicit = explicit_bound(inst.n, inst.k, inst.d, inst.r)
     tail_peak = g_max(inst.n, inst.k, inst.r)
     if err > chain:
@@ -589,7 +609,7 @@ def _report(inst: Instance, rule: QuadratureRule, fallback_tol: float, prepared:
         chain_bound=chain,
         explicit_bound=explicit,
         g_max_value=tail_peak,
-        fallback_node_count=int(nodes.fallback.sum()),
+        fallback_node_count=int(prepared.fallback[i]),
         rule_description=rule.describe(),
         status=status,
     )
@@ -612,13 +632,13 @@ def verify(
     broken kernel.
 
     Returns the report for inst.r, or, given a sequence of `thresholds`, a
-    tuple of the reports for `replace(inst, r=r)` in their order. The part
-    that does not depend on r is computed once per call, so a sweep is one call.
+    tuple of the reports for `replace(inst, r=r)` in their order. One walk
+    over the nodes serves every threshold (`_prepare`), so a sweep is one call.
     """
     if rule.d != inst.d:
         raise DimensionError(f"rule has site dimension {rule.d}, instance has d={inst.d}")
     _check_fallback_tol(fallback_tol)
-    prepared = _prepare(inst, rule)
-    if thresholds is None:
-        return _report(inst, rule, fallback_tol, prepared)
-    return tuple(_report(replace(inst, r=r), rule, fallback_tol, prepared) for r in thresholds)
+    rows = (inst,) if thresholds is None else tuple(replace(inst, r=r) for r in thresholds)
+    prepared = _prepare(inst, rule, fallback_tol, rows)
+    reports = tuple(_report(row, rule, prepared, i) for i, row in enumerate(rows))
+    return reports[0] if thresholds is None else reports

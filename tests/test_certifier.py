@@ -708,7 +708,7 @@ def test_verify_violation_stays_reachable(monkeypatch):
     rule = exact_qubit_rule(6)
     report = verify(inst, rule)
     assert report.status == PASS and report.lhs > 1e-3
-    monkeypatch.setattr(certifier, "_chain_bound", lambda inst, rule, nodes: 1e-12)
+    monkeypatch.setattr(certifier, "_chain_bound", lambda inst, escaped: 1e-12)
     broken = verify(inst, rule)
     assert broken.lhs_integration_error <= broken.chain_bound
     assert broken.status == VIOLATION

@@ -18,15 +18,19 @@ d^n vectors, and its truncation against the same truncation in the frame
 of a Householder reflection per node.
 
 The node pass splits into a threshold-independent half, which `verify`
-computes once per call, and the per-r truncation. A call with `thresholds=`
-is checked against single calls on fresh copies of the inputs, and `verify`
-is checked to hold no reference to its inputs once it returns.
+computes once per block of nodes, and the per-r truncation. A call with
+`thresholds=` is checked against single calls on fresh copies of the inputs,
+and `verify` is checked to hold no reference to its inputs once it returns.
+`verify` walks the nodes in blocks of `_NODE_BLOCK`: its reports must not
+depend on the block size beyond roundoff, and its peak memory must not grow
+with the node count.
 """
 
 import dataclasses
 import gc
 import itertools
 import math
+import tracemalloc
 import weakref
 from types import SimpleNamespace
 
@@ -76,6 +80,14 @@ def rules(d, n, k):
     if d == 2:
         out.append(exact_qubit_rule(n + k))
     return out
+
+
+# (d, n, k) outside GRID, with rules of more than _NODE_BLOCK nodes, so that verify adds
+# up several blocks, the last one partial
+BLOCKED = {
+    (3, 2, 1): lambda: [monte_carlo_rule(3, 1100, seed=21)],
+    (2, 2, 2): lambda: [exact_qubit_rule(16)],
+}
 
 
 def instances(d, n, k):
@@ -148,9 +160,12 @@ def test_node_pass_matches_dense_oracle(d, n, k, fallback_tol):
 
 
 @pytest.mark.parametrize("fallback_tol", [DEFAULT_FALLBACK_TOL, 1.0])
-@pytest.mark.parametrize("d,n,k", GRID)
+@pytest.mark.parametrize("d,n,k", GRID + list(BLOCKED))
 def test_verify_matches_dense_reference(d, n, k, fallback_tol):
-    for rule in rules(d, n, k):
+    blocked = (d, n, k) in BLOCKED
+    for rule in BLOCKED[d, n, k]() if blocked else rules(d, n, k):
+        assert not blocked or rule.node_count % certifier._NODE_BLOCK > 0, rule.describe()
+        assert not blocked or rule.node_count > certifier._NODE_BLOCK, rule.describe()
         for inst in instances(d, n, k):
             report = verify(inst, rule, fallback_tol=fallback_tol)
             lhs, err, chain, fallback = dense_report(inst, rule, fallback_tol)
@@ -496,3 +511,54 @@ def test_blocked_standard_error_matches_full_stack(d):
         seed=4,
     )
     assert verify(inst, repeated).lhs_integration_error == pytest.approx(defect, rel=1e-12)
+
+
+@pytest.mark.parametrize("fallback_tol", [DEFAULT_FALLBACK_TOL, 0.05])
+@pytest.mark.parametrize(
+    "d,n,k,rule",
+    [(3, 2, 2, ("mc", 37)), (2, 4, 3, ("exact", 7))],
+    ids=["mc-37", "exact-7"],
+)
+def test_streamed_verify_matches_one_block(d, n, k, rule, fallback_tol, monkeypatch):
+    # the block size only changes the order in which the sums over nodes are added up
+    kind, size = rule
+    rule = monte_carlo_rule(d, size, seed=6) if kind == "mc" else exact_qubit_rule(size)
+    count = rule.node_count
+    inst = Instance(d=d, n=n, k=k, r=0, rho=random_symmetric_pure(n + k, d, seed=8))
+    monkeypatch.setattr(certifier, "_NODE_BLOCK", count)
+    whole = verify(inst, rule, fallback_tol=fallback_tol, thresholds=range(n + 1))
+    fallbacks = {report.fallback_node_count for report in whole}
+    assert count % 7 and count in fallbacks  # a partial last block; every node falls back at r=0
+    if fallback_tol > DEFAULT_FALLBACK_TOL:
+        assert fallbacks - {0, count}  # some row keeps part of its nodes
+    for block in (1, 7, count - 1, count, count + 5):
+        monkeypatch.setattr(certifier, "_NODE_BLOCK", block)
+        streamed = verify(inst, rule, fallback_tol=fallback_tol, thresholds=range(n + 1))
+        for r, (got, want) in enumerate(zip(streamed, whole)):
+            where = f"{rule.describe()} block={block} r={r}"
+            for field in ("lhs", "lhs_integration_error", "chain_bound"):
+                expected = pytest.approx(getattr(want, field), rel=1e-12, abs=1e-15)
+                assert getattr(got, field) == expected, (where, field)
+            assert got.fallback_node_count == want.fallback_node_count, where
+            assert got.status == want.status, where
+
+
+def verify_peak_bytes(inst, rule):
+    """The largest traced allocation total while `verify` sweeps every threshold."""
+    tracemalloc.start()
+    try:
+        verify(inst, rule, thresholds=range(inst.n + 1))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_verify_memory_does_not_grow_with_the_node_count():
+    # the nodes are walked in fixed blocks, so ten times the nodes must not mean ten
+    # times the memory; the rules are built first, as their node tables are inputs
+    inst = Instance(d=3, n=2, k=2, r=0, rho=random_symmetric_pure(4, 3, seed=9))
+    small, large = monte_carlo_rule(3, 4000, seed=9), monte_carlo_rule(3, 40000, seed=9)
+    verify(inst, small)  # fills the type and rotation-block caches outside the trace
+    small_peak = verify_peak_bytes(inst, small)
+    large_peak = verify_peak_bytes(inst, large)
+    assert large_peak <= 1.5 * small_peak, (small_peak, large_peak)
