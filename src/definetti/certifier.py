@@ -18,11 +18,13 @@ upper bound on rho_psi, the gentle measurement step) exposed as its own
 check. `verify` checks the chain for the rule's own approximant, with the
 integral replaced by the weighted sum over the rule's nodes. For a node
 that keeps its truncation, ||rho_psi - trace(rho_psi) tau_psi||_1 =
-2 sqrt(trace(rho_psi) e_psi) with e_psi = trace(P_geq_r rho_psi); a fallback
-node may add twice its kept mass. So for every rule with nonnegative weights
-that sum to 1, up to that addition,
+2 sqrt(trace(rho_psi) e_psi) with e_psi = trace(P_geq_r rho_psi). A node of
+trace a falls back to tau_psi = psi^(x)n only when its kept mass is at most
+f a, f = _FALLBACK_FRACTION; then e_psi >= (1-f) a, so its cost 2a is at most
+3 sqrt(a e_psi) for any f <= 5/9. So for every rule with nonnegative weights
+that sum to 1, with c_j = 2 for a kept node and 3 for a fallback node,
 
-    lhs <= delta + 2 sym_dim(k,d) sum_j w_j sqrt(trace(rho_j) e_j) <= delta + chain,
+    lhs <= delta + sym_dim(k,d) sum_j w_j c_j sqrt(trace(rho_j) e_j) <= delta + chain,
 
 where delta = ||Tr_k rho - sym_dim(k,d) sum_j w_j rho_j||_1 is the rule's
 post-selection defect: roundoff for a rule exact through degree k, a
@@ -55,11 +57,11 @@ PASS = "PASS"
 VIOLATION = "VIOLATION"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-DEFAULT_FALLBACK_TOL = 1e-12
 COMPARISON_SLACK = 1e-9
 
 _GRID_SLACK = 1e-12
 _NODE_BLOCK = 512  # nodes conditioned at a time in `verify`
+_FALLBACK_FRACTION = 1e-12  # of a node's trace; any value in [0, 5/9] keeps the theorem
 
 
 class InstanceError(ValueError):
@@ -288,35 +290,31 @@ def _condition(inst: Instance, phi: np.ndarray, nodes: np.ndarray) -> _Condition
     return _Conditioned(density, turns, unphase, rotated, np.abs(rotated) ** 2)
 
 
-def _truncate(inst: Instance, cond: _Conditioned, fallback_tol: float) -> _NodePass:
+def _truncate(inst: Instance, cond: _Conditioned) -> _NodePass:
     """Truncate every conditioned node below weight inst.r and renormalize.
 
-    tau falls back to psi^(x)n where the kept mass is at most fallback_tol;
-    the frame maps psi^(x)n to the last type, (n, 0, ..., 0).
+    Types ascend lexicographically, so the kept rows, t_0 > n - r, are a suffix.
+    tau falls back to psi^(x)n where the kept mass is at most _FALLBACK_FRACTION
+    of the node's trace (always at r = 0); the frame maps psi^(x)n to the last
+    type, (n, 0, ..., 0).
     """
-    below = type_table(inst.n, inst.d)[0][:, 0] > inst.n - inst.r
-    kept = cond.mass[below].sum(axis=0)
-    escaped = cond.mass[~below].sum(axis=0)
-    fallback = kept <= fallback_tol
-    tau = cond.rotated * below[:, None] / np.sqrt(np.where(fallback, 1, kept))
-    tau[:, fallback] = 0
+    start = np.searchsorted(type_table(inst.n, inst.d)[0][:, 0], inst.n - inst.r, side="right")
+    kept = cond.mass[start:].sum(axis=0)
+    escaped = cond.mass[:start].sum(axis=0)
+    fallback = kept <= _FALLBACK_FRACTION * (kept + escaped)
+    tau = np.zeros_like(cond.rotated)
+    tau[start:] = cond.rotated[start:] / np.sqrt(np.where(fallback, 1, kept))
+    tau[start:, fallback] = 0
     tau[-1, fallback] = 1
     floor = inst.n + 1 - max(inst.r, 1)  # kept rows have t_0 > n - r, the fallback t_0 = n
     tau = cond.unphase * _rotate(inst.n, inst.d, cond.turns, tau, inverse=True, floor=floor)
     return _NodePass(cond.density, kept, escaped, tau, fallback)
 
 
-def _check_fallback_tol(fallback_tol: float) -> None:
-    # at r = 0 every kept mass is 0, so without a fallback tau would divide by sqrt(0)
-    if not fallback_tol >= 0:
-        raise ValueError(f"fallback_tol must be >= 0, got {fallback_tol!r}")
-
-
-def _node_pass(inst: Instance, nodes: np.ndarray, fallback_tol: float) -> _NodePass:
+def _node_pass(inst: Instance, nodes: np.ndarray) -> _NodePass:
     """Condition, truncate and renormalize at every row of `nodes` at once."""
-    _check_fallback_tol(fallback_tol)
     phi = _coupling(inst) @ _bra_powers(nodes, inst.k)
-    return _truncate(inst, _condition(inst, phi, nodes), fallback_tol)
+    return _truncate(inst, _condition(inst, phi, nodes))
 
 
 def _node_row(inst: Instance, psi: PureState) -> np.ndarray:
@@ -326,8 +324,8 @@ def _node_row(inst: Instance, psi: PureState) -> np.ndarray:
 
 
 def _gram(columns: np.ndarray, coefficients=1.0) -> np.ndarray:
-    """sum_j coefficients[j] |columns[:, j]><columns[:, j]|."""
-    return (columns * coefficients) @ columns.conj().T
+    """sum_j coefficients[j] |columns[:, j]><columns[:, j]|, from one conjugated copy."""
+    return ((columns.conj() * coefficients) @ columns.T).conj()
 
 
 def _spread(inst: Instance, columns: np.ndarray, coefficients=1.0) -> Operator:
@@ -336,7 +334,7 @@ def _spread(inst: Instance, columns: np.ndarray, coefficients=1.0) -> Operator:
     return Operator(inst.d, inst.n, _gram(dense, coefficients))
 
 
-def _prepare(inst: Instance, rule: QuadratureRule, fallback_tol: float, rows) -> _Prepared:
+def _prepare(inst: Instance, rule: QuadratureRule, rows) -> _Prepared:
     """Sum what each threshold in `rows` needs over the nodes, _NODE_BLOCK nodes at a time.
 
     A block is conditioned once, truncated for every threshold and dropped. Peak memory is
@@ -352,7 +350,7 @@ def _prepare(inst: Instance, rule: QuadratureRule, fallback_tol: float, rows) ->
         posted += _gram(phi, sym_dim(inst.k, inst.d) * weights)
         cond = _condition(inst, phi, nodes)
         for i, row in enumerate(rows):
-            node = _truncate(row, cond, fallback_tol)
+            node = _truncate(row, cond)
             grams[i] += _gram(node.tau, weights * node.density)
             escaped[i] += weights @ node.escaped
             fallback[i] += node.fallback.sum()
@@ -368,42 +366,37 @@ def rho_psi(inst: Instance, psi: PureState) -> Operator:
     return _spread(inst, _coupling(inst) @ _bra_powers(_node_row(inst, psi), inst.k))
 
 
-def tau_psi(
-    inst: Instance, psi: PureState, fallback_tol: float = DEFAULT_FALLBACK_TOL
-) -> tuple[float, Operator, bool]:
+def tau_psi(inst: Instance, psi: PureState) -> tuple[float, Operator, bool]:
     """Truncate rho_psi below weight r and renormalize.
 
     Returns (trace of the truncated state, the normalized state, fallback
-    flag). When the truncated trace is negligible (always at r = 0) the
-    normalized state falls back to psi^(x)n, which has deviation weight 0.
+    flag). When the truncated trace is a negligible part of the trace of
+    rho_psi (always at r = 0) the normalized state falls back to psi^(x)n,
+    which has deviation weight 0.
     """
-    node = _node_pass(inst, _node_row(inst, psi), fallback_tol)
+    node = _node_pass(inst, _node_row(inst, psi))
     return float(node.kept[0]), _spread(inst, node.tau), bool(node.fallback[0])
 
 
-def approximant(
-    inst: Instance, rule: QuadratureRule, fallback_tol: float = DEFAULT_FALLBACK_TOL
-) -> Operator:
+def approximant(inst: Instance, rule: QuadratureRule) -> Operator:
     """The weighted average sym_dim(k,d) int trace(rho_psi) tau_psi d(psi)."""
-    nodes = _node_pass(inst, rule.node_matrix, fallback_tol)
+    nodes = _node_pass(inst, rule.node_matrix)
     return _spread(inst, nodes.tau, rule.weights * nodes.density)
 
 
 def nu_weight_normalization(inst: Instance, rule: QuadratureRule) -> float:
     """Total mass sym_dim(k,d) int trace(rho_psi) d(psi); 1 for exact rules."""
-    return float(rule.weights @ _node_pass(inst, rule.node_matrix, DEFAULT_FALLBACK_TOL).density)
+    return float(rule.weights @ _node_pass(inst, rule.node_matrix).density)
 
 
-def lhs_distance(
-    inst: Instance, rule: QuadratureRule, fallback_tol: float = DEFAULT_FALLBACK_TOL
-) -> tuple[float, float]:
+def lhs_distance(inst: Instance, rule: QuadratureRule) -> tuple[float, float]:
     """Trace distance between the n-site reduction and the approximant.
 
     Returns (value, post-selection defect delta), as `verify` reports them.
     lhs <= delta + chain bound for every rule, and delta is roundoff for a
     rule exact through degree k.
     """
-    report = verify(inst, rule, fallback_tol)
+    report = verify(inst, rule)
     return report.lhs, report.lhs_integration_error
 
 
@@ -413,7 +406,7 @@ def chain_bound(inst: Instance, rule: QuadratureRule) -> float:
     The integrand is a polynomial of degree n+k in the node projector, so a
     qubit rule of degree >= n+k evaluates the integral without error.
     """
-    nodes = _node_pass(inst, rule.node_matrix, DEFAULT_FALLBACK_TOL)
+    nodes = _node_pass(inst, rule.node_matrix)
     return _chain_bound(inst, rule.weights @ nodes.escaped)
 
 
@@ -615,21 +608,14 @@ def _report(inst: Instance, rule: QuadratureRule, prepared: _Prepared, i: int):
     )
 
 
-def verify(
-    inst: Instance,
-    rule: QuadratureRule,
-    fallback_tol: float = DEFAULT_FALLBACK_TOL,
-    thresholds=None,
-):
+def verify(inst: Instance, rule: QuadratureRule, thresholds=None):
     """Run the full certification and classify the outcome.
 
     lhs <= delta + chain bound for every rule, with delta its post-selection
     defect (module docstring). A row whose delta exceeds its chain bound is
     INCONCLUSIVE. Otherwise PASS requires lhs <= delta + chain bound and chain
-    bound <= explicit bound, both with COMPARISON_SLACK. Fallback nodes may add
-    up to 2 sym_dim(k,d) fallback_tol, which that slack covers at the default
-    tolerance while sym_dim(k,d) <= 500. Anything else is a VIOLATION: a
-    broken kernel.
+    bound <= explicit bound, both with COMPARISON_SLACK. Anything else is a
+    VIOLATION: a broken kernel.
 
     Returns the report for inst.r, or, given a sequence of `thresholds`, a
     tuple of the reports for `replace(inst, r=r)` in their order. One walk
@@ -637,8 +623,7 @@ def verify(
     """
     if rule.d != inst.d:
         raise DimensionError(f"rule has site dimension {rule.d}, instance has d={inst.d}")
-    _check_fallback_tol(fallback_tol)
     rows = (inst,) if thresholds is None else tuple(replace(inst, r=r) for r in thresholds)
-    prepared = _prepare(inst, rule, fallback_tol, rows)
+    prepared = _prepare(inst, rule, rows)
     reports = tuple(_report(row, rule, prepared, i) for i, row in enumerate(rows))
     return reports[0] if thresholds is None else reports

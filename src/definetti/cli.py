@@ -29,7 +29,6 @@ import traceback
 import numpy as np
 
 from .certifier import (
-    DEFAULT_FALLBACK_TOL,
     INCONCLUSIVE,
     VIOLATION,
     Instance,
@@ -57,7 +56,6 @@ _CONFIG_KEYS = (
     "r",
     "state",
     "rule",
-    "fallback-tol",
     "output",
     "json",
     "allow-large",
@@ -130,13 +128,6 @@ def _parse_int(name: str, text: str) -> int:
         raise UsageError(f"{name} expects an integer, got {text!r}") from None
 
 
-def _parse_float(name: str, text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise UsageError(f"{name} expects a number, got {text!r}") from None
-
-
 def _parse_int_list(name: str, text: str) -> list:
     items = [part.strip() for part in text.split(",") if part.strip()]
     if not items:
@@ -171,16 +162,19 @@ def parse_state_spec(spec: str, d: int, sites: int):
     )
 
 
-def parse_rule_spec(spec: str, d: int, min_degree: int):
-    """Build the quadrature rule named by SPEC; returns (rule, mc_seed)."""
+def parse_rule_spec(spec: str, d: int, sites: int):
+    """Build the quadrature rule named by SPEC for n+k = `sites`; returns (rule, mc_seed).
+
+    `exact:t` is exact through degree 2t+1, which must reach n+k.
+    """
     name, _, arg = spec.partition(":")
     if name == "exact":
         if d != 2:
             raise UsageError("exact rules are available only for d=2")
         degree = _parse_int("exact rule degree", arg)
-        if degree < min_degree:
+        if 2 * degree + 1 < sites:
             raise UsageError(
-                f"exact rule degree {degree} is below n+k={min_degree}; "
+                f"exact:{degree} is exact through degree {2 * degree + 1}, below n+k={sites}; "
                 "the certification integrands have that polynomial degree"
             )
         return exact_qubit_rule(degree), None
@@ -250,7 +244,7 @@ def _check_desk_scale(d: int, sites: int, allow_large: bool) -> None:
         )
 
 
-def build_rows(d, n, k_list, r_list, state_spec, rule_spec, fallback_tol, allow_large):
+def build_rows(d, n, k_list, r_list, state_spec, rule_spec, allow_large):
     """Certify every (k, r) pair, with one `verify` call per k for all thresholds."""
     rows = []
     thresholds = sorted(set(r_list))
@@ -269,7 +263,7 @@ def build_rows(d, n, k_list, r_list, state_spec, rule_spec, fallback_tol, allow_
             inst = Instance(d=d, n=n, k=k, r=thresholds[0], rho=state)
         except ValueError as exc:
             raise UsageError(f"cannot build instance: {exc}") from None
-        reports = verify(inst, rule, fallback_tol=fallback_tol, thresholds=thresholds)
+        reports = verify(inst, rule, thresholds=thresholds)
         for r, report in zip(thresholds, reports):
             rows.append(
                 ReportRow(
@@ -321,12 +315,7 @@ def _rows_from_args(args, required, k_list: bool) -> list:
     n = _parse_int("--n", args.n)
     ks = _parse_int_list("--k", args.k) if k_list else [_parse_int("--k", args.k)]
     r_list = _parse_int_list("--r", args.r)
-    fallback_tol = DEFAULT_FALLBACK_TOL
-    if args.fallback_tol is not None:
-        fallback_tol = _parse_float("--fallback-tol", args.fallback_tol)
-        if not fallback_tol >= 0:
-            raise UsageError(f"--fallback-tol must be >= 0, got {args.fallback_tol!r}")
-    return build_rows(d, n, ks, r_list, args.state, args.rule, fallback_tol, args.allow_large)
+    return build_rows(d, n, ks, r_list, args.state, args.rule, args.allow_large)
 
 
 def cmd_verify(args) -> int:
@@ -428,7 +417,6 @@ def _add_common_flags(sub, k_help):
         help="state spec: product | ghz | dicke:OCC (comma-separated counts) | random-sym:SEED",
     )
     sub.add_argument("--rule", help="integration rule: exact:DEGREE (d=2) | mc:SAMPLES[:SEED]")
-    sub.add_argument("--fallback-tol", dest="fallback_tol", help="truncation fallback threshold")
     sub.add_argument("--output", help="write report rows as CSV to this path")
     sub.add_argument("--json", help="write a structured mirror of the rows to this path")
     sub.add_argument("--config", help="flat key = value file; flags override")

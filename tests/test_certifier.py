@@ -9,7 +9,6 @@ from scipy import integrate as scipy_integrate
 
 from definetti import certifier, cli, symmetric
 from definetti.certifier import (
-    DEFAULT_FALLBACK_TOL,
     INCONCLUSIVE,
     PASS,
     VIOLATION,
@@ -186,7 +185,7 @@ def counting_reductions(monkeypatch):
 
 def test_sweep_over_r_reduces_the_state_once(monkeypatch):
     calls = counting_reductions(monkeypatch)
-    rows = cli.build_rows(2, 6, [2], range(7), "random-sym:7", "exact:8", DEFAULT_FALLBACK_TOL, False)
+    rows = cli.build_rows(2, 6, [2], range(7), "random-sym:7", "exact:8", False)
     assert [row.r for row in rows] == list(range(7))
     assert calls == []  # the CLI's states are Dicke coefficients already
     dense = random_symmetric_pure(8, 2, seed=7).pure()
@@ -719,31 +718,6 @@ def test_verify_fallback_count_r_zero():
     report = verify(bell_instance(r=0), rule)
     assert report.fallback_node_count == rule.node_count
     assert report.status == PASS
-
-
-@pytest.mark.parametrize("fallback_tol", [-1.0, -1e-300, math.nan])
-def test_verify_rejects_fallback_tol_below_zero_or_nan(fallback_tol):
-    # at r = 0 every kept mass is 0, so with no fallback tau would divide by sqrt(0);
-    # the views share verify's check
-    inst, rule = bell_instance(r=0), exact_qubit_rule(4)
-    calls = [
-        lambda: verify(inst, rule, fallback_tol=fallback_tol),
-        lambda: verify(bell_instance(), rule, fallback_tol, thresholds=[0, 1]),
-        lambda: tau_psi(inst, rule.node(0), fallback_tol=fallback_tol),
-        lambda: approximant(inst, rule, fallback_tol=fallback_tol),
-        lambda: lhs_distance(inst, rule, fallback_tol=fallback_tol),
-    ]
-    for call in calls:
-        with pytest.raises(ValueError, match="fallback_tol must be >= 0"):
-            call()
-
-
-def test_verify_infinite_fallback_tol_sends_every_node_to_the_fallback():
-    # every kept mass of the Bell state is at most 1, so 1 already sends every node there
-    inst, rule = bell_instance(), exact_qubit_rule(4)
-    reports = verify(inst, rule, fallback_tol=math.inf, thresholds=[0, 1])
-    assert [report.fallback_node_count for report in reports] == [rule.node_count] * 2
-    assert reports == verify(inst, rule, fallback_tol=1.0, thresholds=[0, 1])
 
 
 def test_verify_rejects_a_rule_of_another_site_dimension():

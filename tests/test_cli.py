@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from definetti import cli, symmetric
+from definetti.certifier import PASS, Instance, verify
+from definetti.haar import exact_qubit_rule
 from definetti.cli import (
     CSV_HEADER,
     EXIT_INCONCLUSIVE,
@@ -195,26 +197,6 @@ def test_verify_state_seed_wins_over_mc_seed(capsys):
     assert rows[0]["seed"] == "7"
 
 
-def test_verify_fallback_tol_flag(capsys):
-    # a fallback threshold of 1 forces the fallback branch at every node
-    code = main(BELL_ARGS + ["--fallback-tol", "1.0"])
-    rows = parse_csv(capsys.readouterr().out)
-    assert code == EXIT_OK
-    assert rows[0]["fallback_nodes"] == rows[0]["nodes"]
-    assert rows[0]["status"] == "PASS"
-
-
-def test_verify_infinite_fallback_tol_is_valid(capsys):
-    # infinity sends every node to the fallback, as 1 does for the Bell state
-    code = main([
-        "verify", "--d", "2", "--n", "1", "--k", "1", "--r", "0,1",
-        "--state", "ghz", "--rule", "exact:6", "--fallback-tol", "inf",
-    ])
-    rows = parse_csv(capsys.readouterr().out)
-    assert code == EXIT_OK
-    assert [row["fallback_nodes"] for row in rows] == [row["nodes"] for row in rows]
-
-
 def test_verify_inconclusive_exit_code(capsys):
     # one Monte Carlo node: the rule's post-selection defect exceeds the chain bound
     code = main([
@@ -226,14 +208,17 @@ def test_verify_inconclusive_exit_code(capsys):
     assert rows[0]["status"] == "INCONCLUSIVE"
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(tmp_path, capsys):
+    # the fallback test is a fixed fraction of each node's trace, so --fallback-tol is unknown
+    config = tmp_path / "fallback.cfg"
+    config.write_text("fallback-tol = 1e-12\n", encoding="utf-8")
     cases = [
         ["verify", "--d", "2", "--n", "1", "--k", "1", "--r", "1",
          "--state", "w-state", "--rule", "exact:6"],
         ["verify", "--d", "3", "--n", "1", "--k", "1", "--r", "1",
          "--state", "ghz", "--rule", "exact:6"],
         ["verify", "--d", "2", "--n", "2", "--k", "2", "--r", "1",
-         "--state", "ghz", "--rule", "exact:3"],
+         "--state", "ghz", "--rule", "exact:1"],
         ["verify", "--d", "2", "--n", "19", "--k", "2", "--r", "1",
          "--state", "ghz", "--rule", "exact:21"],
         ["verify", "--d", "2", "--n", "1", "--k", "1", "--r", "5",
@@ -246,6 +231,7 @@ def test_usage_errors(capsys):
         BELL_ARGS + ["--fallback-tol", "nan"],
         ["sweep", "--d", "2", "--n", "1", "--k", "1", "--r", "0", "--state", "ghz",
          "--rule", "exact:6", "--fallback-tol", "-1e-300", "--output", os.devnull],
+        BELL_ARGS + ["--config", str(config)],
         ["verify", "--d", "2", "--n", "1", "--k", "1", "--r", "1",
          "--state", "dicke:3", "--rule", "exact:2"],
         ["verify", "--d", "2", "--n", "1"],
@@ -257,6 +243,48 @@ def test_usage_errors(capsys):
         assert main(argv) == EXIT_USAGE, argv
         captured = capsys.readouterr()
         assert captured.err.startswith("error:"), argv
+
+
+@pytest.mark.parametrize("nk", [3, 4, 7])
+def test_exact_rule_floor_is_degree_2t_plus_1(nk, capsys):
+    # exact:t is exact through degree 2t+1 (test_exact_rule_is_exact_through_degree_2t_plus_1),
+    # so t = ceil((n+k-1)/2) integrates the chain's degree-(n+k) integrand: chain_bound matches
+    # exact:n+k, and the post-selection defect, which needs degree k, is roundoff. lhs is not
+    # compared: each rule certifies its own approximant, renormalized by every node's kept mass
+    sites = 2 * nk
+    floor = sites // 2
+    state, _ = cli.parse_state_spec("random-sym:1", 2, sites)
+    inst = Instance(d=2, n=nk, k=nk, r=0, rho=state)
+    full = verify(inst, exact_qubit_rule(sites), thresholds=range(nk + 1))
+    at = verify(inst, cli.parse_rule_spec(f"exact:{floor}", 2, sites)[0], thresholds=range(nk + 1))
+    for r, (got, want) in enumerate(zip(at, full)):
+        assert got.chain_bound == pytest.approx(want.chain_bound, rel=1e-12, abs=0), r
+        assert got.lhs_integration_error < 1e-13, r
+        assert got.status == PASS, r
+    below = verify(inst, exact_qubit_rule(floor - 1), thresholds=range(nk + 1))
+    assert any(abs(got.chain_bound / want.chain_bound - 1) > 1e-9 for got, want in zip(below, full))
+    code = main([
+        "verify", "--d", "2", "--n", str(nk), "--k", str(nk), "--r", "1",
+        "--state", "random-sym:1", "--rule", f"exact:{floor - 1}",
+    ])
+    assert code == EXIT_USAGE
+    assert f"exact through degree {sites - 1}, below n+k={sites}" in capsys.readouterr().err
+
+
+def test_ghz_fallback_nodes_keep_the_theorem(capsys):
+    # many GHZ nodes keep less than 1e-12 of mass, yet nearly all of their trace; an absolute
+    # fallback test sent 2222 of them to psi^(x)n, at a cost of up to twice their trace, and
+    # lhs rose to 2.4e-12 against lhs_err + chain_bound = 5.3e-14 at r = 50
+    code = main([
+        "verify", "--d", "2", "--n", "50", "--k", "50", "--r", "40,45,50",
+        "--state", "ghz", "--rule", "exact:100", "--allow-large",
+    ])
+    rows = parse_csv(capsys.readouterr().out)
+    assert code == EXIT_OK
+    assert [row["r"] for row in rows] == ["40", "45", "50"]
+    for row in rows:
+        assert float(row["lhs"]) <= float(row["lhs_err"]) + float(row["chain_bound"]), row
+        assert row["fallback_nodes"] == "0", row
 
 
 def test_sweep_requires_output(capsys):

@@ -39,7 +39,6 @@ import pytest
 
 from definetti import certifier
 from definetti.certifier import (
-    DEFAULT_FALLBACK_TOL,
     Instance,
     _bra_powers,
     _condition,
@@ -95,8 +94,11 @@ def instances(d, n, k):
     return [Instance(d=d, n=n, k=k, r=r, rho=state) for r in range(n + 1)]
 
 
-def dense_terms(inst, rule, fallback_tol):
-    """Per node: (trace(rho_psi), kept mass, escaped mass, tau_psi, fallback)."""
+def dense_terms(inst, rule):
+    """Per node: (trace(rho_psi), kept mass, escaped mass, tau_psi, fallback).
+
+    A node falls back where its kept mass is at most `certifier._FALLBACK_FRACTION` of its trace.
+    """
     rho = inst.rho.pure().projector()
     terms = []
     for node in rule.nodes:
@@ -105,7 +107,7 @@ def dense_terms(inst, rule, fallback_tol):
         sigma = below @ conditioned @ below
         kept = sigma.trace().real
         escaped = np.einsum("ij,ji->", above.entries, conditioned.entries).real
-        fallback = kept <= fallback_tol
+        fallback = kept <= certifier._FALLBACK_FRACTION * (kept + escaped)
         tau = node.tensor_power(inst.n).projector() if fallback else (1.0 / kept) * sigma
         terms.append((conditioned.trace().real, kept, escaped, tau, fallback))
     return terms
@@ -122,9 +124,9 @@ def dense_defect(inst, rule):
     return trace_norm(reduced - Operator(inst.d, inst.n, sym_dim(inst.k, inst.d) * conditioned))
 
 
-def dense_report(inst, rule, fallback_tol):
+def dense_report(inst, rule):
     """(lhs, lhs_err, chain_bound, fallback count) of `verify`, from dense operators."""
-    terms = dense_terms(inst, rule, fallback_tol)
+    terms = dense_terms(inst, rule)
     approx = sym_dim(inst.k, inst.d) * sum(
         w * weight * tau.entries for w, (weight, _, _, tau, _) in zip(rule.weights, terms)
     )
@@ -136,15 +138,17 @@ def dense_report(inst, rule, fallback_tol):
     return lhs, err, chain, sum(term[4] for term in terms)
 
 
-# 0.0 pins the boundary: a kept mass equal to fallback_tol (0 at r = 0) falls back
-@pytest.mark.parametrize("fallback_tol", [DEFAULT_FALLBACK_TOL, 0.0, 1.0])
+# 0.0 pins the boundary: a kept mass of exactly 0 (at r = 0) falls back; 5/9 is the largest
+# fraction that keeps the theorem, and at 1.0 every node falls back
+@pytest.mark.parametrize("fraction", [certifier._FALLBACK_FRACTION, 0.0, 5 / 9, 1.0])
 @pytest.mark.parametrize("d,n,k", GRID)
-def test_node_pass_matches_dense_oracle(d, n, k, fallback_tol):
+def test_node_pass_matches_dense_oracle(d, n, k, fraction, monkeypatch):
+    monkeypatch.setattr(certifier, "_FALLBACK_FRACTION", fraction)
     for rule in rules(d, n, k):
         for inst in instances(d, n, k):
-            nodes = _node_pass(inst, rule.node_matrix, fallback_tol)
+            nodes = _node_pass(inst, rule.node_matrix)
             taus = dicke_isometry(n, d).matrix @ nodes.tau
-            for j, term in enumerate(dense_terms(inst, rule, fallback_tol)):
+            for j, term in enumerate(dense_terms(inst, rule)):
                 weight, kept, escaped, tau, fallback = term
                 where = f"{rule.describe()} r={inst.r} node {j}"
                 assert nodes.density[j] == pytest.approx(sym_dim(k, d) * weight, abs=TOL), where
@@ -155,20 +159,21 @@ def test_node_pass_matches_dense_oracle(d, n, k, fallback_tol):
                 np.testing.assert_allclose(
                     np.outer(row, row.conj()), tau.entries, rtol=0, atol=TOL, err_msg=where
                 )
-            if fallback_tol == 1.0:
+            if fraction == 1.0:
                 assert nodes.fallback.all()
 
 
-@pytest.mark.parametrize("fallback_tol", [DEFAULT_FALLBACK_TOL, 1.0])
+@pytest.mark.parametrize("fraction", [certifier._FALLBACK_FRACTION, 5 / 9, 1.0])
 @pytest.mark.parametrize("d,n,k", GRID + list(BLOCKED))
-def test_verify_matches_dense_reference(d, n, k, fallback_tol):
+def test_verify_matches_dense_reference(d, n, k, fraction, monkeypatch):
+    monkeypatch.setattr(certifier, "_FALLBACK_FRACTION", fraction)
     blocked = (d, n, k) in BLOCKED
     for rule in BLOCKED[d, n, k]() if blocked else rules(d, n, k):
         assert not blocked or rule.node_count % certifier._NODE_BLOCK > 0, rule.describe()
         assert not blocked or rule.node_count > certifier._NODE_BLOCK, rule.describe()
         for inst in instances(d, n, k):
-            report = verify(inst, rule, fallback_tol=fallback_tol)
-            lhs, err, chain, fallback = dense_report(inst, rule, fallback_tol)
+            report = verify(inst, rule)
+            lhs, err, chain, fallback = dense_report(inst, rule)
             where = f"{rule.describe()} r={inst.r}"
             assert report.lhs == pytest.approx(lhs, abs=TOL), where
             assert report.lhs_integration_error == pytest.approx(err, abs=TOL), where
@@ -183,9 +188,9 @@ def test_node_distance_is_twice_root_of_escaped_times_trace(d, n, k):
     for rule in rules(d, n, k):
         for inst in instances(d, n, k):
             rho = inst.rho.pure().projector()
-            nodes = _node_pass(inst, rule.node_matrix, DEFAULT_FALLBACK_TOL)
+            nodes = _node_pass(inst, rule.node_matrix)
             trace = nodes.density / sym_dim(k, d)
-            for j, term in enumerate(dense_terms(inst, rule, DEFAULT_FALLBACK_TOL)):
+            for j, term in enumerate(dense_terms(inst, rule)):
                 if term[4]:
                     continue
                 conditioned = sandwich_bra_last(rho, rule.node(j), k)
@@ -195,21 +200,26 @@ def test_node_distance_is_twice_root_of_escaped_times_trace(d, n, k):
                 assert distance == pytest.approx(expected, rel=0, abs=TOL), where
 
 
-@pytest.mark.parametrize("fallback_tol", [DEFAULT_FALLBACK_TOL, 1.0])
+@pytest.mark.parametrize("fraction", [certifier._FALLBACK_FRACTION, 0.0, 5 / 9, 1.0])
 @pytest.mark.parametrize("d,n,k", GRID)
-def test_lhs_within_defect_and_gentle_sum(d, n, k, fallback_tol):
-    # the per-node identity summed: a fallback node may exceed its 2 sqrt(e a) by twice
-    # its kept mass, so that term joins the sum where the fallback was taken
+def test_lhs_within_defect_and_gentle_sum(d, n, k, fraction, monkeypatch):
+    # the per-node identity summed: a node that keeps its truncation costs 2 sqrt(e a), and a
+    # fallback node at most 2a <= 3 sqrt(e a), as e >= (1 - fraction) a and fraction <= 5/9;
+    # past 5/9 (at 1.0 every node falls back) only the 2a form is left
+    monkeypatch.setattr(certifier, "_FALLBACK_FRACTION", fraction)
     for rule in rules(d, n, k):
         for inst in instances(d, n, k):
-            report = verify(inst, rule, fallback_tol=fallback_tol)
-            nodes = _node_pass(inst, rule.node_matrix, fallback_tol)
+            report = verify(inst, rule)
+            nodes = _node_pass(inst, rule.node_matrix)
             trace = nodes.density / sym_dim(k, d)
-            gentle = 2 * sym_dim(k, d) * float(rule.weights @ np.sqrt(nodes.escaped * trace))
-            excess = 2 * sym_dim(k, d) * float(rule.weights @ (nodes.fallback * nodes.kept))
+            root = np.sqrt(nodes.escaped * trace)
+            fallback_cost = 3 * root if fraction <= 5 / 9 else 2 * trace
+            cost = np.where(nodes.fallback, fallback_cost, 2 * root)
+            gentle = sym_dim(k, d) * float(rule.weights @ cost)
             where = f"{rule.describe()} r={inst.r}"
-            assert gentle <= report.chain_bound, where
-            assert report.lhs <= report.lhs_integration_error + gentle + excess + TOL, where
+            if fraction <= 5 / 9:
+                assert gentle <= report.chain_bound, where
+            assert report.lhs <= report.lhs_integration_error + gentle + TOL, where
 
 
 @pytest.mark.parametrize("rule", [exact_qubit_rule(4), monte_carlo_rule(2, 20, seed=1)])
@@ -292,7 +302,7 @@ def deviation_weights(n, d):
 @pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("count", [1, 7])
-def test_rotate_sites_matches_batched_matmul(d, n, count):
+def test_rotate_sites_matches_batched_matmul(d, n, count, monkeypatch):
     rng = np.random.default_rng(100 * d + 10 * n + count)
     nodes = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
     if count > 1:
@@ -318,11 +328,12 @@ def test_rotate_sites_matches_batched_matmul(d, n, count):
     reflected = rotate_sites(householder, iso @ columns, n)
     weight = deviation_weights(n, d)
     cond = conditioned(turns, unphase, forward)
+    monkeypatch.setattr(certifier, "_FALLBACK_FRACTION", 0.0)  # only a kept mass of 0 falls back
     for r in range(n + 1):
         below = weight < r
         kept = np.sum(np.abs(reflected[below]) ** 2, axis=0)
         escaped = np.sum(np.abs(reflected[~below]) ** 2, axis=0)
-        got = _truncate(SimpleNamespace(d=d, n=n, r=r), cond, 0.0)
+        got = _truncate(SimpleNamespace(d=d, n=n, r=r), cond)
         np.testing.assert_allclose(got.kept, kept, rtol=1e-13, atol=tol**2)
         np.testing.assert_allclose(got.escaped, escaped, rtol=1e-13, atol=tol**2)
         assert got.fallback.tolist() == (kept <= 0).tolist()
@@ -393,7 +404,7 @@ def test_pass_at_forty_sites_reads_only_dicke_coefficients():
     cond = _condition(inst, phi, rule.node_matrix)
     assert float(rule.weights @ cond.density) == pytest.approx(1.0, abs=1e-12)
     for r in (0, 1, 20, 40):
-        nodes = _truncate(SimpleNamespace(d=2, n=40, r=r), cond, DEFAULT_FALLBACK_TOL)
+        nodes = _truncate(SimpleNamespace(d=2, n=40, r=r), cond)
         np.testing.assert_allclose(
             nodes.kept + nodes.escaped, cond.density / sym_dim(40, 2), rtol=0, atol=1e-12
         )
@@ -513,27 +524,28 @@ def test_blocked_standard_error_matches_full_stack(d):
     assert verify(inst, repeated).lhs_integration_error == pytest.approx(defect, rel=1e-12)
 
 
-@pytest.mark.parametrize("fallback_tol", [DEFAULT_FALLBACK_TOL, 0.05])
+@pytest.mark.parametrize("fraction", [certifier._FALLBACK_FRACTION, 0.05])
 @pytest.mark.parametrize(
     "d,n,k,rule",
     [(3, 2, 2, ("mc", 37)), (2, 4, 3, ("exact", 7))],
     ids=["mc-37", "exact-7"],
 )
-def test_streamed_verify_matches_one_block(d, n, k, rule, fallback_tol, monkeypatch):
+def test_streamed_verify_matches_one_block(d, n, k, rule, fraction, monkeypatch):
     # the block size only changes the order in which the sums over nodes are added up
     kind, size = rule
     rule = monte_carlo_rule(d, size, seed=6) if kind == "mc" else exact_qubit_rule(size)
     count = rule.node_count
     inst = Instance(d=d, n=n, k=k, r=0, rho=random_symmetric_pure(n + k, d, seed=8))
+    monkeypatch.setattr(certifier, "_FALLBACK_FRACTION", fraction)
     monkeypatch.setattr(certifier, "_NODE_BLOCK", count)
-    whole = verify(inst, rule, fallback_tol=fallback_tol, thresholds=range(n + 1))
+    whole = verify(inst, rule, thresholds=range(n + 1))
     fallbacks = {report.fallback_node_count for report in whole}
     assert count % 7 and count in fallbacks  # a partial last block; every node falls back at r=0
-    if fallback_tol > DEFAULT_FALLBACK_TOL:
+    if fraction == 0.05:
         assert fallbacks - {0, count}  # some row keeps part of its nodes
     for block in (1, 7, count - 1, count, count + 5):
         monkeypatch.setattr(certifier, "_NODE_BLOCK", block)
-        streamed = verify(inst, rule, fallback_tol=fallback_tol, thresholds=range(n + 1))
+        streamed = verify(inst, rule, thresholds=range(n + 1))
         for r, (got, want) in enumerate(zip(streamed, whole)):
             where = f"{rule.describe()} block={block} r={r}"
             for field in ("lhs", "lhs_integration_error", "chain_bound"):
