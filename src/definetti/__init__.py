@@ -2,7 +2,7 @@
 
 The package root exports the documented library API. Dense reference
 oracles and the certifier's views (`symmetrizer`, `weight_family`,
-`lhs_distance`, ...) are imported from their submodules.
+`approximant`, ...) are imported from their submodules.
 """
 
 from definetti.certifier import (

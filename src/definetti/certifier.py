@@ -44,6 +44,7 @@ import numpy as np
 from definetti.hamming import tail_function_grid
 from definetti.haar import QuadratureRule
 from definetti.linalg import (
+    PSD_ATOL,
     DimensionError,
     Operator,
     PureState,
@@ -334,11 +335,26 @@ def _spread(inst: Instance, columns: np.ndarray, coefficients=1.0) -> Operator:
     return Operator(inst.d, inst.n, _gram(dense, coefficients))
 
 
+def memory_floor(d: int, n: int, k: int, thresholds: int) -> int:
+    """A lower bound, in bytes, on what `verify` holds for `thresholds` thresholds.
+
+    The larger of the int64 occupation table of `type_table(n+k, d)` and what
+    `_prepare` holds at once: the complex coupling C, Tr_k rho, the post-selection
+    Gram and one approximant Gram per threshold.
+    """
+    dim_n = sym_dim(n, d)
+    return max(
+        8 * (n + k) * sym_dim(n + k, d),
+        16 * (dim_n * sym_dim(k, d) + (thresholds + 2) * dim_n**2),
+    )
+
+
 def _prepare(inst: Instance, rule: QuadratureRule, rows) -> _Prepared:
     """Sum what each threshold in `rows` needs over the nodes, _NODE_BLOCK nodes at a time.
 
     A block is conditioned once, truncated for every threshold and dropped. Peak memory is
-    O(_NODE_BLOCK sym_dim(n,d) + len(rows) sym_dim(n,d)^2); the fixed block fixes each sum's order.
+    O(_NODE_BLOCK sym_dim(n,d) + len(rows) sym_dim(n,d)^2), and at least the Gram term of
+    `memory_floor`; the fixed block fixes each sum's order.
     """
     coupling = _coupling(inst)
     reduced = _gram(coupling)
@@ -387,17 +403,6 @@ def approximant(inst: Instance, rule: QuadratureRule) -> Operator:
 def nu_weight_normalization(inst: Instance, rule: QuadratureRule) -> float:
     """Total mass sym_dim(k,d) int trace(rho_psi) d(psi); 1 for exact rules."""
     return float(rule.weights @ _node_pass(inst, rule.node_matrix).density)
-
-
-def lhs_distance(inst: Instance, rule: QuadratureRule) -> tuple[float, float]:
-    """Trace distance between the n-site reduction and the approximant.
-
-    Returns (value, post-selection defect delta), as `verify` reports them.
-    lhs <= delta + chain bound for every rule, and delta is roundoff for a
-    rule exact through degree k.
-    """
-    report = verify(inst, rule)
-    return report.lhs, report.lhs_integration_error
 
 
 def chain_bound(inst: Instance, rule: QuadratureRule) -> float:
@@ -512,14 +517,14 @@ def check_gentle(rho: Operator, x_op: Operator) -> tuple[float, float]:
     Returns (||rho - sqrt(X) rho sqrt(X)||_1, 2 sqrt(tr rho) sqrt(tr rho(I-X)))
     for PSD rho and 0 <= X <= I.
     """
-    if not rho.is_psd(1e-10):
+    if not rho.is_psd():
         raise ValueError("rho must be PSD")
-    if x_op.hermiticity_defect() > 1e-12:
+    if not x_op.is_hermitian():
         raise ValueError("X must be hermitian")
     if (rho.site_dim, rho.sites) != (x_op.site_dim, x_op.sites):
         raise ValueError("rho and X must act on the same space")
     eigs, vecs = np.linalg.eigh(x_op.entries)
-    if eigs[0] < -1e-10 or eigs[-1] > 1 + 1e-10:
+    if eigs[0] < -PSD_ATOL or eigs[-1] > 1 + PSD_ATOL:
         raise ValueError(f"X must satisfy 0 <= X <= I, spectrum [{eigs[0]:.3e}, {eigs[-1]:.6f}]")
     root = Operator(
         x_op.site_dim, x_op.sites, (vecs * np.sqrt(np.clip(eigs, 0.0, None))) @ vecs.conj().T

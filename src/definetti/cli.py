@@ -23,6 +23,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 import traceback
 
@@ -35,6 +36,7 @@ from .certifier import (
     check_chernoff_claim,
     check_exponent_sandwich,
     check_gentle,
+    memory_floor,
     verify,
 )
 from .haar import exact_qubit_rule, monte_carlo_rule, pure_power_moment
@@ -47,8 +49,6 @@ EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_INTERNAL = 70
 
-DESK_SCALE_LIMIT = 2**20
-
 _CONFIG_KEYS = (
     "d",
     "n",
@@ -58,12 +58,11 @@ _CONFIG_KEYS = (
     "rule",
     "output",
     "json",
-    "allow-large",
 )
 
 
 class UsageError(Exception):
-    """Invalid flags, config, or desk-scale overflow; maps to exit code 64."""
+    """Invalid flags or config, or a run too large for this machine; maps to exit code 64."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -214,51 +213,50 @@ def read_config_file(path: str) -> dict:
     return values
 
 
-def _parse_bool(name: str, text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    raise UsageError(f"{name} expects true/false, got {text!r}")
-
-
 def _merge_config(args) -> None:
     if not getattr(args, "config", None):
         return
     values = read_config_file(args.config)
     for key, value in values.items():
         dest = key.replace("-", "_")
-        if dest == "allow_large":
-            if not args.allow_large:
-                args.allow_large = _parse_bool(key, value)
-        elif getattr(args, dest, None) is None:
+        if getattr(args, dest, None) is None:
             setattr(args, dest, value)
 
 
-def _check_desk_scale(d: int, sites: int, allow_large: bool) -> None:
-    if d**sites > DESK_SCALE_LIMIT and not allow_large:
-        raise UsageError(
-            f"total dimension d^(n+k) = {d**sites} exceeds the desk-scale limit "
-            f"{DESK_SCALE_LIMIT}; pass --allow-large to proceed anyway"
-        )
+def _physical_memory():
+    """Bytes of physical memory, or None where the OS does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
 
 
-def build_rows(d, n, k_list, r_list, state_spec, rule_spec, allow_large):
-    """Certify every (k, r) pair, with one `verify` call per k for all thresholds."""
+def build_rows(d, n, k_list, r_list, state_spec, rule_spec):
+    """Certify every (k, r) pair, with one `verify` call per k for all thresholds.
+
+    A k whose `memory_floor` exceeds physical memory is refused before its state is built.
+    """
     rows = []
     thresholds = sorted(set(r_list))
+    if d < 2:
+        raise UsageError(f"d must be >= 2, got {d}")
+    for r in thresholds:
+        if not 0 <= r <= n:
+            raise UsageError(f"r must lie in [0, n]; got r={r} with n={n}")
+    memory = _physical_memory()
     for k in sorted(set(k_list)):
         if k < 1:
             raise UsageError(f"k must be positive, got {k}")
         sites = n + k
-        _check_desk_scale(d, sites, allow_large)
+        need = memory_floor(d, n, k, len(thresholds))
+        if memory is not None and need > memory:
+            raise UsageError(
+                f"verify would hold at least {need} bytes at n+k={sites}, "
+                f"more than this machine's {memory} bytes of memory"
+            )
         state, state_seed = parse_state_spec(state_spec, d, sites)
         rule, mc_seed = parse_rule_spec(rule_spec, d, sites)
         seed = state_seed if state_seed is not None else mc_seed
-        for r in thresholds:
-            if not 0 <= r <= n:
-                raise UsageError(f"r must lie in [0, n]; got r={r} with n={n}")
         try:
             inst = Instance(d=d, n=n, k=k, r=thresholds[0], rho=state)
         except ValueError as exc:
@@ -283,7 +281,6 @@ def build_rows(d, n, k_list, r_list, state_spec, rule_spec, allow_large):
                     status=report.status,
                 )
             )
-    rows.sort(key=lambda row: (row.n, row.k, row.r))
     return rows
 
 
@@ -315,7 +312,7 @@ def _rows_from_args(args, required, k_list: bool) -> list:
     n = _parse_int("--n", args.n)
     ks = _parse_int_list("--k", args.k) if k_list else [_parse_int("--k", args.k)]
     r_list = _parse_int_list("--r", args.r)
-    return build_rows(d, n, ks, r_list, args.state, args.rule, args.allow_large)
+    return build_rows(d, n, ks, r_list, args.state, args.rule)
 
 
 def cmd_verify(args) -> int:
@@ -420,11 +417,6 @@ def _add_common_flags(sub, k_help):
     sub.add_argument("--output", help="write report rows as CSV to this path")
     sub.add_argument("--json", help="write a structured mirror of the rows to this path")
     sub.add_argument("--config", help="flat key = value file; flags override")
-    sub.add_argument(
-        "--allow-large",
-        action="store_true",
-        help=f"permit total dimension above {DESK_SCALE_LIMIT}",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

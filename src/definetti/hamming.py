@@ -22,7 +22,6 @@ from definetti.linalg import Operator, PureState
 
 DISTANCE_TOL = 1e-10
 _TRACE_ATOL = 1e-8
-_PSD_ATOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -82,7 +81,7 @@ def hamming_distance(tau: Operator, psi: PureState, tol: float = DISTANCE_TOL) -
         raise ValueError("hamming_distance needs a single-site psi on tau's site dimension")
     if abs(tau.trace().real - 1.0) > _TRACE_ATOL or abs(tau.trace().imag) > _TRACE_ATOL:
         raise ValueError(f"tau must have unit trace, got {tau.trace():.6g}")
-    if not tau.is_psd(_PSD_ATOL):
+    if not tau.is_psd():
         raise ValueError("tau must be positive semidefinite")
     family = weight_family(psi, tau.sites)
     masses = family.weight_masses(tau)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from definetti.linalg import Operator, PureState, _unit_vector
+from definetti.linalg import PSD_ATOL, Operator, PureState, _unit_vector
 
 
 def sym_dim(n: int, d: int) -> int:
@@ -140,12 +140,12 @@ class SymmetricState:
         trace-norm defect of 1e-9. A failed check raises ValueError.
         """
         if isinstance(rho, Operator):
-            if not rho.is_hermitian(1e-12):
+            if not rho.is_hermitian():
                 raise ValueError("rho must be hermitian")
-            if not rho.is_trace_one(1e-10):
+            if not rho.is_trace_one():
                 raise ValueError(f"rho must have unit trace, got {rho.trace():.6g}")
             eigs, vecs = np.linalg.eigh(rho.entries)
-            if eigs[0] < -1e-10:
+            if eigs[0] < -PSD_ATOL:
                 raise ValueError(f"rho must be PSD, smallest eigenvalue {eigs[0]:.3e}")
             second = eigs[:-1].max(initial=0.0)  # a 1x1 operator on no sites has none
             if second > 1e-10:

@@ -24,7 +24,6 @@ from definetti.certifier import (
     check_operator_inequality,
     explicit_bound,
     g_max,
-    lhs_distance,
     nu_weight_normalization,
     rho_psi,
     tau_psi,
@@ -185,7 +184,7 @@ def counting_reductions(monkeypatch):
 
 def test_sweep_over_r_reduces_the_state_once(monkeypatch):
     calls = counting_reductions(monkeypatch)
-    rows = cli.build_rows(2, 6, [2], range(7), "random-sym:7", "exact:8", False)
+    rows = cli.build_rows(2, 6, [2], range(7), "random-sym:7", "exact:8")
     assert [row.r for row in rows] == list(range(7))
     assert calls == []  # the CLI's states are Dicke coefficients already
     dense = random_symmetric_pure(8, 2, seed=7).pure()
@@ -307,16 +306,16 @@ def test_approximant_product_mass():
 
 
 def test_lhs_distance_bell():
-    value, err = lhs_distance(bell_instance(), exact_qubit_rule(6))
-    assert value < 1e-12
-    assert err < 1e-12
+    report = verify(bell_instance(), exact_qubit_rule(6))
+    assert report.lhs < 1e-12
+    assert report.lhs_integration_error < 1e-12
 
 
 def test_lhs_distance_bounded_by_two():
     inst = Instance(d=2, n=2, k=2, r=1, rho=from_projector(random_symmetric_pure(4, 2, 12)))
-    value, err = lhs_distance(inst, exact_qubit_rule(4))
-    assert 0 <= value <= 2 + 1e-10
-    assert err >= 0
+    report = verify(inst, exact_qubit_rule(4))
+    assert 0 <= report.lhs <= 2 + 1e-10
+    assert report.lhs_integration_error >= 0
 
 
 def test_chain_bound_bell():

@@ -4,13 +4,15 @@ import math
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from definetti import cli, symmetric
-from definetti.certifier import PASS, Instance, verify
+from definetti import certifier, cli, symmetric
+from definetti.certifier import PASS, Instance, memory_floor, verify
 from definetti.haar import exact_qubit_rule
 from definetti.cli import (
     CSV_HEADER,
@@ -208,10 +210,13 @@ def test_verify_inconclusive_exit_code(capsys):
     assert rows[0]["status"] == "INCONCLUSIVE"
 
 
-def test_usage_errors(tmp_path, capsys):
-    # the fallback test is a fixed fraction of each node's trace, so --fallback-tol is unknown
+def test_usage_errors(tmp_path, monkeypatch, capsys):
+    # the fallback test is a fixed fraction of each node's trace, so --fallback-tol is unknown;
+    # the memory check has no override, so --allow-large is unknown
     config = tmp_path / "fallback.cfg"
     config.write_text("fallback-tol = 1e-12\n", encoding="utf-8")
+    large_config = tmp_path / "large.cfg"
+    large_config.write_text("allow-large = true\n", encoding="utf-8")
     cases = [
         ["verify", "--d", "2", "--n", "1", "--k", "1", "--r", "1",
          "--state", "w-state", "--rule", "exact:6"],
@@ -219,8 +224,6 @@ def test_usage_errors(tmp_path, capsys):
          "--state", "ghz", "--rule", "exact:6"],
         ["verify", "--d", "2", "--n", "2", "--k", "2", "--r", "1",
          "--state", "ghz", "--rule", "exact:1"],
-        ["verify", "--d", "2", "--n", "19", "--k", "2", "--r", "1",
-         "--state", "ghz", "--rule", "exact:21"],
         ["verify", "--d", "2", "--n", "1", "--k", "1", "--r", "5",
          "--state", "ghz", "--rule", "exact:6"],
         ["verify", "--d", "2", "--n", "1", "--k", "1", "--r", "1",
@@ -232,6 +235,8 @@ def test_usage_errors(tmp_path, capsys):
         ["sweep", "--d", "2", "--n", "1", "--k", "1", "--r", "0", "--state", "ghz",
          "--rule", "exact:6", "--fallback-tol", "-1e-300", "--output", os.devnull],
         BELL_ARGS + ["--config", str(config)],
+        BELL_ARGS + ["--allow-large"],
+        BELL_ARGS + ["--config", str(large_config)],
         ["verify", "--d", "2", "--n", "1", "--k", "1", "--r", "1",
          "--state", "dicke:3", "--rule", "exact:2"],
         ["verify", "--d", "2", "--n", "1"],
@@ -243,6 +248,82 @@ def test_usage_errors(tmp_path, capsys):
         assert main(argv) == EXIT_USAGE, argv
         captured = capsys.readouterr()
         assert captured.err.startswith("error:"), argv
+
+    # refused by the memory floor alone, before any table for n+k sites is built: the Gram
+    # term at d=4 n=k=300 (about 1.3 PB) and the type-table term at d=3 n=2 k=20000 (about 32 TB)
+    tables = []
+
+    def no_table(n, d):
+        tables.append(n)
+        raise AssertionError(f"type_table({n}, {d}) was called")
+
+    for module in (symmetric, certifier):
+        monkeypatch.setattr(module, "type_table", no_table)
+    for d, n, k in [(4, 300, 300), (3, 2, 20000)]:
+        start = time.perf_counter()
+        code = main([
+            "verify", "--d", str(d), "--n", str(n), "--k", str(k), "--r", "1",
+            "--state", "ghz", "--rule", "mc:100",
+        ])
+        assert time.perf_counter() - start < 1.0, (d, n, k)
+        assert code == EXIT_USAGE, (d, n, k)
+        assert f"{memory_floor(d, n, k, 1)} bytes" in capsys.readouterr().err
+    assert tables == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "40", "--k", "40", "--r", "40", "--state", "random-sym:1", "--rule", "exact:40"],
+        ["--n", "19", "--k", "2", "--r", "1", "--state", "ghz", "--rule", "exact:21"],
+    ],
+)
+def test_runs_that_fit_need_no_flag(argv, capsys):
+    # d^(n+k) is 2^80 and 2^21, yet verify holds only Dicke coordinates: under 1 MB here
+    assert main(["verify", "--d", "2", *argv]) == EXIT_OK
+    assert parse_csv(capsys.readouterr().out)[0]["status"] == "PASS"
+
+
+def test_memory_check_names_both_byte_counts(monkeypatch, capsys):
+    need = memory_floor(2, 1, 1, 1)
+    assert need == 16 * (2 * 2 + 3 * 2**2)  # the Gram term: C, Tr_k rho and three 2x2 Grams
+    monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
+    assert main(BELL_ARGS) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"at least {need} bytes" in err
+    assert f"this machine's {need - 1} bytes" in err
+    for memory in (need, None):  # exactly enough, and not reported by the OS
+        monkeypatch.setattr(cli, "_physical_memory", lambda: memory)
+        assert main(BELL_ARGS) == EXIT_OK
+        capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "d,n,k,thresholds,rule",
+    [
+        (2, 40, 40, 41, "exact:40"),
+        (3, 12, 12, 13, "mc:2000:1"),
+        (4, 6, 6, 7, "mc:2000:1"),
+        (3, 2, 60, 3, "mc:2000:1"),
+    ],
+)
+def test_memory_floor_is_a_lower_bound(d, n, k, thresholds, rule, capsys):
+    # a refused run could never have fit, so the floor needs no override
+    symmetric.type_table.cache_clear()
+    certifier._rotation_blocks.cache_clear()
+    tracemalloc.start()
+    try:
+        code = main([
+            "verify", "--d", str(d), "--n", str(n), "--k", str(k),
+            "--r", ",".join(map(str, range(thresholds))),
+            "--state", "random-sym:1", "--rule", rule,
+        ])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(parse_csv(capsys.readouterr().out)) == thresholds
+    assert code in (EXIT_OK, EXIT_INCONCLUSIVE)
+    assert peak >= memory_floor(d, n, k, thresholds)
 
 
 @pytest.mark.parametrize("nk", [3, 4, 7])
@@ -277,7 +358,7 @@ def test_ghz_fallback_nodes_keep_the_theorem(capsys):
     # lhs rose to 2.4e-12 against lhs_err + chain_bound = 5.3e-14 at r = 50
     code = main([
         "verify", "--d", "2", "--n", "50", "--k", "50", "--r", "40,45,50",
-        "--state", "ghz", "--rule", "exact:100", "--allow-large",
+        "--state", "ghz", "--rule", "exact:100",
     ])
     rows = parse_csv(capsys.readouterr().out)
     assert code == EXIT_OK
