@@ -41,7 +41,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from definetti.hamming import tail_function_grid
 from definetti.haar import QuadratureRule
 from definetti.linalg import (
     PSD_ATOL,
@@ -156,6 +155,7 @@ class _Prepared(NamedTuple):
 
     reduced: np.ndarray  # Tr_k rho in Dicke coordinates
     defect: float  # the rule's post-selection defect delta
+    mass: float  # trace of the post-selection Gram, sum_j w_j density_j
     grams: np.ndarray  # sum_j w_j density_j |tau_j><tau_j|, the approximant
     escaped: np.ndarray  # sum_j w_j escaped_j
     fallback: np.ndarray  # nodes that fell back
@@ -237,7 +237,11 @@ def _powers(values: np.ndarray, top: int) -> np.ndarray:
 def _monomials(values: np.ndarray, n: int) -> np.ndarray:
     """(sym_dim(n, d), count): prod_i values[:, i]^t_i for each type t of n sites."""
     d = values.shape[1]
-    return _powers(values.T, n)[type_table(n, d)[0], np.arange(d)].prod(axis=1)
+    powers, types = _powers(values.T, n), type_table(n, d)[0]
+    out = powers[types[:, 0], 0]
+    for level in range(1, d):  # in place, level by level: no (sym_dim, d, count) table
+        out *= powers[types[:, level], level]
+    return out
 
 
 def _bra_powers(nodes: np.ndarray, k: int) -> np.ndarray:
@@ -329,10 +333,10 @@ def _gram(columns: np.ndarray, coefficients=1.0) -> np.ndarray:
     return ((columns.conj() * coefficients) @ columns.T).conj()
 
 
-def _spread(inst: Instance, columns: np.ndarray, coefficients=1.0) -> Operator:
-    """`_gram` of Dicke columns of the n kept sites, mapped into the d^n space."""
-    dense = strings_from_dicke(inst.n, inst.d, columns)
-    return Operator(inst.d, inst.n, _gram(dense, coefficients))
+def _spread(inst: Instance, dicke: np.ndarray) -> Operator:
+    """V A V^T in the d^n space for an operator A on the n kept sites in Dicke coordinates."""
+    rows = strings_from_dicke(inst.n, inst.d, dicke)
+    return Operator(inst.d, inst.n, strings_from_dicke(inst.n, inst.d, rows.T).T)
 
 
 def memory_floor(d: int, n: int, k: int, thresholds: int) -> int:
@@ -370,7 +374,8 @@ def _prepare(inst: Instance, rule: QuadratureRule, rows) -> _Prepared:
             grams[i] += _gram(node.tau, weights * node.density)
             escaped[i] += weights @ node.escaped
             fallback[i] += node.fallback.sum()
-    return _Prepared(reduced, trace_norm(reduced - posted), grams, escaped, fallback)
+    mass = float(np.trace(posted).real)
+    return _Prepared(reduced, trace_norm(reduced - posted), mass, grams, escaped, fallback)
 
 
 def _chain_bound(inst: Instance, escaped: float) -> float:
@@ -379,7 +384,7 @@ def _chain_bound(inst: Instance, escaped: float) -> float:
 
 def rho_psi(inst: Instance, psi: PureState) -> Operator:
     """Condition rho on observing psi^(x)k in the trailing k sites."""
-    return _spread(inst, _coupling(inst) @ _bra_powers(_node_row(inst, psi), inst.k))
+    return _spread(inst, _gram(_coupling(inst) @ _bra_powers(_node_row(inst, psi), inst.k)))
 
 
 def tau_psi(inst: Instance, psi: PureState) -> tuple[float, Operator, bool]:
@@ -391,28 +396,27 @@ def tau_psi(inst: Instance, psi: PureState) -> tuple[float, Operator, bool]:
     which has deviation weight 0.
     """
     node = _node_pass(inst, _node_row(inst, psi))
-    return float(node.kept[0]), _spread(inst, node.tau), bool(node.fallback[0])
+    return float(node.kept[0]), _spread(inst, _gram(node.tau)), bool(node.fallback[0])
 
 
 def approximant(inst: Instance, rule: QuadratureRule) -> Operator:
     """The weighted average sym_dim(k,d) int trace(rho_psi) tau_psi d(psi)."""
-    nodes = _node_pass(inst, rule.node_matrix)
-    return _spread(inst, nodes.tau, rule.weights * nodes.density)
+    return _spread(inst, _prepare(inst, rule, (inst,)).grams[0])
 
 
 def nu_weight_normalization(inst: Instance, rule: QuadratureRule) -> float:
     """Total mass sym_dim(k,d) int trace(rho_psi) d(psi); 1 for exact rules."""
-    return float(rule.weights @ _node_pass(inst, rule.node_matrix).density)
+    return _prepare(inst, rule, (inst,)).mass
 
 
 def chain_bound(inst: Instance, rule: QuadratureRule) -> float:
     """3 sym_dim(k,d) sqrt(int trace(P_geq_r rho_psi) d(psi)).
 
     The integrand is a polynomial of degree n+k in the node projector, so a
-    qubit rule of degree >= n+k evaluates the integral without error.
+    qubit rule of degree >= n+k evaluates the integral without error. Equal to
+    `verify(inst, rule).chain_bound`.
     """
-    nodes = _node_pass(inst, rule.node_matrix)
-    return _chain_bound(inst, rule.weights @ nodes.escaped)
+    return _chain_bound(inst, _prepare(inst, rule, (inst,)).escaped[0])
 
 
 def explicit_bound(n: int, k: int, d: int, r: int) -> float:
@@ -511,6 +515,19 @@ def check_operator_inequality(inst: Instance, psi: PureState, rule: QuadratureRu
     return min_eigenvalue(upper - rho_psi(inst, psi))
 
 
+def check_post_selection(rule: QuadratureRule, n: int) -> float:
+    """Largest entry of |sym_dim(n,d) sum_j w_j |theta_j^n><theta_j^n| - P_sym| in the d^n basis.
+
+    Both operators live on the symmetric subspace, where P_sym = V V^dag and column t of V
+    is 1/sqrt(mult_t) on the strings of type t. So the entry at strings of types s and t
+    is the Dicke entry E[s, t] / sqrt(mult_s mult_t), and only E, the sym_dim(n,d)-square
+    Gram of the bras b(theta_j), is formed; |E| is the same for the bras and the kets.
+    """
+    mult = type_table(n, rule.d)[1]
+    moment = sym_dim(n, rule.d) * _gram(_bra_powers(rule.node_matrix, n), rule.weights)
+    return float(np.max(np.abs(moment - np.eye(len(mult))) / np.sqrt(np.outer(mult, mult))))
+
+
 def check_gentle(rho: Operator, x_op: Operator) -> tuple[float, float]:
     """Both sides of the gentle measurement inequality.
 
@@ -549,6 +566,34 @@ def _binary_divergences(p: float, q: np.ndarray) -> np.ndarray:
     first = 0.0 if p == 0.0 else p * np.log(p / q)
     second = 0.0 if p == 1.0 else (1 - p) * np.log((1 - p) / (1 - q))
     return first + second
+
+
+def tail_function_grid(n: int, r: int, xs: np.ndarray) -> np.ndarray:
+    """Upper binomial tail sum_{i >= r} C(n, i) x^(n-i) (1-x)^i at every x in xs.
+
+    The probability that at least r of n independent trials fail when each
+    succeeds with probability x. Equals 1 at r <= 0 and 0 at r = n + 1.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    for x in (float(xs.min(initial=0.0)), float(xs.max(initial=0.0))):
+        _validate_tail_args(n, r, x)
+    if r <= 0:
+        return np.ones_like(xs)
+    if r == n + 1:
+        return np.zeros_like(xs)
+    i = np.arange(r, n + 1)
+    coeff = np.array([float(math.comb(n, j)) for j in i])
+    terms = coeff[None, :] * xs[:, None] ** (n - i)[None, :] * (1 - xs)[:, None] ** i[None, :]
+    return terms.sum(axis=1)
+
+
+def _validate_tail_args(n: int, r: int, x: float):
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if not 0 <= r <= n + 1:
+        raise ValueError(f"r={r} outside 0..{n + 1}")
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"x={x} outside [0, 1]")
 
 
 def check_chernoff_claim(n: int, r: int, grid_points: int = 1000) -> float:

@@ -13,11 +13,11 @@ products are folded in by a per-site recurrence.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from definetti.certifier import tail_function_grid
 from definetti.linalg import Operator, PureState
 
 DISTANCE_TOL = 1e-10
@@ -93,33 +93,5 @@ def hamming_distance(tau: Operator, psi: PureState, tol: float = DISTANCE_TOL) -
 
 
 def tail_function(n: int, r: int, x: float) -> float:
-    """Upper binomial tail sum_{i >= r} C(n, i) x^(n-i) (1-x)^i.
-
-    The probability that at least r of n independent trials fail when each
-    succeeds with probability x. Equals 1 at r <= 0 and 0 at r = n + 1.
-    """
+    """`certifier.tail_function_grid` at the single point x."""
     return float(tail_function_grid(n, r, np.array([x]))[0])
-
-
-def tail_function_grid(n: int, r: int, xs: np.ndarray) -> np.ndarray:
-    """tail_function evaluated on a vector of x values."""
-    xs = np.asarray(xs, dtype=np.float64)
-    for x in (float(xs.min(initial=0.0)), float(xs.max(initial=0.0))):
-        _validate_tail_args(n, r, x)
-    if r <= 0:
-        return np.ones_like(xs)
-    if r == n + 1:
-        return np.zeros_like(xs)
-    i = np.arange(r, n + 1)
-    coeff = np.array([float(math.comb(n, j)) for j in i])
-    terms = coeff[None, :] * xs[:, None] ** (n - i)[None, :] * (1 - xs)[:, None] ** i[None, :]
-    return terms.sum(axis=1)
-
-
-def _validate_tail_args(n: int, r: int, x: float):
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if not 0 <= r <= n + 1:
-        raise ValueError(f"r={r} outside 0..{n + 1}")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x={x} outside [0, 1]")

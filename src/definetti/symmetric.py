@@ -181,7 +181,7 @@ def _site_strings(n: int, d: int) -> np.ndarray:
 class DickeIsometry:
     """Isometry whose columns are the Dicke states of n sites of dimension d.
 
-    Columns follow the order of the types from `type_codes(n, d)`. The matrix
+    Columns follow the order of the types from `type_table(n, d)`. The matrix
     satisfies V^dag V = identity and V V^dag = symmetric-subspace projector.
     """
 
@@ -207,9 +207,8 @@ def dicke_isometry(n: int, d: int) -> DickeIsometry:
         raise ValueError(f"n must be >= 1, got {n}")
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
-    types, code = type_codes(n, d)
-    matrix = np.zeros((d**n, len(types)), dtype=np.complex128)
-    matrix[np.arange(d**n), code] = 1.0 / np.sqrt(np.bincount(code)[code])
+    types = type_table(n, d)[0]
+    matrix = strings_from_dicke(n, d, np.eye(len(types), dtype=np.complex128))
     occs = tuple(map(tuple, types.tolist()))
     return DickeIsometry(n=n, d=d, occupations=occs, matrix=matrix)
 

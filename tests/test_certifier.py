@@ -22,15 +22,23 @@ from definetti.certifier import (
     check_exponent_sandwich,
     check_gentle,
     check_operator_inequality,
+    check_post_selection,
     explicit_bound,
     g_max,
     nu_weight_normalization,
     rho_psi,
     tau_psi,
+    tail_function_grid,
     verify,
 )
-from definetti.haar import QuadratureRule, exact_qubit_rule, haar_state, monte_carlo_rule
-from definetti.hamming import tail_function, tail_function_grid, threshold_projectors, weight_family
+from definetti.haar import (
+    QuadratureRule,
+    exact_qubit_rule,
+    haar_state,
+    monte_carlo_rule,
+    pure_power_moment,
+)
+from definetti.hamming import tail_function, threshold_projectors, weight_family
 from definetti.linalg import DimensionError, Operator, PureState, partial_trace_last, trace_norm
 from definetti.symmetric import (
     SymmetricState,
@@ -40,6 +48,7 @@ from definetti.symmetric import (
     ghz_state,
     random_symmetric_pure,
     sym_dim,
+    symmetrizer,
 )
 
 
@@ -358,6 +367,8 @@ def test_chain_bound_roundoff_at_forty_sites():
         inst = Instance(d=2, n=n, k=k, r=r, rho=state)
         expect = 3 * sym_dim(k, 2) * math.sqrt(exact_beta_mass(n, k, r))
         assert chain_bound(inst, rule) == pytest.approx(expect, rel=1e-6), r
+        # the view runs verify's own streamed pass over the 3362 nodes, bit for bit
+        assert chain_bound(inst, rule) == verify(inst, rule).chain_bound, r
 
 
 def test_explicit_bound_values():
@@ -620,6 +631,18 @@ def test_check_exponent_sandwich():
     assert check_exponent_sandwich([(1, 50), (50, 1), (7, 7)])
     with pytest.raises(ValueError):
         check_exponent_sandwich([(0, 1)])
+
+
+@pytest.mark.parametrize(
+    "d,n,samples", [(2, n, None) for n in range(1, 7)] + [(3, 2, 100000), (4, 2, 2000)]
+)
+def test_check_post_selection_matches_dense_oracle(d, n, samples):
+    # check-props' cases (exact:n, d=3 mc:100000) and d=4 mc:2000: the Dicke-coordinate check
+    # gives the largest entry of sym_dim(n,d) sum_j w_j |theta_j^n><theta_j^n| - P_sym in d^n
+    rule = exact_qubit_rule(n) if samples is None else monte_carlo_rule(d, samples, seed=0)
+    moment = sym_dim(n, d) * pure_power_moment(rule, n).entries
+    want = float(np.max(np.abs(moment - symmetrizer(n, d).entries)))
+    assert check_post_selection(rule, n) == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 def test_reconstruction_identity():

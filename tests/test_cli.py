@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from definetti import certifier, cli, symmetric
+from definetti import certifier, cli, haar, linalg, symmetric
 from definetti.certifier import PASS, Instance, memory_floor, verify
 from definetti.haar import exact_qubit_rule
 from definetti.cli import (
@@ -88,7 +88,7 @@ def test_sweep_does_not_import_numpy_polynomial(spec, tmp_path):
         "import sys\n"
         "from definetti.cli import main\n"
         f"code = main({cold_sweep_args(spec, tmp_path / 'rows.csv')!r})\n"
-        "print(code, 'numpy.polynomial' in sys.modules)\n"
+        "print(code, 'numpy.polynomial' in sys.modules, 'definetti.hamming' in sys.modules)\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -96,7 +96,8 @@ def test_sweep_does_not_import_numpy_polynomial(spec, tmp_path):
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} False"
+    # nor the dense weight-projector oracles: the production path never imports them
+    assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} False False"
 
 
 def test_sweep_never_handles_the_full_state(monkeypatch, tmp_path):
@@ -352,17 +353,22 @@ def test_exact_rule_floor_is_degree_2t_plus_1(nk, capsys):
     assert f"exact through degree {sites - 1}, below n+k={sites}" in capsys.readouterr().err
 
 
-def test_ghz_fallback_nodes_keep_the_theorem(capsys):
+@pytest.mark.parametrize(
+    "nk,thresholds",
+    [(50, ["40", "45", "50"]), (60, ["40", "50", "55", "60"])],
+    ids=["50", "60"],
+)
+def test_ghz_fallback_nodes_keep_the_theorem(nk, thresholds, capsys):
     # many GHZ nodes keep less than 1e-12 of mass, yet nearly all of their trace; an absolute
-    # fallback test sent 2222 of them to psi^(x)n, at a cost of up to twice their trace, and
-    # lhs rose to 2.4e-12 against lhs_err + chain_bound = 5.3e-14 at r = 50
+    # fallback test sent 2222 of them to psi^(x)n at n=k=50, at a cost of up to twice their
+    # trace, and lhs rose to 2.4e-12 against lhs_err + chain_bound = 5.3e-14 at r = 50
     code = main([
-        "verify", "--d", "2", "--n", "50", "--k", "50", "--r", "40,45,50",
-        "--state", "ghz", "--rule", "exact:100",
+        "verify", "--d", "2", "--n", str(nk), "--k", str(nk), "--r", ",".join(thresholds),
+        "--state", "ghz", "--rule", f"exact:{2 * nk}",
     ])
     rows = parse_csv(capsys.readouterr().out)
     assert code == EXIT_OK
-    assert [row["r"] for row in rows] == ["40", "45", "50"]
+    assert [row["r"] for row in rows] == thresholds
     for row in rows:
         assert float(row["lhs"]) <= float(row["lhs_err"]) + float(row["chain_bound"]), row
         assert row["fallback_nodes"] == "0", row
@@ -481,7 +487,16 @@ def test_config_file_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_check_props_default_grid(capsys):
+def test_check_props_default_grid(monkeypatch, capsys):
+    # the post-selection suite runs in Dicke coordinates: nothing indexed by d^n strings
+    def refuse(*args, **kwargs):
+        raise AssertionError("check-props built a d^n operator")
+
+    dense = ("symmetrizer", "dicke_isometry", "type_codes", "pure_power_moment", "power_rows")
+    for module in (certifier, cli, haar, linalg, symmetric):
+        for name in dense:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
     code = main(["check-props"])
     out = capsys.readouterr().out
     assert code == EXIT_OK
@@ -489,3 +504,5 @@ def test_check_props_default_grid(capsys):
     assert len(lines) == 10
     assert all(line.endswith("ok") for line in lines)
     assert sum("post-selection" in line for line in lines) == 7
+    # the dense value; without the 1/sqrt(mult_s mult_t) scaling it reads 5.108e-03 and fails
+    assert "d=3 n=2 mc(samples=100000, seed=0): max entrywise error 3.612e-03" in out

@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from definetti.hamming import (
-    hamming_distance,
-    tail_function,
-    tail_function_grid,
-    threshold_projectors,
-    weight_family,
-)
+from definetti.certifier import tail_function_grid
+from definetti.hamming import hamming_distance, tail_function, threshold_projectors, weight_family
 from definetti.linalg import Operator, PureState, kron_power, min_eigenvalue, tensor
 from definetti.symmetric import permutation_operator
 

@@ -22,8 +22,9 @@ computes once per block of nodes, and the per-r truncation. A call with
 `thresholds=` is checked against single calls on fresh copies of the inputs,
 and `verify` is checked to hold no reference to its inputs once it returns.
 `verify` walks the nodes in blocks of `_NODE_BLOCK`: its reports must not
-depend on the block size beyond roundoff, and its peak memory must not grow
-with the node count.
+depend on the block size beyond roundoff, and neither its peak memory nor
+that of the rule-level views, which read the same pass, may grow with the
+node count.
 """
 
 import dataclasses
@@ -555,22 +556,43 @@ def test_streamed_verify_matches_one_block(d, n, k, rule, fraction, monkeypatch)
             assert got.status == want.status, where
 
 
-def verify_peak_bytes(inst, rule):
-    """The largest traced allocation total while `verify` sweeps every threshold."""
+def peak_bytes(call):
+    """The largest traced allocation total while `call()` runs."""
     tracemalloc.start()
     try:
-        verify(inst, rule, thresholds=range(inst.n + 1))
+        call()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-def test_verify_memory_does_not_grow_with_the_node_count():
-    # the nodes are walked in fixed blocks, so ten times the nodes must not mean ten
-    # times the memory; the rules are built first, as their node tables are inputs
+@pytest.mark.parametrize(
+    "view",
+    [
+        lambda inst, rule: verify(inst, rule, thresholds=range(inst.n + 1)),
+        certifier.chain_bound,
+        certifier.approximant,
+        certifier.nu_weight_normalization,
+    ],
+    ids=["verify", "chain_bound", "approximant", "nu_weight_normalization"],
+)
+def test_verify_memory_does_not_grow_with_the_node_count(view):
+    # the nodes are walked in fixed blocks, by verify and by the rule-level views alike, so ten
+    # times the nodes must not mean ten times the memory; the rules are built first, as their
+    # node tables are inputs
     inst = Instance(d=3, n=2, k=2, r=0, rho=random_symmetric_pure(4, 3, seed=9))
     small, large = monte_carlo_rule(3, 4000, seed=9), monte_carlo_rule(3, 40000, seed=9)
-    verify(inst, small)  # fills the type and rotation-block caches outside the trace
-    small_peak = verify_peak_bytes(inst, small)
-    large_peak = verify_peak_bytes(inst, large)
+    view(inst, small)  # fills the type and rotation-block caches outside the trace
+    small_peak = peak_bytes(lambda: view(inst, small))
+    large_peak = peak_bytes(lambda: view(inst, large))
     assert large_peak <= 1.5 * small_peak, (small_peak, large_peak)
+
+
+def test_bra_powers_peak_is_near_its_output():
+    # the monomials multiply in one level at a time, so no (sym_dim, d, nodes) table is held:
+    # 512 d=3 nodes at k=60 return 15.5 MB and peak near 2.1 times that
+    nodes = monte_carlo_rule(3, certifier._NODE_BLOCK, seed=3).node_matrix
+    type_table(60, 3)  # cached outside the trace
+    out = []
+    peak = peak_bytes(lambda: out.append(_bra_powers(nodes, 60)))
+    assert peak <= 2.5 * out[0].nbytes, (peak, out[0].nbytes)
