@@ -1,8 +1,8 @@
 """Desk-scale construction and certification of exponential de Finetti bounds.
 
-The package root exports the documented library API. Dense reference
-oracles and the certifier's views (`symmetrizer`, `weight_family`,
-`approximant`, ...) are imported from their submodules.
+The package root exports the documented library API. The dense operators
+that the bench tracer still lists (`symmetrizer`, `weight_family`,
+`chain_bound`, ...) are imported from their submodules.
 """
 
 from definetti.certifier import (

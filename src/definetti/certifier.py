@@ -13,9 +13,8 @@ The certified chain is
     lhs <= 3 sym_dim(k,d) sqrt(integral trace(P_geq_r rho_psi))
         <= 3 sym_dim(k,d) sqrt(sym_dim(n+k,d)) exp(-(r/6) min(k/n, 1)),
 
-with every ingredient (tail maxima, large-deviation slack, the operator
-upper bound on rho_psi, the gentle measurement step) exposed as its own
-check. `verify` checks the chain for the rule's own approximant, with the
+with every ingredient (post-selection, tail maxima, large-deviation slack,
+the gentle measurement step) exposed as its own check. `verify` checks the chain for the rule's own approximant, with the
 integral replaced by the weighted sum over the rule's nodes. For a node
 that keeps its truncation, ||rho_psi - trace(rho_psi) tau_psi||_1 =
 2 sqrt(trace(rho_psi) e_psi) with e_psi = trace(P_geq_r rho_psi). A node of
@@ -42,16 +41,8 @@ from typing import NamedTuple
 import numpy as np
 
 from definetti.haar import QuadratureRule
-from definetti.linalg import (
-    PSD_ATOL,
-    DimensionError,
-    Operator,
-    PureState,
-    min_eigenvalue,
-    power_rows,
-    trace_norm,
-)
-from definetti.symmetric import SymmetricState, strings_from_dicke, sym_dim, type_table
+from definetti.linalg import PSD_ATOL, DimensionError, Operator, trace_norm
+from definetti.symmetric import SymmetricState, sym_dim, type_table
 
 PASS = "PASS"
 VIOLATION = "VIOLATION"
@@ -316,40 +307,23 @@ def _truncate(inst: Instance, cond: _Conditioned) -> _NodePass:
     return _NodePass(cond.density, kept, escaped, tau, fallback)
 
 
-def _node_pass(inst: Instance, nodes: np.ndarray) -> _NodePass:
-    """Condition, truncate and renormalize at every row of `nodes` at once."""
-    phi = _coupling(inst) @ _bra_powers(nodes, inst.k)
-    return _truncate(inst, _condition(inst, phi, nodes))
-
-
-def _node_row(inst: Instance, psi: PureState) -> np.ndarray:
-    if (psi.site_dim, psi.sites) != (inst.d, 1):
-        raise DimensionError(f"expected a single-site state of dimension {inst.d}")
-    return psi.amplitudes[None, :]
-
-
 def _gram(columns: np.ndarray, coefficients=1.0) -> np.ndarray:
     """sum_j coefficients[j] |columns[:, j]><columns[:, j]|, from one conjugated copy."""
     return ((columns.conj() * coefficients) @ columns.T).conj()
 
 
-def _spread(inst: Instance, dicke: np.ndarray) -> Operator:
-    """V A V^T in the d^n space for an operator A on the n kept sites in Dicke coordinates."""
-    rows = strings_from_dicke(inst.n, inst.d, dicke)
-    return Operator(inst.d, inst.n, strings_from_dicke(inst.n, inst.d, rows.T).T)
+def memory_floor(d: int, n: int, k: int, thresholds: int, nodes: int) -> int:
+    """A lower bound, in bytes, on what `verify` holds for a rule of `nodes` nodes.
 
-
-def memory_floor(d: int, n: int, k: int, thresholds: int) -> int:
-    """A lower bound, in bytes, on what `verify` holds for `thresholds` thresholds.
-
-    The larger of the int64 occupation table of `type_table(n+k, d)` and what
-    `_prepare` holds at once: the complex coupling C, Tr_k rho, the post-selection
-    Gram and one approximant Gram per threshold.
+    The rule's complex node matrix and float weights, which live throughout, plus the larger
+    of the int64 occupation table of `type_table(n+k, d)` and what `_prepare` holds at once:
+    the complex coupling C, one block's b(psi) table, Tr_k rho, the post-selection Gram and
+    one approximant Gram for each of the `thresholds` thresholds.
     """
-    dim_n = sym_dim(n, d)
-    return max(
+    dim_n, dim_k = sym_dim(n, d), sym_dim(k, d)
+    return (16 * d + 8) * nodes + max(
         8 * (n + k) * sym_dim(n + k, d),
-        16 * (dim_n * sym_dim(k, d) + (thresholds + 2) * dim_n**2),
+        16 * ((dim_n + min(nodes, _NODE_BLOCK)) * dim_k + (thresholds + 2) * dim_n**2),
     )
 
 
@@ -382,33 +356,7 @@ def _chain_bound(inst: Instance, escaped: float) -> float:
     return 3.0 * sym_dim(inst.k, inst.d) * math.sqrt(escaped)
 
 
-def rho_psi(inst: Instance, psi: PureState) -> Operator:
-    """Condition rho on observing psi^(x)k in the trailing k sites."""
-    return _spread(inst, _gram(_coupling(inst) @ _bra_powers(_node_row(inst, psi), inst.k)))
-
-
-def tau_psi(inst: Instance, psi: PureState) -> tuple[float, Operator, bool]:
-    """Truncate rho_psi below weight r and renormalize.
-
-    Returns (trace of the truncated state, the normalized state, fallback
-    flag). When the truncated trace is a negligible part of the trace of
-    rho_psi (always at r = 0) the normalized state falls back to psi^(x)n,
-    which has deviation weight 0.
-    """
-    node = _node_pass(inst, _node_row(inst, psi))
-    return float(node.kept[0]), _spread(inst, _gram(node.tau)), bool(node.fallback[0])
-
-
-def approximant(inst: Instance, rule: QuadratureRule) -> Operator:
-    """The weighted average sym_dim(k,d) int trace(rho_psi) tau_psi d(psi)."""
-    return _spread(inst, _prepare(inst, rule, (inst,)).grams[0])
-
-
-def nu_weight_normalization(inst: Instance, rule: QuadratureRule) -> float:
-    """Total mass sym_dim(k,d) int trace(rho_psi) d(psi); 1 for exact rules."""
-    return _prepare(inst, rule, (inst,)).mass
-
-
+# kept in the package only because bench/tracer.py traces it (ROADMAP item 1)
 def chain_bound(inst: Instance, rule: QuadratureRule) -> float:
     """3 sym_dim(k,d) sqrt(int trace(P_geq_r rho_psi) d(psi)).
 
@@ -503,18 +451,6 @@ def g_max(n: int, k: int, r: int) -> float:
     return best
 
 
-def check_operator_inequality(inst: Instance, psi: PureState, rule: QuadratureRule) -> float:
-    """Slack of rho_psi <= sym_dim(n+k,d) int |theta^n><theta^n| |<theta|psi>|^2k.
-
-    Returns the smallest eigenvalue of (right side - rho_psi); for rules of
-    exact degree >= n+k it should only dip below zero by roundoff.
-    """
-    overlaps = np.abs(rule.node_matrix.conj() @ psi.amplitudes) ** 2
-    coefficients = sym_dim(inst.n + inst.k, inst.d) * rule.weights * overlaps**inst.k
-    upper = Operator(inst.d, inst.n, _gram(power_rows(rule.node_matrix, inst.n).T, coefficients))
-    return min_eigenvalue(upper - rho_psi(inst, psi))
-
-
 def check_post_selection(rule: QuadratureRule, n: int) -> float:
     """Largest entry of |sym_dim(n,d) sum_j w_j |theta_j^n><theta_j^n| - P_sym| in the d^n basis.
 
@@ -552,17 +488,8 @@ def check_gentle(rho: Operator, x_op: Operator) -> tuple[float, float]:
     return lhs, rhs
 
 
-def binary_divergence(p: float, q: float) -> float:
-    """Relative entropy p ln(p/q) + (1-p) ln((1-p)/(1-q)) of coin biases."""
-    if not 0.0 <= p <= 1.0 or not 0.0 < q < 1.0:
-        raise ValueError(f"need p in [0,1] and q in (0,1), got p={p} q={q}")
-    first = 0.0 if p == 0.0 else p * math.log(p / q)
-    second = 0.0 if p == 1.0 else (1 - p) * math.log((1 - p) / (1 - q))
-    return first + second
-
-
 def _binary_divergences(p: float, q: np.ndarray) -> np.ndarray:
-    """`binary_divergence(p, q_j)` for every entry of q, each in (0, 1)."""
+    """Relative entropy p ln(p/q_j) + (1-p) ln((1-p)/(1-q_j)) of coin biases, per q_j in (0, 1)."""
     first = 0.0 if p == 0.0 else p * np.log(p / q)
     second = 0.0 if p == 1.0 else (1 - p) * np.log((1 - p) / (1 - q))
     return first + second

@@ -21,6 +21,7 @@ memory), so that no crash reads as a verdict.
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -40,7 +41,7 @@ from .certifier import (
     memory_floor,
     verify,
 )
-from .haar import exact_qubit_rule, monte_carlo_rule
+from .haar import exact_node_count, exact_qubit_rule, monte_carlo_rule
 from .linalg import Operator
 from .symmetric import dicke_state, ghz_state, random_symmetric_pure
 
@@ -150,8 +151,8 @@ def parse_state_spec(spec: str, d: int, sites: int):
     )
 
 
-def parse_rule_spec(spec: str, d: int, sites: int):
-    """Build the quadrature rule named by SPEC for n+k = `sites`; returns (rule, mc_seed).
+def _read_rule_spec(spec: str, d: int, sites: int):
+    """Check SPEC for n+k = `sites` without building it; returns (node count, build, mc_seed).
 
     `exact:t` is exact through degree 2t+1, which must reach n+k.
     """
@@ -165,7 +166,7 @@ def parse_rule_spec(spec: str, d: int, sites: int):
                 f"exact:{degree} is exact through degree {2 * degree + 1}, below n+k={sites}; "
                 "the certification integrands have that polynomial degree"
             )
-        return exact_qubit_rule(degree), None
+        return exact_node_count(degree), functools.partial(exact_qubit_rule, degree), None
     if name == "mc":
         parts = arg.split(":")
         if len(parts) not in (1, 2) or not parts[0]:
@@ -176,8 +177,14 @@ def parse_rule_spec(spec: str, d: int, sites: int):
             raise UsageError("mc samples must be positive")
         if seed < 0:
             raise UsageError(f"mc seed must be non-negative, got {seed}")
-        return monte_carlo_rule(d, samples, seed=seed), seed
+        return samples, functools.partial(monte_carlo_rule, d, samples, seed=seed), seed
     raise UsageError(f"unknown rule spec {spec!r}; expected exact:DEGREE or mc:SAMPLES[:SEED]")
+
+
+def parse_rule_spec(spec: str, d: int, sites: int):
+    """Build the quadrature rule named by SPEC for n+k = `sites`; returns (rule, mc_seed)."""
+    _, build, seed = _read_rule_spec(spec, d, sites)
+    return build(), seed
 
 
 def read_config_file(path: str, keys) -> dict:
@@ -223,7 +230,7 @@ def _physical_memory():
 def build_rows(d, n, k_list, r_list, state_spec, rule_spec):
     """Certify every (k, r) pair, with one `verify` call per k for all thresholds.
 
-    A k whose `memory_floor` exceeds physical memory is refused before its state is built.
+    A k whose `memory_floor` exceeds physical memory is refused before its state or rule is built.
     """
     rows = []
     thresholds = sorted(set(r_list))
@@ -237,7 +244,7 @@ def build_rows(d, n, k_list, r_list, state_spec, rule_spec):
         if k < 1:
             raise UsageError(f"k must be positive, got {k}")
         sites = n + k
-        need = memory_floor(d, n, k, len(thresholds))
+        need = memory_floor(d, n, k, len(thresholds), _read_rule_spec(rule_spec, d, sites)[0])
         if memory is not None and need > memory:
             raise UsageError(
                 f"verify would hold at least {need} bytes at n+k={sites}, "

@@ -4,7 +4,7 @@ Two rule families:
 
 * exact_qubit_rule(t): a product rule on the Bloch sphere (Gauss-Legendre in
   the polar coordinate, uniform in the azimuthal angle) that integrates every
-  polynomial of degree at most t in the entries of |theta><theta| without
+  polynomial of degree at most 2t+1 in the entries of |theta><theta| without
   error. Qubits only.
 * monte_carlo_rule(d, samples, seed): equal-weight nodes drawn as normalized
   complex gaussians, which are Haar distributed in any dimension.
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from definetti.linalg import Operator, PureState, power_rows
+from definetti.linalg import Operator, PureState
 
 WEIGHT_SUM_ATOL = 1e-14
 
@@ -56,10 +56,10 @@ class QuadratureRule:
             raise ValueError("node matrix and weights disagree in shape")
         if weights.min(initial=0.0) < 0:
             raise ValueError("weights must be nonnegative")
-        if abs(weights.sum() - 1.0) > WEIGHT_SUM_ATOL:
+        if not abs(weights.sum() - 1.0) <= WEIGHT_SUM_ATOL:  # NaN fails it
             raise ValueError(f"weights must sum to 1, got {weights.sum()!r}")
-        row_norms = np.linalg.norm(nodes, axis=1)
-        if row_norms.size and np.abs(row_norms - 1.0).max() > 1e-12:
+        row_norms = np.sqrt(np.sum(nodes.real**2 + nodes.imag**2, axis=1))  # inf: no warning
+        if row_norms.size and not np.abs(row_norms - 1.0).max() <= 1e-12:  # so does NaN
             raise ValueError("nodes must be unit vectors")
         nodes.setflags(write=False)
         weights.setflags(write=False)
@@ -100,6 +100,11 @@ def _gauss_legendre(points: int) -> tuple[np.ndarray, np.ndarray]:
     return (nodes - nodes[::-1]) / 2, 2 * weights / weights.sum()
 
 
+def exact_node_count(t: int) -> int:
+    """Nodes of `exact_qubit_rule(t)`: t+1 polar nodes times 2t+2 azimuths."""
+    return (t + 1) * (2 * t + 2)
+
+
 def exact_qubit_rule(t: int) -> QuadratureRule:
     """Rule exact for qubit polynomials of degree <= 2t+1 in |theta><theta|.
 
@@ -114,7 +119,7 @@ def exact_qubit_rule(t: int) -> QuadratureRule:
     u, gauss_w = _gauss_legendre(t + 1)
     n_phi = 2 * t + 2
     phi = 2 * np.pi * np.arange(n_phi) / n_phi
-    nodes = np.empty(((t + 1) * n_phi, 2), dtype=np.complex128)
+    nodes = np.empty((exact_node_count(t), 2), dtype=np.complex128)
     nodes[:, 0] = np.repeat(np.sqrt((1 + u) / 2), n_phi)
     nodes[:, 1] = (np.exp(1j * phi) * np.sqrt((1 - u) / 2)[:, None]).reshape(-1)
     weights = np.repeat(gauss_w / 2 / n_phi, n_phi)
@@ -136,6 +141,7 @@ def monte_carlo_rule(d: int, samples: int, seed: int = 0) -> QuadratureRule:
     )
 
 
+# kept in the package only because bench/tracer.py traces it (ROADMAP item 1)
 def integrate(rule: QuadratureRule, f):
     """Weighted sum of f over the nodes, accumulated in fixed node order.
 
@@ -187,6 +193,7 @@ def standard_error(values) -> float:
     return float(np.max(np.sqrt(var / count)))
 
 
+# kept in the package only because bench/tracer.py traces it (ROADMAP item 1)
 def integration_error_estimate(rule: QuadratureRule, f) -> float:
     """Error scale of integrate(rule, f).
 
@@ -200,24 +207,3 @@ def integration_error_estimate(rule: QuadratureRule, f) -> float:
         return _discrepancy(integrate(rule, f), integrate(escalated, f))
     values = [f(node) for node in rule.nodes]
     return standard_error([v.entries if isinstance(v, Operator) else v for v in values])
-
-
-def pure_power_moment(rule: QuadratureRule, s: int) -> Operator:
-    """Weighted sum of |theta><theta|^(tensor s) over the nodes.
-
-    Computed as a weighted Gram matrix of stacked tensor-power rows, which
-    reassociates the sum; use `integrate` when fixed-order accumulation
-    matters. For exact rules of degree >= s this reproduces the symmetric
-    projector divided by sym_dim(s, d).
-    """
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
-    rows = power_rows(rule.node_matrix, s)
-    moment = (rows * rule.weights[:, None]).T @ rows.conj()
-    return Operator(rule.d, s, moment)
-
-
-def haar_state(d: int, rng) -> PureState:
-    """One Haar-random single-site state from an existing generator."""
-    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return PureState(d, 1, z / np.linalg.norm(z))

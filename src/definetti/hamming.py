@@ -17,11 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from definetti.certifier import tail_function_grid
 from definetti.linalg import Operator, PureState
-
-DISTANCE_TOL = 1e-10
-_TRACE_ATOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -32,13 +28,8 @@ class WeightProjectorFamily:
     n: int
     projectors: tuple[Operator, ...]
 
-    def weight_masses(self, rho: Operator) -> np.ndarray:
-        """trace(Q_i rho) for every weight i, as a real vector."""
-        return np.array(
-            [np.einsum("ij,ji->", q.entries, rho.entries).real for q in self.projectors]
-        )
 
-
+# kept in the package only because bench/tracer.py traces it (ROADMAP item 1)
 def weight_family(psi: PureState, n: int) -> WeightProjectorFamily:
     """Build the weight projectors for n sites referenced to psi."""
     if psi.sites != 1:
@@ -60,6 +51,7 @@ def weight_family(psi: PureState, n: int) -> WeightProjectorFamily:
     return WeightProjectorFamily(psi=psi, n=n, projectors=ops)
 
 
+# kept in the package only because bench/tracer.py traces it (ROADMAP item 1)
 def threshold_projectors(family: WeightProjectorFamily, r: int) -> tuple[Operator, Operator]:
     """(P_below, P_at_or_above): weights < r and weights >= r."""
     if not 0 <= r <= family.n + 1:
@@ -69,29 +61,3 @@ def threshold_projectors(family: WeightProjectorFamily, r: int) -> tuple[Operato
     for i in range(r):
         below = below + family.projectors[i]
     return below, Operator.identity(d, n) - below
-
-
-def hamming_distance(tau: Operator, psi: PureState, tol: float = DISTANCE_TOL) -> int:
-    """Smallest r such that tau has no mass on weights above r.
-
-    tau must be a density operator (PSD, unit trace). Returns the largest
-    deviation weight carrying more than `tol` of mass.
-    """
-    if psi.sites != 1 or psi.site_dim != tau.site_dim:
-        raise ValueError("hamming_distance needs a single-site psi on tau's site dimension")
-    if abs(tau.trace().real - 1.0) > _TRACE_ATOL or abs(tau.trace().imag) > _TRACE_ATOL:
-        raise ValueError(f"tau must have unit trace, got {tau.trace():.6g}")
-    if not tau.is_psd():
-        raise ValueError("tau must be positive semidefinite")
-    family = weight_family(psi, tau.sites)
-    masses = family.weight_masses(tau)
-    above = np.concatenate([np.cumsum(masses[::-1])[::-1], [0.0]])  # above[j] = sum_{i >= j}
-    for r in range(tau.sites + 1):
-        if above[r + 1] <= tol:
-            return r
-    return tau.sites
-
-
-def tail_function(n: int, r: int, x: float) -> float:
-    """`certifier.tail_function_grid` at the single point x."""
-    return float(tail_function_grid(n, r, np.array([x]))[0])

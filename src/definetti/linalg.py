@@ -44,7 +44,7 @@ def _unit_vector(vector, length: int, what: str) -> np.ndarray:
     """`vector` as a read-only complex array of `length` entries, checked to have unit norm."""
     arr = _as_complex_readonly(vector, (length,), what)
     defect = abs(_norm(arr) - 1.0)
-    if defect > NORM_ATOL:
+    if not defect <= NORM_ATOL:  # NaN fails it
         raise ValueError(f"{what} must be normalized: |norm - 1| = {defect:.3e}")
     return arr
 
@@ -175,13 +175,7 @@ def power_rows(rows: np.ndarray, copies: int) -> np.ndarray:
     return out
 
 
-def tensor(a: Operator, b: Operator) -> Operator:
-    """Kronecker product; `a` occupies the leading (most significant) sites."""
-    if a.site_dim != b.site_dim:
-        raise DimensionError("tensor requires equal site dimensions")
-    return Operator(a.site_dim, a.sites + b.sites, np.kron(a.entries, b.entries))
-
-
+# kept in the package only because bench/tracer.py traces it (ROADMAP item 1)
 def partial_trace_last(rho: Operator, k: int) -> Operator:
     """Trace out the trailing k sites."""
     if not 0 <= k <= rho.sites:
@@ -211,11 +205,7 @@ def trace_norm(a: Operator | np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(_hermitian_entries(a, "trace_norm"))).sum())
 
 
-def min_eigenvalue(a: Operator) -> float:
-    """Smallest eigenvalue of a hermitian operator."""
-    return float(np.linalg.eigvalsh(_hermitian_entries(a, "min_eigenvalue"))[0])
-
-
+# kept in the package only because bench/tracer.py traces it (ROADMAP item 1)
 def sandwich_bra_last(rho: Operator, psi: PureState, k: int) -> Operator:
     """(I (x) <psi|^k) rho (I (x) |psi>^k), contracting the trailing k sites.
 

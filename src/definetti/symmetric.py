@@ -1,14 +1,12 @@
-"""Symmetric subspace machinery: the type table, symmetric states, Dicke isometries.
+"""Symmetric subspace machinery: the type table and symmetric states.
 
 The permutation-symmetric subspace of n sites of dimension d has one basis
 vector per occupation vector (m_1, ..., m_d) with sum n: the equal-amplitude
 superposition of all basis strings of that type. A symmetric pure state is
 its sym_dim(n, d) coefficients in that basis (`SymmetricState`), which is how
 the state builders return it and what `SymmetricState.from_dense` reduces a
-dense state to. Collecting the basis vectors as columns gives
-an isometry from C^{sym_dim(n, d)} into the full space, and the orthogonal
-projector onto the subspace is the isometry times its adjoint; both are
-built only as dense reference oracles.
+dense state to. `strings_from_dicke` spreads Dicke coordinates back over the
+d^n basis strings.
 """
 
 from __future__ import annotations
@@ -167,52 +165,6 @@ class SymmetricState:
         return PureState(self.site_dim, self.sites, amplitudes[:, 0])
 
 
-def _site_strings(n: int, d: int) -> np.ndarray:
-    """(d**n, n) table of base-d digits; row j spells basis index j, site 1 first."""
-    idx = np.arange(d**n)
-    digits = np.empty((d**n, n), dtype=np.int64)
-    for s in range(n - 1, -1, -1):
-        digits[:, s] = idx % d
-        idx //= d
-    return digits
-
-
-@dataclass(frozen=True)
-class DickeIsometry:
-    """Isometry whose columns are the Dicke states of n sites of dimension d.
-
-    Columns follow the order of the types from `type_table(n, d)`. The matrix
-    satisfies V^dag V = identity and V V^dag = symmetric-subspace projector.
-    """
-
-    n: int
-    d: int
-    occupations: tuple[tuple[int, ...], ...]
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-    @property
-    def subspace_dim(self) -> int:
-        return self.matrix.shape[1]
-
-    def column(self, occupation: tuple[int, ...]) -> np.ndarray:
-        return self.matrix[:, self.occupations.index(tuple(occupation))]
-
-
-def dicke_isometry(n: int, d: int) -> DickeIsometry:
-    """Build the full Dicke-basis isometry for n sites of dimension d."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
-    types = type_table(n, d)[0]
-    matrix = strings_from_dicke(n, d, np.eye(len(types), dtype=np.complex128))
-    occs = tuple(map(tuple, types.tolist()))
-    return DickeIsometry(n=n, d=d, occupations=occs, matrix=matrix)
-
-
 def dicke_state(n: int, d: int, occupation) -> SymmetricState:
     """Equal-amplitude superposition of all basis strings with the given type."""
     occ = tuple(int(x) for x in occupation)
@@ -221,25 +173,11 @@ def dicke_state(n: int, d: int, occupation) -> SymmetricState:
     return SymmetricState(d, n, (type_table(n, d)[0] == occ).all(axis=1))
 
 
+# kept in the package only because bench/tracer.py traces it (ROADMAP item 1)
 def symmetrizer(n: int, d: int) -> Operator:
-    """Orthogonal projector onto the symmetric subspace, built as V V^dag."""
-    iso = dicke_isometry(n, d)
-    return Operator(d, n, iso.matrix @ iso.matrix.conj().T)
-
-
-def permutation_operator(n: int, d: int, perm) -> Operator:
-    """Unitary that moves the content of site i to site perm[i]."""
-    perm = tuple(int(p) for p in perm)
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"{perm} is not a permutation of 0..{n - 1}")
-    digits = _site_strings(n, d)
-    moved = np.empty_like(digits)
-    moved[:, perm] = digits
-    place = d ** np.arange(n - 1, -1, -1)
-    new_index = moved @ place
-    mat = np.zeros((d**n, d**n), dtype=np.complex128)
-    mat[new_index, np.arange(d**n)] = 1.0
-    return Operator(d, n, mat)
+    """Orthogonal projector onto the symmetric subspace, V V^T for the real V of Dicke columns."""
+    v = strings_from_dicke(n, d, np.eye(sym_dim(n, d)))
+    return Operator(d, n, v @ v.T)
 
 
 def random_symmetric_pure(n: int, d: int, seed: int) -> SymmetricState:

@@ -14,12 +14,10 @@ from definetti.certifier import (
     check_chernoff_claim,
     check_exponent_sandwich,
     check_gentle,
-    check_operator_inequality,
-    tau_psi,
     verify,
 )
-from definetti.haar import exact_qubit_rule, haar_state, monte_carlo_rule, pure_power_moment
-from definetti.hamming import hamming_distance, tail_function, threshold_projectors, weight_family
+from definetti.haar import exact_qubit_rule, monte_carlo_rule
+from definetti.hamming import weight_family
 from definetti.linalg import Operator, PureState
 from definetti.symmetric import (
     SymmetricState,
@@ -28,6 +26,14 @@ from definetti.symmetric import (
     random_symmetric_pure,
     sym_dim,
     symmetrizer,
+)
+from oracles import (
+    check_operator_inequality,
+    hamming_distance,
+    pure_power_moment,
+    random_state,
+    tail_function,
+    tau_psi,
 )
 
 _END_TO_END_CACHE = {}
@@ -69,8 +75,8 @@ def test_tail_identity():
     worst = 0.0
     for index in range(100):
         d, n = cells[index % len(cells)]
-        theta = haar_state(d, rng)
-        psi = haar_state(d, rng)
+        theta = random_state(rng, d)
+        psi = random_state(rng, d)
         overlap = abs(theta.overlap(psi)) ** 2
         family = weight_family(psi, n)
         vec = theta.tensor_power(n).amplitudes
@@ -137,7 +143,7 @@ def test_operator_upper_bound():
         n, k = cells[seed % len(cells)]
         state = random_symmetric_pure(n + k, 2, seed)
         inst = Instance(d=2, n=n, k=k, r=0, rho=SymmetricState.from_dense(state.pure().projector()))
-        psi = haar_state(2, rng)
+        psi = random_state(rng, 2)
         min_slack = min(min_slack, check_operator_inequality(inst, psi, exact_qubit_rule(n + k)))
     _report(
         "operator upper bound",

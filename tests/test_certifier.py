@@ -15,40 +15,39 @@ from definetti.certifier import (
     Instance,
     InstanceError,
     _binary_divergences,
-    approximant,
-    binary_divergence,
     chain_bound,
     check_chernoff_claim,
     check_exponent_sandwich,
     check_gentle,
-    check_operator_inequality,
     check_post_selection,
     explicit_bound,
     g_max,
-    nu_weight_normalization,
-    rho_psi,
-    tau_psi,
     tail_function_grid,
     verify,
 )
-from definetti.haar import (
-    QuadratureRule,
-    exact_qubit_rule,
-    haar_state,
-    monte_carlo_rule,
-    pure_power_moment,
-)
-from definetti.hamming import tail_function, threshold_projectors, weight_family
+from definetti.haar import QuadratureRule, exact_qubit_rule, monte_carlo_rule
+from definetti.hamming import threshold_projectors, weight_family
 from definetti.linalg import DimensionError, Operator, PureState, partial_trace_last, trace_norm
 from definetti.symmetric import (
     SymmetricState,
     _dicke_coefficients,
-    dicke_isometry,
     dicke_state,
     ghz_state,
     random_symmetric_pure,
     sym_dim,
     symmetrizer,
+)
+from oracles import (
+    approximant,
+    binary_divergence,
+    check_operator_inequality,
+    dicke_isometry,
+    nu_weight_normalization,
+    pure_power_moment,
+    random_state,
+    rho_psi,
+    tail_function,
+    tau_psi,
 )
 
 
@@ -123,6 +122,19 @@ def test_symmetric_state_instance_validation():
         ghz.coefficients[0] = 1
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_entries_are_refused_at_construction(bad):
+    # every comparison with NaN is False, so each check must be one that NaN fails
+    with pytest.raises(ValueError, match="normalized"):
+        SymmetricState(2, 4, [bad, 0, 0, 0, 1])
+    with pytest.raises(ValueError, match="normalized"):
+        PureState(2, 2, [bad, 0, 0, 1])
+    with pytest.raises(ValueError, match="sum to 1"):
+        QuadratureRule(d=2, node_matrix=np.eye(2), weights=[bad, 0.5], kind="monte_carlo")
+    with pytest.raises(ValueError, match="unit vectors"):
+        QuadratureRule(d=2, node_matrix=[[bad, 0], [0, 1]], weights=[0.5, 0.5], kind="exact")
+
+
 @pytest.mark.parametrize(
     "d,n,k,rule",
     [
@@ -152,7 +164,7 @@ def test_verify_on_symmetric_state_matches_its_pure_adapter(d, n, k, rule):
 
 @pytest.mark.parametrize("d,sites", [(2, 1), (2, 5), (3, 1), (3, 4), (4, 3)])
 def test_symmetric_residual_matches_dense_projection(d, sites):
-    iso = dicke_isometry(sites, d).matrix
+    iso = dicke_isometry(sites, d)
     rng = np.random.default_rng(10 * d + sites)
     generic = rng.standard_normal(d**sites) + 1j * rng.standard_normal(d**sites)
     for state in (
@@ -223,7 +235,7 @@ def test_reduction_memo_misses_on_a_new_state(monkeypatch):
 def test_rho_psi_product():
     inst = product_instance(2, 2, 0)
     rng = np.random.default_rng(0)
-    psi = haar_state(2, rng)
+    psi = random_state(rng, 2)
     conditioned = rho_psi(inst, psi)
     x = abs(psi.overlap(PureState(2, 1, [1, 0]))) ** 2
     expect = np.zeros((4, 4), dtype=complex)
@@ -236,7 +248,7 @@ def test_rho_psi_ghz_trace():
     inst = Instance(d=2, n=2, k=3, r=0, rho=from_projector(ghz_state(5, 2)))
     rng = np.random.default_rng(1)
     for _ in range(5):
-        psi = haar_state(2, rng)
+        psi = random_state(rng, 2)
         a, b = psi.amplitudes
         expect = (abs(a) ** 6 + abs(b) ** 6) / 2
         assert rho_psi(inst, psi).trace().real == pytest.approx(expect, abs=1e-13)
@@ -263,7 +275,7 @@ def test_tau_psi_product_oracle():
     inst = product_instance(n, k, r)
     rng = np.random.default_rng(4)
     for _ in range(10):
-        psi = haar_state(2, rng)
+        psi = random_state(rng, 2)
         x = abs(psi.overlap(PureState(2, 1, [1, 0]))) ** 2
         sigma_trace, tau, used_fallback = tau_psi(inst, psi)
         assert not used_fallback
@@ -276,7 +288,7 @@ def test_tau_psi_product_oracle():
 def test_tau_psi_r_zero_always_falls_back():
     inst = bell_instance(r=0)
     rng = np.random.default_rng(5)
-    psi = haar_state(2, rng)
+    psi = random_state(rng, 2)
     sigma_trace, tau, used_fallback = tau_psi(inst, psi)
     assert used_fallback
     assert sigma_trace == 0.0
@@ -288,7 +300,7 @@ def test_tau_psi_bell_oracle():
     inst = bell_instance(r=1)
     rng = np.random.default_rng(6)
     for _ in range(10):
-        psi = haar_state(2, rng)
+        psi = random_state(rng, 2)
         a, b = psi.amplitudes
         expect = abs(a.conjugate() ** 2 + b.conjugate() ** 2) ** 2 / 2
         sigma_trace, tau, used_fallback = tau_psi(inst, psi)
@@ -544,7 +556,7 @@ def test_check_operator_inequality_random_instances():
         n = int(rng.integers(1, 4))
         k = int(rng.integers(1, 4))
         inst = Instance(d=2, n=n, k=k, r=0, rho=from_projector(random_symmetric_pure(n + k, 2, seed)))
-        psi = haar_state(2, rng)
+        psi = random_state(rng, 2)
         slack = check_operator_inequality(inst, psi, exact_qubit_rule(n + k))
         assert slack >= -1e-9
 

@@ -268,7 +268,7 @@ def test_usage_errors(tmp_path, monkeypatch, capsys):
         ])
         assert time.perf_counter() - start < 1.0, (d, n, k)
         assert code == EXIT_USAGE, (d, n, k)
-        assert f"{memory_floor(d, n, k, 1)} bytes" in capsys.readouterr().err
+        assert f"{memory_floor(d, n, k, 1, 100)} bytes" in capsys.readouterr().err
     assert tables == []
 
 
@@ -285,9 +285,27 @@ def test_runs_that_fit_need_no_flag(argv, capsys):
     assert parse_csv(capsys.readouterr().out)[0]["status"] == "PASS"
 
 
+def test_rule_is_counted_before_it_is_built(monkeypatch, capsys):
+    # a trillion Monte Carlo nodes need 40 TB for their own arrays: refused from the spec alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("the rule was built")
+
+    for module in (cli, haar):
+        monkeypatch.setattr(module, "monte_carlo_rule", refuse)
+    start = time.perf_counter()
+    code = main(BELL_ARGS[:-1] + ["mc:1000000000000"])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_USAGE
+    assert f"at least {memory_floor(2, 1, 1, 1, 10**12)} bytes" in capsys.readouterr().err
+    for t in (0, 1, 6, 40):
+        assert cli._read_rule_spec(f"exact:{t}", 2, 1)[0] == exact_qubit_rule(t).node_count
+
+
 def test_memory_check_names_both_byte_counts(monkeypatch, capsys):
-    need = memory_floor(2, 1, 1, 1)
-    assert need == 16 * (2 * 2 + 3 * 2**2)  # the Gram term: C, Tr_k rho and three 2x2 Grams
+    need = memory_floor(2, 1, 1, 1, 98)
+    # exact:6's 98 nodes and weights (40 bytes each), then the Gram term: C, the block's 98
+    # bras b(psi), Tr_k rho and three 2x2 Grams
+    assert need == 40 * 98 + 16 * (2 * 2 + 98 * 2 + 3 * 2**2)
     monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
     assert main(BELL_ARGS) == EXIT_USAGE
     err = capsys.readouterr().err
@@ -324,7 +342,8 @@ def test_memory_floor_is_a_lower_bound(d, n, k, thresholds, rule, capsys):
         tracemalloc.stop()
     assert len(parse_csv(capsys.readouterr().out)) == thresholds
     assert code in (EXIT_OK, EXIT_INCONCLUSIVE)
-    assert peak >= memory_floor(d, n, k, thresholds)
+    nodes = cli._read_rule_spec(rule, d, n + k)[0]
+    assert peak >= memory_floor(d, n, k, thresholds, nodes)
 
 
 @pytest.mark.parametrize("nk", [3, 4, 7])

@@ -7,14 +7,13 @@ from definetti.haar import (
     QuadratureRule,
     _gauss_legendre,
     exact_qubit_rule,
-    haar_state,
     integrate,
     integration_error_estimate,
     monte_carlo_rule,
-    pure_power_moment,
 )
 from definetti.linalg import Operator, PureState, kron_power
 from definetti.symmetric import sym_dim, symmetrizer
+from oracles import dicke_isometry, pure_power_moment, random_state
 
 
 def tensor_power_projector(node, s):
@@ -160,9 +159,7 @@ def test_exact_rule_degree_twelve_top_power():
     # is at most ||sum_j w_j a_j a_j^dag - I/c||_2 + 2 max||e_j|| + max||e_j||^2.
     s = t = 12
     rule = exact_qubit_rule(t)
-    from definetti.symmetric import dicke_isometry
-
-    v = dicke_isometry(s, 2).matrix
+    v = dicke_isometry(s, 2)
     dim = sym_dim(s, 2)
     gram = np.zeros((dim, dim), dtype=np.complex128)
     residual = 0.0
@@ -287,8 +284,8 @@ def test_error_estimate_monte_carlo_operator_valued():
 
 
 def test_haar_state_reproducibility():
-    a = haar_state(3, np.random.default_rng(4))
-    b = haar_state(3, np.random.default_rng(4))
+    a = random_state(np.random.default_rng(4), 3)
+    b = random_state(np.random.default_rng(4), 3)
     np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
     assert a.sites == 1 and a.site_dim == 3
 

@@ -5,17 +5,11 @@ from definetti.linalg import (
     DimensionError,
     Operator,
     PureState,
-    min_eigenvalue,
     partial_trace_last,
     sandwich_bra_last,
-    tensor,
     trace_norm,
 )
-
-
-def random_state(rng, d, m):
-    z = rng.standard_normal(d**m) + 1j * rng.standard_normal(d**m)
-    return PureState.normalized(d, m, z)
+from oracles import min_eigenvalue, random_state, tensor
 
 
 def random_psd(rng, d, m, unit_trace=False):

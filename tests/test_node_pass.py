@@ -47,7 +47,6 @@ from definetti.certifier import (
     _coupling,
     _frame,
     _generator_eigenbasis,
-    _node_pass,
     _rotate,
     _rotation_blocks,
     _truncate,
@@ -64,11 +63,11 @@ from definetti.linalg import (
 )
 from definetti.symmetric import (
     SymmetricState,
-    dicke_isometry,
     random_symmetric_pure,
     sym_dim,
     type_table,
 )
+from oracles import approximant, dicke_isometry, node_pass, nu_weight_normalization
 
 # (d, n, k); every r in 0..n is checked for each
 GRID = [(2, 1, 1), (2, 3, 2), (2, 2, 4), (2, 4, 4), (3, 2, 2), (3, 1, 2), (3, 3, 3), (4, 1, 1)]
@@ -147,8 +146,8 @@ def test_node_pass_matches_dense_oracle(d, n, k, fraction, monkeypatch):
     monkeypatch.setattr(certifier, "_FALLBACK_FRACTION", fraction)
     for rule in rules(d, n, k):
         for inst in instances(d, n, k):
-            nodes = _node_pass(inst, rule.node_matrix)
-            taus = dicke_isometry(n, d).matrix @ nodes.tau
+            nodes = node_pass(inst, rule.node_matrix)
+            taus = dicke_isometry(n, d) @ nodes.tau
             for j, term in enumerate(dense_terms(inst, rule)):
                 weight, kept, escaped, tau, fallback = term
                 where = f"{rule.describe()} r={inst.r} node {j}"
@@ -189,7 +188,7 @@ def test_node_distance_is_twice_root_of_escaped_times_trace(d, n, k):
     for rule in rules(d, n, k):
         for inst in instances(d, n, k):
             rho = inst.rho.pure().projector()
-            nodes = _node_pass(inst, rule.node_matrix)
+            nodes = node_pass(inst, rule.node_matrix)
             trace = nodes.density / sym_dim(k, d)
             for j, term in enumerate(dense_terms(inst, rule)):
                 if term[4]:
@@ -211,7 +210,7 @@ def test_lhs_within_defect_and_gentle_sum(d, n, k, fraction, monkeypatch):
     for rule in rules(d, n, k):
         for inst in instances(d, n, k):
             report = verify(inst, rule)
-            nodes = _node_pass(inst, rule.node_matrix)
+            nodes = node_pass(inst, rule.node_matrix)
             trace = nodes.density / sym_dim(k, d)
             root = np.sqrt(nodes.escaped * trace)
             fallback_cost = 3 * root if fraction <= 5 / 9 else 2 * trace
@@ -312,7 +311,7 @@ def test_rotate_sites_matches_batched_matmul(d, n, count, monkeypatch):
     nodes /= np.linalg.norm(nodes, axis=1)[:, None]
     dim = sym_dim(n, d)
     columns = rng.standard_normal((dim, count)) + 1j * rng.standard_normal((dim, count))
-    iso = dicke_isometry(n, d).matrix
+    iso = dicke_isometry(n, d)
     tol = 1e-13 * np.abs(columns).max()
 
     frames = givens_frames(nodes)
@@ -571,8 +570,8 @@ def peak_bytes(call):
     [
         lambda inst, rule: verify(inst, rule, thresholds=range(inst.n + 1)),
         certifier.chain_bound,
-        certifier.approximant,
-        certifier.nu_weight_normalization,
+        approximant,
+        nu_weight_normalization,
     ],
     ids=["verify", "chain_bound", "approximant", "nu_weight_normalization"],
 )

@@ -7,16 +7,15 @@ import pytest
 from definetti.linalg import Operator, PureState, partial_trace_last, trace_norm
 from definetti.symmetric import (
     SymmetricState,
-    dicke_isometry,
     dicke_state,
     ghz_state,
-    permutation_operator,
     random_symmetric_pure,
     sym_dim,
     symmetrizer,
     type_codes,
     type_table,
 )
+from oracles import dicke_isometry, permutation_operator
 
 
 def _digit_counts(n, d):
@@ -77,11 +76,11 @@ def test_sym_dim_polynomial_growth():
 
 
 def test_occupations_order():
-    occs = list(dicke_isometry(2, 3).occupations)
+    occs = list(map(tuple, type_table(2, 3)[0].tolist()))
     assert occs == [(0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0)]
     assert occs == sorted(occs)
     for n, d in [(3, 2), (4, 3), (2, 4)]:
-        occs = list(dicke_isometry(n, d).occupations)
+        occs = list(map(tuple, type_table(n, d)[0].tolist()))
         assert len(occs) == sym_dim(n, d)
         assert all(sum(o) == n and len(o) == d for o in occs)
 
@@ -108,7 +107,7 @@ def test_dicke_state_invalid_occupation():
 
 def test_dicke_states_orthonormal():
     for n, d in [(3, 2), (2, 3), (4, 2)]:
-        states = [dicke_state(n, d, occ).pure() for occ in dicke_isometry(n, d).occupations]
+        states = [dicke_state(n, d, occ).pure() for occ in type_table(n, d)[0]]
         for i, a in enumerate(states):
             for j, b in enumerate(states):
                 expect = 1.0 if i == j else 0.0
@@ -116,24 +115,22 @@ def test_dicke_states_orthonormal():
 
 
 def test_dicke_isometry_structure():
-    iso = dicke_isometry(2, 2)
-    assert iso.subspace_dim == 3
-    assert iso.occupations == ((0, 2), (1, 1), (2, 0))
-    np.testing.assert_allclose(iso.column((1, 1)), np.array([0, 1, 1, 0]) / np.sqrt(2))
-    v = iso.matrix
+    v = dicke_isometry(2, 2)
+    assert v.shape[1] == 3
+    assert tuple(map(tuple, type_table(2, 2)[0].tolist())) == ((0, 2), (1, 1), (2, 0))
+    np.testing.assert_allclose(v[:, 1], np.array([0, 1, 1, 0]) / np.sqrt(2))  # type (1, 1)
     np.testing.assert_allclose(v.conj().T @ v, np.eye(3), atol=1e-12)
 
 
 def test_isometry_matches_dicke_states():
-    iso = dicke_isometry(3, 3)
-    for occ in iso.occupations:
-        np.testing.assert_allclose(iso.column(occ), dicke_state(3, 3, occ).pure().amplitudes, atol=1e-13)
+    v = dicke_isometry(3, 3)
+    for t, occ in enumerate(type_table(3, 3)[0]):
+        np.testing.assert_allclose(v[:, t], dicke_state(3, 3, occ).pure().amplitudes, atol=1e-13)
 
 
 def test_isometry_identities_small_grid():
     for n, d in [(1, 2), (2, 2), (4, 2), (6, 2), (2, 3), (4, 3), (3, 4)]:
-        iso = dicke_isometry(n, d)
-        v = iso.matrix
+        v = dicke_isometry(n, d)
         np.testing.assert_allclose(
             v.conj().T @ v, np.eye(sym_dim(n, d)), atol=1e-12, err_msg=f"n={n} d={d}"
         )
@@ -252,7 +249,7 @@ def test_ghz_partial_trace_is_classical_mixture():
 def test_dicke_states_span_fixed_points_of_symmetrizer():
     n, d = 3, 2
     proj = symmetrizer(n, d)
-    for occ in dicke_isometry(n, d).occupations:
+    for occ in type_table(n, d)[0]:
         psi = dicke_state(n, d, occ).pure()
         np.testing.assert_allclose(proj.entries @ psi.amplitudes, psi.amplitudes, atol=1e-12)
 
@@ -273,8 +270,8 @@ def test_dicke_isometry_matches_dense_construction():
     for n, d in _TYPE_GRID:
         occs, _, matrix = _dense_isometry(n, d)
         iso = dicke_isometry(n, d)
-        assert list(iso.occupations) == occs
-        np.testing.assert_array_equal(iso.matrix.view(np.float64), matrix.view(np.float64))
+        assert list(map(tuple, type_table(n, d)[0].tolist())) == occs
+        np.testing.assert_array_equal(iso.view(np.float64), matrix.view(np.float64))
 
 
 def test_state_builders_bitwise_match_dense_oracles():
