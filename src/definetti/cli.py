@@ -152,9 +152,9 @@ def parse_state_spec(spec: str, d: int, sites: int):
 
 
 def _read_rule_spec(spec: str, d: int, sites: int):
-    """Check SPEC for n+k = `sites` without building it; returns (node count, build, mc_seed).
+    """Check SPEC for `sites` = n + max k without building it; returns (nodes, build, mc_seed).
 
-    `exact:t` is exact through degree 2t+1, which must reach n+k.
+    `exact:t` is exact through degree 2t+1, which must reach every n+k of the run.
     """
     name, _, arg = spec.partition(":")
     if name == "exact":
@@ -182,7 +182,7 @@ def _read_rule_spec(spec: str, d: int, sites: int):
 
 
 def parse_rule_spec(spec: str, d: int, sites: int):
-    """Build the quadrature rule named by SPEC for n+k = `sites`; returns (rule, mc_seed)."""
+    """Build the quadrature rule named by SPEC for `sites` = n + max k; returns (rule, mc_seed)."""
     _, build, seed = _read_rule_spec(spec, d, sites)
     return build(), seed
 
@@ -228,44 +228,43 @@ def _physical_memory():
 
 
 def build_rows(d, n, k_list, r_list, state_spec, rule_spec):
-    """Certify every (k, r) pair, with one `verify` call per k for all thresholds.
+    """Certify every (k, r) pair with one rule, read for n + max k sites, and one `verify` per k.
 
-    A k whose `memory_floor` exceeds physical memory is refused before its state or rule is built.
+    Every setting, and every k's `memory_floor` against physical memory, is checked before any
+    state or rule is built, and every k's state and `Instance` before the rule is built.
     """
-    rows = []
-    thresholds = sorted(set(r_list))
+    thresholds, ks = sorted(set(r_list)), sorted(set(k_list))
     if d < 2:
         raise UsageError(f"d must be >= 2, got {d}")
+    if ks[0] < 1:
+        raise UsageError(f"k must be positive, got {ks[0]}")
     for r in thresholds:
         if not 0 <= r <= n:
             raise UsageError(f"r must lie in [0, n]; got r={r} with n={n}")
+    nodes = _read_rule_spec(rule_spec, d, n + ks[-1])[0]
     memory = _physical_memory()
-    for k in sorted(set(k_list)):
-        if k < 1:
-            raise UsageError(f"k must be positive, got {k}")
-        sites = n + k
-        need = memory_floor(d, n, k, len(thresholds), _read_rule_spec(rule_spec, d, sites)[0])
+    for k in ks:
+        need = memory_floor(d, n, k, len(thresholds), nodes)
         if memory is not None and need > memory:
             raise UsageError(
-                f"verify would hold at least {need} bytes at n+k={sites}, "
+                f"verify would hold at least {need} bytes at n+k={n + k}, "
                 f"more than this machine's {memory} bytes of memory"
             )
-        state, state_seed = parse_state_spec(state_spec, d, sites)
-        rule, mc_seed = parse_rule_spec(rule_spec, d, sites)
-        seed = state_seed if state_seed is not None else mc_seed
+    instances = []
+    for k in ks:
+        state, state_seed = parse_state_spec(state_spec, d, n + k)
         try:
-            inst = Instance(d=d, n=n, k=k, r=thresholds[0], rho=state)
+            instances.append((Instance(d=d, n=n, k=k, r=thresholds[0], rho=state), state_seed))
         except ValueError as exc:
             raise UsageError(f"cannot build instance: {exc}") from None
+    rule, mc_seed = parse_rule_spec(rule_spec, d, n + ks[-1])
+    rows = []
+    for inst, state_seed in instances:
         reports = verify(inst, rule, thresholds=thresholds)
         for r, report in zip(thresholds, reports):
             rows.append(
                 ReportRow(
-                    d=d,
-                    n=n,
-                    k=k,
-                    r=r,
-                    state=state_spec,
+                    d=d, n=n, k=inst.k, r=r, state=state_spec,
                     lhs=report.lhs,
                     lhs_err=report.lhs_integration_error,
                     chain_bound=report.chain_bound,
@@ -273,7 +272,7 @@ def build_rows(d, n, k_list, r_list, state_spec, rule_spec):
                     g_max=report.g_max_value,
                     fallback_nodes=report.fallback_node_count,
                     nodes=rule.node_count,
-                    seed=seed,
+                    seed=state_seed if state_seed is not None else mc_seed,
                     status=report.status,
                 )
             )

@@ -9,8 +9,9 @@ Two rule families:
 * monte_carlo_rule(d, samples, seed): equal-weight nodes drawn as normalized
   complex gaussians, which are Haar distributed in any dimension.
 
-`integrate` accumulates contributions in fixed node order so that repeated
-runs with the same rule reproduce results bit for bit.
+`certifier.verify` reads `node_matrix` and `weights` in fixed node order, so
+reruns with one rule agree bit for bit. `integrate` and its error estimate are
+kept only because bench/tracer.py traces them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from definetti.linalg import Operator, PureState
+from definetti.linalg import NORM_ATOL, Operator, PureState
 
 WEIGHT_SUM_ATOL = 1e-14
 
@@ -59,7 +60,7 @@ class QuadratureRule:
         if not abs(weights.sum() - 1.0) <= WEIGHT_SUM_ATOL:  # NaN fails it
             raise ValueError(f"weights must sum to 1, got {weights.sum()!r}")
         row_norms = np.sqrt(np.sum(nodes.real**2 + nodes.imag**2, axis=1))  # inf: no warning
-        if row_norms.size and not np.abs(row_norms - 1.0).max() <= 1e-12:  # so does NaN
+        if row_norms.size and not np.abs(row_norms - 1.0).max() <= NORM_ATOL:  # so does NaN
             raise ValueError("nodes must be unit vectors")
         nodes.setflags(write=False)
         weights.setflags(write=False)

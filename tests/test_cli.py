@@ -244,7 +244,25 @@ def test_usage_errors(tmp_path, monkeypatch, capsys):
         ["verify", "--unknown-flag", "1"],
         ["frobnicate"],
         [],
+        # refused at the largest k, before the smaller k is certified: the rule is read for
+        # n + max k, and every k's state and instance are built before the rule
+        ["sweep", "--d", "2", "--n", "100", "--k", "98,100",
+         "--r", ",".join(str(r) for r in range(0, 101, 5)), "--state", "random-sym:1",
+         "--rule", "exact:99", "--output", str(tmp_path / "refused.csv")],
+        ["sweep", "--d", "2", "--n", "4", "--k", "2,4", "--r", "0", "--state", "dicke:3,3",
+         "--rule", "exact:4", "--output", str(tmp_path / "refused.csv")],
+        ["verify", "--d", "2", "--n", "0", "--k", "4", "--r", "0",
+         "--state", "ghz", "--rule", "exact:4"],
     ]
+
+    # no case reaches the work: the rule builders and verify refuse to run
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the request was refused")
+
+    monkeypatch.setattr(cli, "verify", no_work)
+    for module in (cli, haar):
+        monkeypatch.setattr(module, "monte_carlo_rule", no_work)
+        monkeypatch.setattr(module, "exact_qubit_rule", no_work)
     for argv in cases:
         assert main(argv) == EXIT_USAGE, argv
         captured = capsys.readouterr()
@@ -421,11 +439,12 @@ def test_sweep_sorted_rows_and_monotone_explicit(tmp_path, capsys):
 
 
 def test_sweep_calls_verify_once_per_k(monkeypatch, tmp_path, capsys):
-    calls = []
+    calls, rules = [], []
     real_verify = cli.verify
 
     def counting_verify(inst, rule, **kwargs):
         calls.append((inst.k, tuple(kwargs["thresholds"])))
+        rules.append(rule)
         return real_verify(inst, rule, **kwargs)
 
     monkeypatch.setattr(cli, "verify", counting_verify)
@@ -436,6 +455,33 @@ def test_sweep_calls_verify_once_per_k(monkeypatch, tmp_path, capsys):
     capsys.readouterr()
     assert code == EXIT_OK
     assert calls == [(1, (0, 1, 2)), (2, (0, 1, 2))]
+    assert rules[0] is rules[1]  # one rule for the whole sweep
+
+
+def test_sweep_rows_equal_single_k_runs(monkeypatch, tmp_path, capsys):
+    # sharing one rule across k moves no digit: the sweep's rows are the single-k runs' rows
+    common = ["--d", "3", "--n", "2", "--r", "0,1,2", "--state", "random-sym:1",
+              "--rule", "mc:2000:1"]
+    single = []
+    for k in ("1", "2", "3"):
+        assert main(["verify", "--k", k, *common]) in (EXIT_OK, EXIT_INCONCLUSIVE)
+        single += capsys.readouterr().out.splitlines()[1:]
+    builds = []
+    real_rule = cli.monte_carlo_rule
+
+    def counting_rule(*args, **kwargs):
+        builds.append(args)
+        return real_rule(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "monte_carlo_rule", counting_rule)
+    out_path = tmp_path / "sweep.csv"
+    assert main(["sweep", "--k", "1,2,3", *common, "--output", str(out_path)]) in (
+        EXIT_OK, EXIT_INCONCLUSIVE
+    )
+    capsys.readouterr()
+    assert len(single) == 9
+    assert out_path.read_bytes() == "\n".join([CSV_HEADER, *single, ""]).encode("utf-8")
+    assert builds == [(3, 2000)]
 
 
 def test_sweep_rerun_byte_identical(tmp_path, capsys):
