@@ -51,6 +51,7 @@ INCONCLUSIVE = "INCONCLUSIVE"
 COMPARISON_SLACK = 1e-9
 
 _GRID_SLACK = 1e-12
+_GRID_POINTS = 1000  # of x in `check_chernoff_claim`
 _NODE_BLOCK = 512  # nodes conditioned at a time in `verify`
 _FALLBACK_FRACTION = 1e-12  # of a node's trace; any value in [0, 5/9] keeps the theorem
 
@@ -317,13 +318,14 @@ def memory_floor(d: int, n: int, k: int, thresholds: int, nodes: int) -> int:
 
     The rule's complex node matrix and float weights, which live throughout, plus the larger
     of the int64 occupation table of `type_table(n+k, d)` and what `_prepare` holds at once:
-    the complex coupling C, one block's b(psi) table, Tr_k rho, the post-selection Gram and
-    one approximant Gram for each of the `thresholds` thresholds.
+    the complex coupling C, one block's b(psi) table and the gather temporary of `_monomials`
+    beside it, Tr_k rho, the post-selection Gram and one approximant Gram for each of the
+    `thresholds` thresholds. It never decreases as k, `thresholds` or `nodes` grows.
     """
     dim_n, dim_k = sym_dim(n, d), sym_dim(k, d)
     return (16 * d + 8) * nodes + max(
         8 * (n + k) * sym_dim(n + k, d),
-        16 * ((dim_n + min(nodes, _NODE_BLOCK)) * dim_k + (thresholds + 2) * dim_n**2),
+        16 * ((dim_n + 2 * min(nodes, _NODE_BLOCK)) * dim_k + (thresholds + 2) * dim_n**2),
     )
 
 
@@ -523,7 +525,7 @@ def _validate_tail_args(n: int, r: int, x: float):
         raise ValueError(f"x={x} outside [0, 1]")
 
 
-def check_chernoff_claim(n: int, r: int, grid_points: int = 1000) -> float:
+def check_chernoff_claim(n: int, r: int) -> float:
     """Slack of the tail bound on the window where failures are rare.
 
     On x in [1 - r/(3n), 1) the chance that at least r of n trials fail,
@@ -534,7 +536,7 @@ def check_chernoff_claim(n: int, r: int, grid_points: int = 1000) -> float:
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got n={n} r={r}")
     left = 1.0 - r / (3.0 * n)
-    xs = left + (1.0 - left) * np.arange(grid_points) / grid_points
+    xs = left + (1.0 - left) * np.arange(_GRID_POINTS) / _GRID_POINTS
     tails = tail_function_grid(n, r, xs)
     slack = float((math.exp(-r / 3.0) - tails).min())
     worst = float((n * _binary_divergences(r / n, 1.0 - xs) - r / 3.0).min())

@@ -20,8 +20,10 @@ memory), so that no crash reads as a verdict.
 """
 
 import argparse
+import csv
 import dataclasses
 import functools
+import io
 import json
 import math
 import os
@@ -86,24 +88,15 @@ class ReportRow:
 CSV_HEADER = ",".join(field.name for field in dataclasses.fields(ReportRow))
 
 
-def _csv_field(text: str) -> str:
-    if "," in text:
-        return '"' + text + '"'
-    return text
-
-
-def row_to_csv(row: ReportRow) -> str:
-    fields = []
-    for value in dataclasses.astuple(row):
-        if isinstance(value, float):
-            fields.append(f"{value:.12g}")
-        else:
-            fields.append("" if value is None else _csv_field(str(value)))
-    return ",".join(fields)
-
-
 def rows_to_csv_text(rows) -> str:
-    return "\n".join([CSV_HEADER] + [row_to_csv(row) for row in rows]) + "\n"
+    """The header, then one line per row: floats to 12 significant digits, a None seed empty."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(CSV_HEADER.split(","))
+    for row in rows:
+        values = dataclasses.astuple(row)
+        writer.writerow(f"{v:.12g}" if isinstance(v, float) else v for v in values)
+    return buffer.getvalue()
 
 
 def rows_to_json_text(rows) -> str:
@@ -152,7 +145,7 @@ def parse_state_spec(spec: str, d: int, sites: int):
 
 
 def _read_rule_spec(spec: str, d: int, sites: int):
-    """Check SPEC for `sites` = n + max k without building it; returns (nodes, build, mc_seed).
+    """Check SPEC for `sites` = n + max k without building it; returns (nodes, build).
 
     `exact:t` is exact through degree 2t+1, which must reach every n+k of the run.
     """
@@ -166,7 +159,7 @@ def _read_rule_spec(spec: str, d: int, sites: int):
                 f"exact:{degree} is exact through degree {2 * degree + 1}, below n+k={sites}; "
                 "the certification integrands have that polynomial degree"
             )
-        return exact_node_count(degree), functools.partial(exact_qubit_rule, degree), None
+        return exact_node_count(degree), functools.partial(exact_qubit_rule, degree)
     if name == "mc":
         parts = arg.split(":")
         if len(parts) not in (1, 2) or not parts[0]:
@@ -177,14 +170,13 @@ def _read_rule_spec(spec: str, d: int, sites: int):
             raise UsageError("mc samples must be positive")
         if seed < 0:
             raise UsageError(f"mc seed must be non-negative, got {seed}")
-        return samples, functools.partial(monte_carlo_rule, d, samples, seed=seed), seed
+        return samples, functools.partial(monte_carlo_rule, d, samples, seed=seed)
     raise UsageError(f"unknown rule spec {spec!r}; expected exact:DEGREE or mc:SAMPLES[:SEED]")
 
 
 def parse_rule_spec(spec: str, d: int, sites: int):
-    """Build the quadrature rule named by SPEC for `sites` = n + max k; returns (rule, mc_seed)."""
-    _, build, seed = _read_rule_spec(spec, d, sites)
-    return build(), seed
+    """Build the quadrature rule named by SPEC for `sites` = n + max k."""
+    return _read_rule_spec(spec, d, sites)[1]()
 
 
 def read_config_file(path: str, keys) -> dict:
@@ -230,8 +222,9 @@ def _physical_memory():
 def build_rows(d, n, k_list, r_list, state_spec, rule_spec):
     """Certify every (k, r) pair with one rule, read for n + max k sites, and one `verify` per k.
 
-    Every setting, and every k's `memory_floor` against physical memory, is checked before any
-    state or rule is built, and every k's state and `Instance` before the rule is built.
+    Every setting, and `memory_floor` at n + max k against physical memory, is checked before
+    any state or rule is built, and every k's state and `Instance` before the rule is built. The
+    floor never decreases as k grows, so that one check refuses every k that would not fit.
     """
     thresholds, ks = sorted(set(r_list)), sorted(set(k_list))
     if d < 2:
@@ -241,15 +234,14 @@ def build_rows(d, n, k_list, r_list, state_spec, rule_spec):
     for r in thresholds:
         if not 0 <= r <= n:
             raise UsageError(f"r must lie in [0, n]; got r={r} with n={n}")
-    nodes = _read_rule_spec(rule_spec, d, n + ks[-1])[0]
-    memory = _physical_memory()
-    for k in ks:
-        need = memory_floor(d, n, k, len(thresholds), nodes)
-        if memory is not None and need > memory:
-            raise UsageError(
-                f"verify would hold at least {need} bytes at n+k={n + k}, "
-                f"more than this machine's {memory} bytes of memory"
-            )
+    sites = n + ks[-1]
+    nodes = _read_rule_spec(rule_spec, d, sites)[0]
+    need, memory = memory_floor(d, n, ks[-1], len(thresholds), nodes), _physical_memory()
+    if memory is not None and need > memory:
+        raise UsageError(
+            f"verify would hold at least {need} bytes at n+k={sites}, "
+            f"more than this machine's {memory} bytes of memory"
+        )
     instances = []
     for k in ks:
         state, state_seed = parse_state_spec(state_spec, d, n + k)
@@ -257,7 +249,7 @@ def build_rows(d, n, k_list, r_list, state_spec, rule_spec):
             instances.append((Instance(d=d, n=n, k=k, r=thresholds[0], rho=state), state_seed))
         except ValueError as exc:
             raise UsageError(f"cannot build instance: {exc}") from None
-    rule, mc_seed = parse_rule_spec(rule_spec, d, n + ks[-1])
+    rule = parse_rule_spec(rule_spec, d, sites)
     rows = []
     for inst, state_seed in instances:
         reports = verify(inst, rule, thresholds=thresholds)
@@ -272,7 +264,7 @@ def build_rows(d, n, k_list, r_list, state_spec, rule_spec):
                     g_max=report.g_max_value,
                     fallback_nodes=report.fallback_node_count,
                     nodes=rule.node_count,
-                    seed=state_seed if state_seed is not None else mc_seed,
+                    seed=rule.seed if state_seed is None else state_seed,
                     status=report.status,
                 )
             )

@@ -1,12 +1,13 @@
-"""Symmetric subspace machinery: the type table and symmetric states.
+"""Symmetric subspace machinery: the type tables and symmetric states.
 
 The permutation-symmetric subspace of n sites of dimension d has one basis
 vector per occupation vector (m_1, ..., m_d) with sum n: the equal-amplitude
 superposition of all basis strings of that type. A symmetric pure state is
 its sym_dim(n, d) coefficients in that basis (`SymmetricState`), which is how
 the state builders return it and what `SymmetricState.from_dense` reduces a
-dense state to. `strings_from_dicke` spreads Dicke coordinates back over the
-d^n basis strings.
+dense state to. `type_table` lists the types; `type_codes` gives only the type
+of each of the d^n basis strings, through which `from_dense` sums amplitudes
+and `strings_from_dicke` spreads Dicke coordinates back over the strings.
 """
 
 from __future__ import annotations
@@ -30,12 +31,6 @@ def sym_dim(n: int, d: int) -> int:
     return math.comb(n + d - 1, n)
 
 
-def _read_only(*arrays):
-    for array in arrays:
-        array.setflags(write=False)
-    return arrays
-
-
 @functools.lru_cache(maxsize=16)
 def type_table(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """(types, mult): the occupation types of n sites and the basis strings of each.
@@ -50,19 +45,20 @@ def type_table(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     levels = np.array(list(levels)[::-1], dtype=np.int64).reshape(sym_dim(n, d), n)
     types = np.stack([(levels == c).sum(axis=1) for c in range(d)], axis=1)
     mult = [math.factorial(n) // math.prod(map(math.factorial, row)) for row in types.tolist()]
-    return _read_only(types, np.array(mult, dtype=np.float64))
+    mult = np.array(mult, dtype=np.float64)
+    types.setflags(write=False)
+    mult.setflags(write=False)
+    return types, mult
 
 
 @functools.lru_cache(maxsize=4)
-def type_codes(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(types, code): the occupation types of n sites and the type of every basis string.
+def type_codes(n: int, d: int) -> np.ndarray:
+    """code[j]: the row of `type_table(n, d)`'s types that basis string j belongs to.
 
-    types is the table of `type_table`; code[j] is the row of types that basis
-    string j belongs to. Types are numbered site by site: appending digit c
-    to a string of type t gives type t + e_c, and np.unique renumbers the
-    types after each site, so no digit table of all strings is built. Both
-    arrays are read-only and cached, so repeated checks of states on the same
-    sites share them.
+    Types are numbered site by site: appending digit c to a string of type t
+    gives type t + e_c, and np.unique renumbers the types after each site, so
+    no digit table of all strings is built. The table is read-only and cached,
+    so repeated checks of states on the same sites share it.
     """
     types = np.zeros((1, d), dtype=np.int64)
     code = np.zeros(1, dtype=np.int64)
@@ -70,13 +66,14 @@ def type_codes(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
         grown = (types[:, None, :] + np.eye(d, dtype=np.int64)).reshape(-1, d)
         types, renumber = np.unique(grown, axis=0, return_inverse=True)
         code = renumber.reshape(-1, d)[code].reshape(-1)
-    return _read_only(types, code)
+    code.setflags(write=False)
+    return code
 
 
 def strings_from_dicke(n: int, d: int, columns: np.ndarray) -> np.ndarray:
     """Dicke columns of n sites spread over the d**n strings: row t / sqrt(mult_t) on type t."""
     scale = 1.0 / np.sqrt(type_table(n, d)[1])
-    return (scale[:, None] * columns)[type_codes(n, d)[1]]
+    return (scale[:, None] * columns)[type_codes(n, d)]
 
 
 def _dicke_coefficients(state: PureState) -> tuple[np.ndarray, float]:
@@ -91,7 +88,7 @@ def _dicke_coefficients(state: PureState) -> tuple[np.ndarray, float]:
     directly: 1 - sum_t |c_t|^2 loses it to cancellation near 1e-8, above the
     defect bound.
     """
-    code = type_codes(state.sites, state.site_dim)[1]
+    code = type_codes(state.sites, state.site_dim)
     mult = np.bincount(code)
 
     def type_sums(values):

@@ -88,7 +88,8 @@ def test_sweep_does_not_import_numpy_polynomial(spec, tmp_path):
         "import sys\n"
         "from definetti.cli import main\n"
         f"code = main({cold_sweep_args(spec, tmp_path / 'rows.csv')!r})\n"
-        "print(code, 'numpy.polynomial' in sys.modules, 'definetti.hamming' in sys.modules)\n"
+        "print(code, 'numpy.polynomial' in sys.modules, 'definetti.hamming' in sys.modules,\n"
+        "      'numpy.random' in sys.modules)\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -96,8 +97,11 @@ def test_sweep_does_not_import_numpy_polynomial(spec, tmp_path):
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    # nor the dense weight-projector oracles: the production path never imports them
-    assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} False False"
+    # nor the dense weight-projector oracles: the production path never imports them. Only a
+    # random state loads numpy.random (about 12 ms and 5.5 MB), so a deterministic run never pays
+    # for it, and no module imports it at load time
+    random = spec.startswith("random-sym:")
+    assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} False False {random}"
 
 
 def test_sweep_never_handles_the_full_state(monkeypatch, tmp_path):
@@ -322,8 +326,8 @@ def test_rule_is_counted_before_it_is_built(monkeypatch, capsys):
 def test_memory_check_names_both_byte_counts(monkeypatch, capsys):
     need = memory_floor(2, 1, 1, 1, 98)
     # exact:6's 98 nodes and weights (40 bytes each), then the Gram term: C, the block's 98
-    # bras b(psi), Tr_k rho and three 2x2 Grams
-    assert need == 40 * 98 + 16 * (2 * 2 + 98 * 2 + 3 * 2**2)
+    # bras b(psi) and the gather temporary beside them, Tr_k rho and three 2x2 Grams
+    assert need == 40 * 98 + 16 * (2 * 2 + 2 * 98 * 2 + 3 * 2**2) == 10448
     monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
     assert main(BELL_ARGS) == EXIT_USAGE
     err = capsys.readouterr().err
@@ -364,6 +368,35 @@ def test_memory_floor_is_a_lower_bound(d, n, k, thresholds, rule, capsys):
     assert peak >= memory_floor(d, n, k, thresholds, nodes)
 
 
+def test_memory_floor_never_decreases():
+    # build_rows checks the floor only at n + max k, which refuses every k that would not fit
+    ks, thresholds, nodes = range(1, 61), (1, 2, 3, 61), (1, 511, 512, 513, 10**6)
+    for d in range(2, 6):
+        for n in range(1, 61):
+            floors = np.array(
+                [[[memory_floor(d, n, k, t, m) for m in nodes] for t in thresholds] for k in ks],
+                dtype=object,
+            )
+            for axis in range(3):  # k, thresholds, nodes
+                assert (np.diff(floors, axis=axis) >= 0).all(), (d, n, axis)
+
+
+def test_multi_k_floor_refusal_names_n_plus_max_k(monkeypatch, tmp_path, capsys):
+    # memory for k=1 only: the one check, at n + max k = 4, refuses the sweep before any verify
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify ran")
+
+    monkeypatch.setattr(cli, "verify", refuse)
+    monkeypatch.setattr(cli, "_physical_memory", lambda: memory_floor(2, 1, 1, 1, 98))
+    code = main([
+        "sweep", "--d", "2", "--n", "1", "--k", "1,3,2", "--r", "1", "--state", "ghz",
+        "--rule", "exact:6", "--output", str(tmp_path / "rows.csv"),
+    ])
+    assert code == EXIT_USAGE
+    assert f"at least {memory_floor(2, 1, 3, 1, 98)} bytes at n+k=4," in capsys.readouterr().err
+    assert not (tmp_path / "rows.csv").exists()
+
+
 @pytest.mark.parametrize("nk", [3, 4, 7])
 def test_exact_rule_floor_is_degree_2t_plus_1(nk, capsys):
     # exact:t is exact through degree 2t+1 (test_exact_rule_is_exact_through_degree_2t_plus_1),
@@ -375,7 +408,7 @@ def test_exact_rule_floor_is_degree_2t_plus_1(nk, capsys):
     state, _ = cli.parse_state_spec("random-sym:1", 2, sites)
     inst = Instance(d=2, n=nk, k=nk, r=0, rho=state)
     full = verify(inst, exact_qubit_rule(sites), thresholds=range(nk + 1))
-    at = verify(inst, cli.parse_rule_spec(f"exact:{floor}", 2, sites)[0], thresholds=range(nk + 1))
+    at = verify(inst, cli.parse_rule_spec(f"exact:{floor}", 2, sites), thresholds=range(nk + 1))
     for r, (got, want) in enumerate(zip(at, full)):
         assert got.chain_bound == pytest.approx(want.chain_bound, rel=1e-12, abs=0), r
         assert got.lhs_integration_error < 1e-13, r
