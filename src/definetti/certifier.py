@@ -14,20 +14,22 @@ The certified chain is
         <= 3 sym_dim(k,d) sqrt(sym_dim(n+k,d)) exp(-(r/6) min(k/n, 1)),
 
 with every ingredient (post-selection, tail maxima, large-deviation slack,
-the gentle measurement step) exposed as its own check. `verify` checks the chain for the rule's own approximant, with the
-integral replaced by the weighted sum over the rule's nodes. For a node
-that keeps its truncation, ||rho_psi - trace(rho_psi) tau_psi||_1 =
-2 sqrt(trace(rho_psi) e_psi) with e_psi = trace(P_geq_r rho_psi). A node of
-trace a falls back to tau_psi = psi^(x)n only when its kept mass is at most
-f a, f = _FALLBACK_FRACTION; then e_psi >= (1-f) a, so its cost 2a is at most
-3 sqrt(a e_psi) for any f <= 5/9. So for every rule with nonnegative weights
-that sum to 1, with c_j = 2 for a kept node and 3 for a fallback node,
+the gentle measurement step) exposed as its own check. `verify` checks the
+chain for the rule's own approximant, with the integral replaced by the
+weighted sum over the rule's nodes. For a node that keeps its truncation,
+||rho_psi - trace(rho_psi) tau_psi||_1 = 2 sqrt(trace(rho_psi) e_psi) with
+e_psi = trace(P_geq_r rho_psi). A node of trace a falls back to tau_psi =
+psi^(x)n only when its kept mass is at most f a, f = _FALLBACK_FRACTION;
+then e_psi >= (1-f) a, so its cost 2a is at most 3 sqrt(a e_psi) for any
+f <= 5/9. So for every rule with nonnegative weights that sum to 1, with
+c_j = 2 for a kept node and 3 for a fallback node,
 
     lhs <= delta + sym_dim(k,d) sum_j w_j c_j sqrt(trace(rho_j) e_j) <= delta + chain,
 
 where delta = ||Tr_k rho - sym_dim(k,d) sum_j w_j rho_j||_1 is the rule's
 post-selection defect: roundoff for a rule exact through degree k, a
-sampling error for a Monte Carlo rule.
+sampling error for a Monte Carlo rule. It is the lhs of the keep-all
+threshold r = n+1, where nothing escapes and tau_j = rho_j / trace(rho_j).
 """
 
 from __future__ import annotations
@@ -146,9 +148,7 @@ class _Prepared(NamedTuple):
     """What one `verify` call needs from the nodes; entry i of the last three is threshold i's."""
 
     reduced: np.ndarray  # Tr_k rho in Dicke coordinates
-    defect: float  # the rule's post-selection defect delta
-    mass: float  # trace of the post-selection Gram, sum_j w_j density_j
-    grams: np.ndarray  # sum_j w_j density_j |tau_j><tau_j|, the approximant
+    grams: np.ndarray  # sum_j w_j density_j |tau_j><tau_j|; at r = n+1, delta's Gram
     escaped: np.ndarray  # sum_j w_j escaped_j
     fallback: np.ndarray  # nodes that fell back
 
@@ -287,24 +287,25 @@ def _condition(inst: Instance, phi: np.ndarray, nodes: np.ndarray) -> _Condition
     return _Conditioned(density, turns, unphase, rotated, np.abs(rotated) ** 2)
 
 
-def _truncate(inst: Instance, cond: _Conditioned) -> _NodePass:
-    """Truncate every conditioned node below weight inst.r and renormalize.
+def _truncate(n: int, d: int, r: int, cond: _Conditioned) -> _NodePass:
+    """Truncate every conditioned node of n sites below weight r in 0..n+1 and renormalize.
 
     Types ascend lexicographically, so the kept rows, t_0 > n - r, are a suffix.
     tau falls back to psi^(x)n where the kept mass is at most _FALLBACK_FRACTION
     of the node's trace (always at r = 0); the frame maps psi^(x)n to the last
-    type, (n, 0, ..., 0).
+    type, (n, 0, ..., 0). The keep-all threshold r = n+1 escapes nothing and
+    falls back only at trace 0, so tau = phi_psi / |phi_psi|, the Gram behind delta.
     """
-    start = np.searchsorted(type_table(inst.n, inst.d)[0][:, 0], inst.n - inst.r, side="right")
+    start = np.searchsorted(type_table(n, d)[0][:, 0], n - r, side="right")
     kept = cond.mass[start:].sum(axis=0)
     escaped = cond.mass[:start].sum(axis=0)
-    fallback = kept <= _FALLBACK_FRACTION * (kept + escaped)
+    fallback = kept <= (_FALLBACK_FRACTION if r <= n else 0.0) * (kept + escaped)
     tau = np.zeros_like(cond.rotated)
     tau[start:] = cond.rotated[start:] / np.sqrt(np.where(fallback, 1, kept))
     tau[start:, fallback] = 0
     tau[-1, fallback] = 1
-    floor = inst.n + 1 - max(inst.r, 1)  # kept rows have t_0 > n - r, the fallback t_0 = n
-    tau = cond.unphase * _rotate(inst.n, inst.d, cond.turns, tau, inverse=True, floor=floor)
+    floor = n + 1 - max(r, 1)  # kept rows have t_0 > n - r, the fallback t_0 = n
+    tau = cond.unphase * _rotate(n, d, cond.turns, tau, inverse=True, floor=floor)
     return _NodePass(cond.density, kept, escaped, tau, fallback)
 
 
@@ -319,8 +320,8 @@ def memory_floor(d: int, n: int, k: int, thresholds: int, nodes: int) -> int:
     The rule's complex node matrix and float weights, which live throughout, plus the larger
     of the int64 occupation table of `type_table(n+k, d)` and what `_prepare` holds at once:
     the complex coupling C, one block's b(psi) table and the gather temporary of `_monomials`
-    beside it, Tr_k rho, the post-selection Gram and one approximant Gram for each of the
-    `thresholds` thresholds. It never decreases as k, `thresholds` or `nodes` grows.
+    beside it, Tr_k rho, one approximant Gram for each of the `thresholds` thresholds and the
+    keep-all threshold's Gram. It never decreases as k, `thresholds` or `nodes` grows.
     """
     dim_n, dim_k = sym_dim(n, d), sym_dim(k, d)
     return (16 * d + 8) * nodes + max(
@@ -329,29 +330,26 @@ def memory_floor(d: int, n: int, k: int, thresholds: int, nodes: int) -> int:
     )
 
 
-def _prepare(inst: Instance, rule: QuadratureRule, rows) -> _Prepared:
-    """Sum what each threshold in `rows` needs over the nodes, _NODE_BLOCK nodes at a time.
+def _prepare(inst: Instance, rule: QuadratureRule, thresholds) -> _Prepared:
+    """Sum what each of `thresholds`, in 0..n+1, needs over the nodes, _NODE_BLOCK at a time.
 
     A block is conditioned once, truncated for every threshold and dropped. Peak memory is
-    O(_NODE_BLOCK sym_dim(n,d) + len(rows) sym_dim(n,d)^2), and at least the Gram term of
-    `memory_floor`; the fixed block fixes each sum's order.
+    O(_NODE_BLOCK sym_dim(n,d) + len(thresholds) sym_dim(n,d)^2), and at least the Gram term
+    of `memory_floor`; the fixed block fixes each sum's order.
     """
     coupling = _coupling(inst)
     reduced = _gram(coupling)
-    posted, grams = np.zeros_like(reduced), np.zeros((len(rows), *reduced.shape), complex)
-    escaped, fallback = np.zeros(len(rows)), np.zeros(len(rows), dtype=np.int64)
+    grams = np.zeros((len(thresholds), *reduced.shape), complex)
+    escaped, fallback = np.zeros(len(thresholds)), np.zeros(len(thresholds), dtype=np.int64)
     cuts = range(_NODE_BLOCK, rule.node_count, _NODE_BLOCK)
     for nodes, weights in zip(np.split(rule.node_matrix, cuts), np.split(rule.weights, cuts)):
-        phi = coupling @ _bra_powers(nodes, inst.k)
-        posted += _gram(phi, sym_dim(inst.k, inst.d) * weights)
-        cond = _condition(inst, phi, nodes)
-        for i, row in enumerate(rows):
-            node = _truncate(row, cond)
+        cond = _condition(inst, coupling @ _bra_powers(nodes, inst.k), nodes)
+        for i, r in enumerate(thresholds):
+            node = _truncate(inst.n, inst.d, r, cond)
             grams[i] += _gram(node.tau, weights * node.density)
             escaped[i] += weights @ node.escaped
             fallback[i] += node.fallback.sum()
-    mass = float(np.trace(posted).real)
-    return _Prepared(reduced, trace_norm(reduced - posted), mass, grams, escaped, fallback)
+    return _Prepared(reduced, grams, escaped, fallback)
 
 
 def _chain_bound(inst: Instance, escaped: float) -> float:
@@ -366,7 +364,7 @@ def chain_bound(inst: Instance, rule: QuadratureRule) -> float:
     qubit rule of degree >= n+k evaluates the integral without error. Equal to
     `verify(inst, rule).chain_bound`.
     """
-    return _chain_bound(inst, _prepare(inst, rule, (inst,)).escaped[0])
+    return _chain_bound(inst, _prepare(inst, rule, (inst.r,)).escaped[0])
 
 
 def explicit_bound(n: int, k: int, d: int, r: int) -> float:
@@ -559,14 +557,14 @@ def check_exponent_sandwich(pairs) -> bool:
     return True
 
 
-def _report(inst: Instance, rule: QuadratureRule, prepared: _Prepared, i: int):
-    """The VerificationReport for threshold inst.r, from entry i of `prepared`.
+def _report(inst: Instance, rule: QuadratureRule, prepared: _Prepared, i: int, err: float):
+    """The VerificationReport for threshold inst.r, from entry i of `prepared` and delta `err`.
 
-    Both trace norms are taken in Dicke coordinates; the isometry into the
-    d^n space does not change them.
+    The trace norm is taken in Dicke coordinates; the isometry into the d^n
+    space does not change it.
     """
     lhs = trace_norm(prepared.reduced - prepared.grams[i])
-    err, chain = prepared.defect, _chain_bound(inst, prepared.escaped[i])
+    chain = _chain_bound(inst, prepared.escaped[i])
     explicit = explicit_bound(inst.n, inst.k, inst.d, inst.r)
     tail_peak = g_max(inst.n, inst.k, inst.r)
     if err > chain:
@@ -591,10 +589,10 @@ def verify(inst: Instance, rule: QuadratureRule, thresholds=None):
     """Run the full certification and classify the outcome.
 
     lhs <= delta + chain bound for every rule, with delta its post-selection
-    defect (module docstring). A row whose delta exceeds its chain bound is
-    INCONCLUSIVE. Otherwise PASS requires lhs <= delta + chain bound and chain
-    bound <= explicit bound, both with COMPARISON_SLACK. Anything else is a
-    VIOLATION: a broken kernel.
+    defect, the lhs of one more threshold, n+1, that keeps every row. A row whose
+    delta exceeds its chain bound is INCONCLUSIVE. Otherwise PASS requires lhs
+    <= delta + chain bound and chain bound <= explicit bound, both with
+    COMPARISON_SLACK. Anything else is a VIOLATION: a broken kernel.
 
     Returns the report for inst.r, or, given a sequence of `thresholds`, a
     tuple of the reports for `replace(inst, r=r)` in their order. One walk
@@ -603,6 +601,7 @@ def verify(inst: Instance, rule: QuadratureRule, thresholds=None):
     if rule.d != inst.d:
         raise DimensionError(f"rule has site dimension {rule.d}, instance has d={inst.d}")
     rows = (inst,) if thresholds is None else tuple(replace(inst, r=r) for r in thresholds)
-    prepared = _prepare(inst, rule, rows)
-    reports = tuple(_report(row, rule, prepared, i) for i, row in enumerate(rows))
+    prepared = _prepare(inst, rule, tuple(row.r for row in rows) + (inst.n + 1,))
+    defect = trace_norm(prepared.reduced - prepared.grams[-1])
+    reports = tuple(_report(row, rule, prepared, i, defect) for i, row in enumerate(rows))
     return reports[0] if thresholds is None else reports

@@ -83,7 +83,7 @@ def pure_power_moment(rule, s):
 def node_pass(inst, nodes):
     """Condition, truncate and renormalize at every row of `nodes` at once."""
     phi = _coupling(inst) @ _bra_powers(nodes, inst.k)
-    return _truncate(inst, _condition(inst, phi, nodes))
+    return _truncate(inst.n, inst.d, inst.r, _condition(inst, phi, nodes))
 
 
 def _spread(inst, dicke):
@@ -109,12 +109,15 @@ def tau_psi(inst, psi):
 
 def approximant(inst, rule):
     """The weighted average sym_dim(k,d) int trace(rho_psi) tau_psi d(psi), from verify's pass."""
-    return _spread(inst, _prepare(inst, rule, (inst,)).grams[0])
+    return _spread(inst, _prepare(inst, rule, (inst.r,)).grams[0])
 
 
 def nu_weight_normalization(inst, rule):
-    """Total mass sym_dim(k,d) int trace(rho_psi) d(psi); 1 for exact rules."""
-    return _prepare(inst, rule, (inst,)).mass
+    """Total mass sym_dim(k,d) int trace(rho_psi) d(psi); 1 for exact rules.
+
+    It is the trace of the keep-all threshold's Gram, where nothing escapes.
+    """
+    return float(np.trace(_prepare(inst, rule, (inst.n + 1,)).grams[0]).real)
 
 
 def check_operator_inequality(inst, psi, rule):

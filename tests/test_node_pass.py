@@ -12,10 +12,14 @@ from `partial_trace_last` and the dense conditioned states. Each node obeys
 report has lhs <= delta + 2 sym_dim(k,d) sum_j w_j sqrt(trace(rho_psi_j) e_j);
 both are checked here.
 
+`verify` takes delta from the keep-all threshold r = n+1 of its own pass.
+
 The frame kernel (a phase and d-1 real rotations, applied in type
 coordinates) is checked against dense d x d frames applied site by site to
-d^n vectors, and its truncation against the same truncation in the frame
-of a Householder reflection per node.
+d^n vectors, and its truncation, keep-all included, against the same
+truncation in the frame of a Householder reflection per node. For Dicke
+states the pass is checked against one node per azimuth ring at n = k = 40,
+where no dense operator fits.
 
 The node pass splits into a threshold-independent half, which `verify`
 computes once per block of nodes, and the per-r truncation. A call with
@@ -33,7 +37,6 @@ import itertools
 import math
 import tracemalloc
 import weakref
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -63,6 +66,7 @@ from definetti.linalg import (
 )
 from definetti.symmetric import (
     SymmetricState,
+    dicke_state,
     random_symmetric_pure,
     sym_dim,
     type_table,
@@ -329,11 +333,11 @@ def test_rotate_sites_matches_batched_matmul(d, n, count, monkeypatch):
     weight = deviation_weights(n, d)
     cond = conditioned(turns, unphase, forward)
     monkeypatch.setattr(certifier, "_FALLBACK_FRACTION", 0.0)  # only a kept mass of 0 falls back
-    for r in range(n + 1):
+    for r in range(n + 2):  # r = n + 1 is the keep-all threshold behind delta
         below = weight < r
         kept = np.sum(np.abs(reflected[below]) ** 2, axis=0)
         escaped = np.sum(np.abs(reflected[~below]) ** 2, axis=0)
-        got = _truncate(SimpleNamespace(d=d, n=n, r=r), cond)
+        got = _truncate(n, d, r, cond)
         np.testing.assert_allclose(got.kept, kept, rtol=1e-13, atol=tol**2)
         np.testing.assert_allclose(got.escaped, escaped, rtol=1e-13, atol=tol**2)
         assert got.fallback.tolist() == (kept <= 0).tolist()
@@ -342,6 +346,11 @@ def test_rotate_sites_matches_batched_matmul(d, n, count, monkeypatch):
         else:
             expected = rotate_sites(householder, reflected * below[:, None], n) / np.sqrt(kept)
         np.testing.assert_allclose(iso @ got.tau, expected, rtol=0, atol=1e-13, err_msg=f"r={r}")
+    # keep-all: the whole mass is kept, nothing escapes or falls back, and tau = phi / |phi|
+    mass = np.sum(np.abs(columns) ** 2, axis=0)
+    np.testing.assert_allclose(got.kept, mass, rtol=1e-13)
+    assert not got.escaped.any() and not got.fallback.any()
+    np.testing.assert_allclose(got.tau, columns / np.sqrt(mass), rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 20), (2, 80), (2, 200), (3, 2), (3, 12), (3, 30)])
@@ -403,13 +412,63 @@ def test_pass_at_forty_sites_reads_only_dicke_coefficients():
     phi = _coupling(inst) @ _bra_powers(rule.node_matrix, inst.k)
     cond = _condition(inst, phi, rule.node_matrix)
     assert float(rule.weights @ cond.density) == pytest.approx(1.0, abs=1e-12)
-    for r in (0, 1, 20, 40):
-        nodes = _truncate(SimpleNamespace(d=2, n=40, r=r), cond)
+    for r in (0, 1, 20, 40, 41):
+        nodes = _truncate(40, 2, r, cond)
         np.testing.assert_allclose(
             nodes.kept + nodes.escaped, cond.density / sym_dim(40, 2), rtol=0, atol=1e-12
         )
         np.testing.assert_allclose(np.linalg.norm(nodes.tau, axis=0), 1.0, rtol=0, atol=1e-12)
         assert nodes.fallback.all() == (r == 0)
+    # keep-all (r = 41): the whole mass is kept, nothing escapes or falls back, tau = phi / |phi|
+    np.testing.assert_allclose(nodes.kept, cond.density / sym_dim(40, 2), rtol=1e-13)
+    assert not nodes.escaped.any() and not nodes.fallback.any()
+    np.testing.assert_allclose(nodes.tau, phi / np.linalg.norm(phi, axis=0), rtol=0, atol=1e-12)
+
+
+def hypergeometric(n, k, ones):
+    """p_s = C(n,s) C(k,ones-s) / C(n+k,ones) per type of n qubits, s its level-1 count.
+
+    The diagonal of Tr_k of the Dicke state with `ones` sites on level 1.
+    """
+    total = math.comb(n + k, ones)
+    return np.array(
+        [
+            math.comb(n, s) * math.comb(k, ones - s) / total if s <= ones else 0.0
+            for s in type_table(n, 2)[0][:, 1].tolist()
+        ]
+    )
+
+
+# (n = k, ones, rtol, lhs floor). Measured spread of verify's lhs against one node per ring:
+# at most 1.0e-11 relative at n=10 (r=10, lhs 6.0e-6); at n=40, 1.0e-12 at r=15 (lhs 1.1e-5)
+# and 9.8e-10 at r=20 (lhs 7.2e-8). Both lhs are roundoff below the floor.
+DICKE = [(10, 7, 1e-10, 0.0), (40, 33, 1e-8, 5e-8)]
+
+
+@pytest.mark.parametrize("n,ones,rtol,floor", DICKE, ids=["n10", "n40"])
+def test_dicke_state_needs_one_node_per_ring(n, ones, rtol, floor):
+    # a Dicke state is invariant under the phase D^(x)(n+k), so the 2n+2 nodes of one azimuth
+    # ring of exact:n give conditioned and truncated states that differ only by D^(x)n, and the
+    # equispaced azimuths cancel every off-diagonal frequency: each ring sums to a diagonal
+    # matrix, and lhs = sum_s |p_s - A_ss| from the first node of each ring
+    rule = exact_qubit_rule(n)
+    inst = Instance(d=2, n=n, k=n, r=0, rho=dicke_state(2 * n, 2, (2 * n - ones, ones)))
+    grams = certifier._prepare(inst, rule, tuple(range(n + 2))).grams  # with keep-all n+1
+    off_diagonal = grams.copy()
+    off_diagonal[:, range(n + 1), range(n + 1)] = 0
+    assert np.abs(off_diagonal).max() <= 2e-16  # measured: 5.8e-17
+    ring = 2 * n + 2
+    firsts, ring_weights = rule.node_matrix[::ring], rule.weights.reshape(-1, ring).sum(axis=1)
+    reduced = hypergeometric(n, n, ones)
+    compared = 0
+    for r, report in enumerate(verify(inst, rule, thresholds=range(n + 1))):
+        node = node_pass(dataclasses.replace(inst, r=r), firsts)
+        diagonal = (np.abs(node.tau) ** 2 * node.density) @ ring_weights
+        lhs = float(np.abs(reduced - diagonal).sum())
+        if lhs >= floor:
+            assert report.lhs == pytest.approx(lhs, rel=rtol, abs=0), f"n={n} r={r}"
+            compared += 1
+    assert compared > n // 2
 
 
 def fresh(obj):
