@@ -13,10 +13,11 @@ The certified chain is
     lhs <= 3 sym_dim(k,d) sqrt(integral trace(P_geq_r rho_psi))
         <= 3 sym_dim(k,d) sqrt(sym_dim(n+k,d)) exp(-(r/6) min(k/n, 1)),
 
-with every ingredient (post-selection, tail maxima, large-deviation slack,
-the gentle measurement step) exposed as its own check. `verify` checks the
-chain for the rule's own approximant, with the integral replaced by the
-weighted sum over the rule's nodes. For a node that keeps its truncation,
+with post-selection, the tail maxima and the large-deviation slack each
+exposed as its own check. `verify` checks the chain for the rule's own
+approximant, with the integral replaced by the weighted sum over the rule's
+nodes. The gentle measurement step is, for a pure conditioned state, an
+identity: for a node that keeps its truncation,
 ||rho_psi - trace(rho_psi) tau_psi||_1 = 2 sqrt(trace(rho_psi) e_psi) with
 e_psi = trace(P_geq_r rho_psi). A node of trace a falls back to tau_psi =
 psi^(x)n only when its kept mass is at most f a, f = _FALLBACK_FRACTION;
@@ -43,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from definetti.haar import QuadratureRule
-from definetti.linalg import PSD_ATOL, DimensionError, Operator, trace_norm
+from definetti.linalg import DimensionError, trace_norm
 from definetti.symmetric import SymmetricState, sym_dim, type_table
 
 PASS = "PASS"
@@ -53,7 +54,6 @@ INCONCLUSIVE = "INCONCLUSIVE"
 COMPARISON_SLACK = 1e-9
 
 _GRID_SLACK = 1e-12
-_GRID_POINTS = 1000  # of x in `check_chernoff_claim`
 _NODE_BLOCK = 512  # nodes conditioned at a time in `verify`
 _FALLBACK_FRACTION = 1e-12  # of a node's trace; any value in [0, 5/9] keeps the theorem
 
@@ -464,30 +464,6 @@ def check_post_selection(rule: QuadratureRule, n: int) -> float:
     return float(np.max(np.abs(moment - np.eye(len(mult))) / np.sqrt(np.outer(mult, mult))))
 
 
-def check_gentle(rho: Operator, x_op: Operator) -> tuple[float, float]:
-    """Both sides of the gentle measurement inequality.
-
-    Returns (||rho - sqrt(X) rho sqrt(X)||_1, 2 sqrt(tr rho) sqrt(tr rho(I-X)))
-    for PSD rho and 0 <= X <= I.
-    """
-    if not rho.is_psd():
-        raise ValueError("rho must be PSD")
-    if not x_op.is_hermitian():
-        raise ValueError("X must be hermitian")
-    if (rho.site_dim, rho.sites) != (x_op.site_dim, x_op.sites):
-        raise ValueError("rho and X must act on the same space")
-    eigs, vecs = np.linalg.eigh(x_op.entries)
-    if eigs[0] < -PSD_ATOL or eigs[-1] > 1 + PSD_ATOL:
-        raise ValueError(f"X must satisfy 0 <= X <= I, spectrum [{eigs[0]:.3e}, {eigs[-1]:.6f}]")
-    root = Operator(
-        x_op.site_dim, x_op.sites, (vecs * np.sqrt(np.clip(eigs, 0.0, None))) @ vecs.conj().T
-    )
-    lhs = trace_norm(rho - root @ rho @ root)
-    leak = (rho.trace() - (rho @ x_op).trace()).real
-    rhs = 2.0 * math.sqrt(rho.trace().real) * math.sqrt(max(leak, 0.0))
-    return lhs, rhs
-
-
 def _binary_divergences(p: float, q: np.ndarray) -> np.ndarray:
     """Relative entropy p ln(p/q_j) + (1-p) ln((1-p)/(1-q_j)) of coin biases, per q_j in (0, 1)."""
     first = 0.0 if p == 0.0 else p * np.log(p / q)
@@ -495,52 +471,27 @@ def _binary_divergences(p: float, q: np.ndarray) -> np.ndarray:
     return first + second
 
 
-def tail_function_grid(n: int, r: int, xs: np.ndarray) -> np.ndarray:
-    """Upper binomial tail sum_{i >= r} C(n, i) x^(n-i) (1-x)^i at every x in xs.
-
-    The probability that at least r of n independent trials fail when each
-    succeeds with probability x. Equals 1 at r <= 0 and 0 at r = n + 1.
-    """
-    xs = np.asarray(xs, dtype=np.float64)
-    for x in (float(xs.min(initial=0.0)), float(xs.max(initial=0.0))):
-        _validate_tail_args(n, r, x)
-    if r <= 0:
-        return np.ones_like(xs)
-    if r == n + 1:
-        return np.zeros_like(xs)
-    i = np.arange(r, n + 1)
-    coeff = np.array([float(math.comb(n, j)) for j in i])
-    terms = coeff[None, :] * xs[:, None] ** (n - i)[None, :] * (1 - xs)[:, None] ** i[None, :]
-    return terms.sum(axis=1)
-
-
-def _validate_tail_args(n: int, r: int, x: float):
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if not 0 <= r <= n + 1:
-        raise ValueError(f"r={r} outside 0..{n + 1}")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x={x} outside [0, 1]")
-
-
 def check_chernoff_claim(n: int, r: int) -> float:
     """Slack of the tail bound on the window where failures are rare.
 
-    On x in [1 - r/(3n), 1) the chance that at least r of n trials fail,
-    each failing with probability 1-x, is at most e^(-r/3). Returns the
-    smallest value of e^(-r/3) - tail(n, r, x) over the grid, and verifies
-    the large-deviation form n D(r/n || 1-x) >= r/3 at every grid point.
+    On x in [1 - r/(3n), 1) the chance tail(x) that at least r of n trials
+    fail, each failing with probability 1-x, is at most e^(-r/3). Returns
+    e^(-r/3) - tail(x) at the window's left end x = 1 - r/(3n), and verifies
+    the large-deviation form n D(r/n || 1-x) >= r/3 there. Both bind at that
+    end: tail(x) = P[Bin(n, 1-x) >= r] falls as x grows, and with p = r/n,
+    dD(p || q)/dq = (q-p)/(q(1-q)) < 0 for q = 1-x <= r/(3n) < p, so the
+    divergence rises as x grows.
     """
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got n={n} r={r}")
-    left = 1.0 - r / (3.0 * n)
-    xs = left + (1.0 - left) * np.arange(_GRID_POINTS) / _GRID_POINTS
-    tails = tail_function_grid(n, r, xs)
-    slack = float((math.exp(-r / 3.0) - tails).min())
-    worst = float((n * _binary_divergences(r / n, 1.0 - xs) - r / 3.0).min())
+    x = 1.0 - r / (3.0 * n)
+    i = np.arange(r, n + 1)
+    coeff = np.array([float(math.comb(n, j)) for j in i])
+    slack = math.exp(-r / 3.0) - float((coeff * x ** (n - i) * (1 - x) ** i).sum())
+    worst = float(n * _binary_divergences(r / n, 1.0 - x) - r / 3.0)
     if worst < -_GRID_SLACK:
         raise ArithmeticError(
-            f"large-deviation form fails at n={n} r={r}: min slack {worst:.3e}"
+            f"large-deviation form fails at n={n} r={r}: slack {worst:.3e}"
         )
     return slack
 

@@ -2,8 +2,9 @@
 
 The per-node views condition and truncate one node on the certifier's own
 kernels and map the result into the d^n space; the dense oracles build
-operators on the d^n basis directly. Nothing in the package imports this
-module.
+operators on the d^n basis directly. The binomial tail on a grid and the
+dense gentle measurement check are references for the lemmas themselves.
+Nothing in the package imports this module.
 """
 
 import math
@@ -17,10 +18,17 @@ from definetti.certifier import (
     _gram,
     _prepare,
     _truncate,
-    tail_function_grid,
 )
 from definetti.hamming import weight_family
-from definetti.linalg import DimensionError, Operator, PureState, _hermitian_entries, power_rows
+from definetti.linalg import (
+    PSD_ATOL,
+    DimensionError,
+    Operator,
+    PureState,
+    _hermitian_entries,
+    power_rows,
+    trace_norm,
+)
 from definetti.symmetric import strings_from_dicke, sym_dim
 
 DISTANCE_TOL = 1e-10
@@ -140,9 +148,57 @@ def binary_divergence(p, q):
     return first + second
 
 
+def tail_function_grid(n, r, xs):
+    """Upper binomial tail sum_{i >= r} C(n, i) x^(n-i) (1-x)^i at every x in xs.
+
+    The probability that at least r of n independent trials fail when each
+    succeeds with probability x. Equals 1 at r <= 0 and 0 at r = n + 1.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if not 0 <= r <= n + 1:
+        raise ValueError(f"r={r} outside 0..{n + 1}")
+    for x in (float(xs.min(initial=0.0)), float(xs.max(initial=0.0))):
+        if not 0.0 <= x <= 1.0:
+            raise ValueError(f"x={x} outside [0, 1]")
+    if r <= 0:
+        return np.ones_like(xs)
+    if r == n + 1:
+        return np.zeros_like(xs)
+    i = np.arange(r, n + 1)
+    coeff = np.array([float(math.comb(n, j)) for j in i])
+    terms = coeff[None, :] * xs[:, None] ** (n - i)[None, :] * (1 - xs)[:, None] ** i[None, :]
+    return terms.sum(axis=1)
+
+
 def tail_function(n, r, x):
-    """`certifier.tail_function_grid` at the single point x."""
+    """`tail_function_grid` at the single point x."""
     return float(tail_function_grid(n, r, np.array([x]))[0])
+
+
+def check_gentle(rho, x_op):
+    """Both sides of the gentle measurement inequality.
+
+    Returns (||rho - sqrt(X) rho sqrt(X)||_1, 2 sqrt(tr rho) sqrt(tr rho(I-X)))
+    for PSD rho and 0 <= X <= I.
+    """
+    if not rho.is_psd():
+        raise ValueError("rho must be PSD")
+    if not x_op.is_hermitian():
+        raise ValueError("X must be hermitian")
+    if (rho.site_dim, rho.sites) != (x_op.site_dim, x_op.sites):
+        raise ValueError("rho and X must act on the same space")
+    eigs, vecs = np.linalg.eigh(x_op.entries)
+    if eigs[0] < -PSD_ATOL or eigs[-1] > 1 + PSD_ATOL:
+        raise ValueError(f"X must satisfy 0 <= X <= I, spectrum [{eigs[0]:.3e}, {eigs[-1]:.6f}]")
+    root = Operator(
+        x_op.site_dim, x_op.sites, (vecs * np.sqrt(np.clip(eigs, 0.0, None))) @ vecs.conj().T
+    )
+    lhs = trace_norm(rho - root @ rho @ root)
+    leak = (rho.trace() - (rho @ x_op).trace()).real
+    rhs = 2.0 * math.sqrt(rho.trace().real) * math.sqrt(max(leak, 0.0))
+    return lhs, rhs
 
 
 def hamming_distance(tau, psi, tol=DISTANCE_TOL):

@@ -13,7 +13,6 @@ from definetti.certifier import (
     Instance,
     check_chernoff_claim,
     check_exponent_sandwich,
-    check_gentle,
     verify,
 )
 from definetti.haar import exact_qubit_rule, monte_carlo_rule
@@ -28,6 +27,7 @@ from definetti.symmetric import (
     symmetrizer,
 )
 from oracles import (
+    check_gentle,
     check_operator_inequality,
     hamming_distance,
     pure_power_moment,

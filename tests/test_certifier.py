@@ -18,11 +18,9 @@ from definetti.certifier import (
     chain_bound,
     check_chernoff_claim,
     check_exponent_sandwich,
-    check_gentle,
     check_post_selection,
     explicit_bound,
     g_max,
-    tail_function_grid,
     verify,
 )
 from definetti.haar import QuadratureRule, exact_qubit_rule, monte_carlo_rule
@@ -40,6 +38,7 @@ from definetti.symmetric import (
 from oracles import (
     approximant,
     binary_divergence,
+    check_gentle,
     check_operator_inequality,
     dicke_isometry,
     nu_weight_normalization,
@@ -47,6 +46,7 @@ from oracles import (
     random_state,
     rho_psi,
     tail_function,
+    tail_function_grid,
     tau_psi,
 )
 
@@ -624,6 +624,20 @@ def test_check_chernoff_claim_reports_a_failed_divergence_bound(monkeypatch):
     monkeypatch.setattr(certifier, "_binary_divergences", lambda p, q: np.zeros_like(q))
     with pytest.raises(ArithmeticError, match="large-deviation"):
         check_chernoff_claim(20, 6)
+
+
+def test_check_chernoff_claim_binds_at_the_left_end_of_its_window():
+    # reference: the minimum over a 1000-point grid of the window. Tail slack and divergence
+    # both bind at its first point, x = 1 - r/(3n), so the value equals that minimum bit for
+    # bit; at the window's right end the tail is smaller and the slack larger
+    for n in range(1, 51):
+        for r in range(1, n + 1):
+            left = 1.0 - r / (3.0 * n)
+            xs = left + (1.0 - left) * np.arange(1000) / 1000
+            grid = float((math.exp(-r / 3.0) - tail_function_grid(n, r, xs)).min())
+            assert check_chernoff_claim(n, r) == grid, (n, r)
+            divergence = n * _binary_divergences(r / n, 1.0 - xs) - r / 3.0
+            assert divergence.argmin() == 0, (n, r)
 
 
 def test_check_chernoff_claim():

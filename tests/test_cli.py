@@ -397,6 +397,36 @@ def test_multi_k_floor_refusal_names_n_plus_max_k(monkeypatch, tmp_path, capsys)
     assert not (tmp_path / "rows.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "d,n,k,r",
+    [(2, 1030, 1, 5), (2, 1029, 1, 5), (2, 1028, 1, 5), (3, 1, 652, 1), (3, 1, 651, 1)],
+)
+def test_sizes_whose_multiplicities_overflow_a_float_are_refused(d, n, k, r, monkeypatch, capsys):
+    # type_table's multiplicities and g_max's binomials are floats; the first n+k whose most
+    # even type t has m!/prod t_i! above the largest float is 1030 at d=2 and 653 at d=3. Such
+    # a run died with OverflowError (exit 70, after 24 s at d=3); now it is refused before any
+    # state is built. A size that fits reaches the state builder, which this test refuses
+    def refuse(*args, **kwargs):
+        raise AssertionError("a state was built")
+
+    monkeypatch.setattr(cli, "parse_state_spec", refuse)
+    monkeypatch.setattr(cli, "_physical_memory", lambda: None)  # the d=3 floor is 1.1 GB
+    start = time.perf_counter()
+    code = main([
+        "verify", "--d", str(d), "--n", str(n), "--k", str(k), "--r", str(r),
+        "--state", "product", "--rule", "mc:1",
+    ])
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    if n + k >= {2: 1030, 3: 653}[d]:
+        assert code == EXIT_USAGE
+        assert f"n+k={n + k} is too large at d={d}" in err
+        assert "exceeds the largest float, 1.79769e+308" in err
+    else:
+        assert code == EXIT_INTERNAL
+        assert "a state was built" in err
+
+
 @pytest.mark.parametrize("nk", [3, 4, 7])
 def test_exact_rule_floor_is_degree_2t_plus_1(nk, capsys):
     # exact:t is exact through degree 2t+1 (test_exact_rule_is_exact_through_degree_2t_plus_1),
@@ -599,8 +629,11 @@ def test_check_props_default_grid(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     lines = [line for line in out.splitlines() if line]
-    assert len(lines) == 10
+    assert len(lines) == 9
     assert all(line.endswith("ok") for line in lines)
     assert sum("post-selection" in line for line in lines) == 7
+    assert not any("gentle" in line for line in lines)
+    # the smallest slack is at n = r = 50, where the tail is negligible: e^(-50/3)
+    assert "tail decay claim, n <= 50, all r: min slack 5.77775e-08, " in out
     # the dense value; without the 1/sqrt(mult_s mult_t) scaling it reads 5.108e-03 and fails
     assert "d=3 n=2 mc(samples=100000, seed=0): max entrywise error 3.612e-03" in out

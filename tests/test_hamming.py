@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from definetti.certifier import tail_function_grid
 from definetti.hamming import threshold_projectors, weight_family
 from definetti.linalg import Operator, PureState, kron_power
 from oracles import (
@@ -13,6 +12,7 @@ from oracles import (
     permutation_operator,
     random_state,
     tail_function,
+    tail_function_grid,
     tensor,
 )
 
