@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
@@ -68,8 +69,8 @@ class Instance:
 
     rho is a SymmetricState on n+k sites of dimension d; `verify` reads only
     its Dicke coefficients. A dense PureState or density Operator is converted
-    once by `SymmetricState.from_dense`. The truncation threshold r lies in
-    0..n. Violations raise InstanceError at construction.
+    once by `SymmetricState.from_dense`. d, n, k and r must pass `operator.index`
+    (1.0 does not), and r lies in 0..n. Violations raise InstanceError at construction.
     """
 
     d: int
@@ -79,12 +80,14 @@ class Instance:
     rho: SymmetricState
 
     def __post_init__(self):
-        if self.d < 2:
-            raise InstanceError(f"d must be >= 2, got {self.d}")
-        if self.n < 1:
-            raise InstanceError(f"n must be >= 1, got {self.n}")
-        if self.k < 1:
-            raise InstanceError(f"k must be >= 1, got {self.k}")
+        for field, low in (("d", 2), ("n", 1), ("k", 1), ("r", None)):
+            value = getattr(self, field)
+            try:
+                object.__setattr__(self, field, operator.index(value))
+            except TypeError:
+                raise InstanceError(f"{field} must be an integer, got {value!r}") from None
+            if low is not None and value < low:
+                raise InstanceError(f"{field} must be >= {low}, got {value}")
         if not 0 <= self.r <= self.n:
             raise InstanceError(f"r={self.r} outside 0..{self.n}")
         rho = self.rho
@@ -317,17 +320,15 @@ def _gram(columns: np.ndarray, coefficients=1.0) -> np.ndarray:
 def memory_floor(d: int, n: int, k: int, thresholds: int, nodes: int) -> int:
     """A lower bound, in bytes, on what `verify` holds for a rule of `nodes` nodes.
 
-    The rule's complex node matrix and float weights, which live throughout, plus the larger
-    of the int64 occupation table of `type_table(n+k, d)` and what `_prepare` holds at once:
-    the complex coupling C, one block's b(psi) table and the gather temporary of `_monomials`
-    beside it, Tr_k rho, one approximant Gram for each of the `thresholds` thresholds and the
-    keep-all threshold's Gram. It never decreases as k, `thresholds` or `nodes` grows.
+    The rule's complex node matrix and float weights, which live throughout, plus what
+    `_prepare` holds at once: the complex coupling C, one block's b(psi) table and the gather
+    temporary of `_monomials` beside it, Tr_k rho, one Gram per threshold and the keep-all
+    threshold's. The type tables, about 8 (d+1) sym_dim(n+k, d) bytes, are left out. It
+    never decreases as k, `thresholds` or `nodes` grows.
     """
     dim_n, dim_k = sym_dim(n, d), sym_dim(k, d)
-    return (16 * d + 8) * nodes + max(
-        8 * (n + k) * sym_dim(n + k, d),
-        16 * ((dim_n + 2 * min(nodes, _NODE_BLOCK)) * dim_k + (thresholds + 2) * dim_n**2),
-    )
+    gram = (dim_n + 2 * min(nodes, _NODE_BLOCK)) * dim_k + (thresholds + 2) * dim_n**2
+    return (16 * d + 8) * nodes + 16 * gram
 
 
 def _prepare(inst: Instance, rule: QuadratureRule, thresholds) -> _Prepared:

@@ -126,12 +126,8 @@ class Operator:
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
 
-    def hermiticity_defect(self) -> float:
-        """Largest entrywise deviation from the adjoint."""
-        return _hermiticity_defect(self.entries)
-
     def is_hermitian(self, atol: float = HERMITIAN_ATOL) -> bool:
-        return self.hermiticity_defect() <= atol
+        return _hermiticity_defect(self.entries) <= atol
 
     def is_psd(self, atol: float = PSD_ATOL) -> bool:
         return self.is_hermitian() and float(np.linalg.eigvalsh(self.entries)[0]) >= -atol
@@ -189,6 +185,7 @@ def partial_trace_last(rho: Operator, k: int) -> Operator:
 
 
 def _hermiticity_defect(entries: np.ndarray) -> float:
+    """Largest entrywise deviation from the adjoint."""
     return float(np.abs(entries - entries.conj().T).max())
 
 

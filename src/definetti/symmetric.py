@@ -35,16 +35,18 @@ def sym_dim(n: int, d: int) -> int:
 def type_table(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """(types, mult): the occupation types of n sites and the basis strings of each.
 
-    types is the (sym_dim(n, d), d) table of occupation vectors in ascending
-    lexicographic order, the order of `type_codes`; mult[t] is the multinomial
-    n! / prod_i types[t, i]!, as a float. Each type counts the levels of one
-    sorted n-tuple of `combinations_with_replacement`, read in reverse to
-    ascend. Both arrays are read-only and cached.
+    types is the (sym_dim(n, d), d) table of occupation vectors in ascending lexicographic
+    order, the order of `type_codes`; mult[t] is the multinomial n! / prod_i types[t, i]!, exact
+    until its one conversion to a float. Row t reads d-1 bar positions b in range(n+d-1) as
+    t = diff([-1, b, n+d-1]) - 1 (stars and bars), and `combinations` yields the b in
+    lexicographic, so ascending, order. Both arrays are read-only and cached.
     """
-    levels = itertools.combinations_with_replacement(range(d), n)
-    levels = np.array(list(levels)[::-1], dtype=np.int64).reshape(sym_dim(n, d), n)
-    types = np.stack([(levels == c).sum(axis=1) for c in range(d)], axis=1)
-    mult = [math.factorial(n) // math.prod(map(math.factorial, row)) for row in types.tolist()]
+    rows, slots = sym_dim(n, d), n + d - 1
+    bars = itertools.chain.from_iterable(itertools.combinations(range(slots), d - 1))
+    bars = np.fromiter(bars, dtype=np.int64, count=rows * (d - 1)).reshape(rows, d - 1)
+    types = np.diff(bars, axis=1, prepend=-1, append=slots) - 1
+    factorials = [math.factorial(i) for i in range(n + 1)]
+    mult = [factorials[n] // math.prod(factorials[c] for c in row) for row in types.tolist()]
     mult = np.array(mult, dtype=np.float64)
     types.setflags(write=False)
     mult.setflags(write=False)
@@ -164,9 +166,9 @@ class SymmetricState:
 
 def dicke_state(n: int, d: int, occupation) -> SymmetricState:
     """Equal-amplitude superposition of all basis strings with the given type."""
-    occ = tuple(int(x) for x in occupation)
-    if len(occ) != d or any(x < 0 for x in occ) or sum(occ) != n:
-        raise ValueError(f"occupation {occ} is not a d={d} type of total {n}")
+    occ = np.asarray(tuple(occupation))
+    if occ.dtype.kind not in "iu" or occ.shape != (d,) or (occ < 0).any() or occ.sum() != n:
+        raise ValueError(f"occupation {occ.tolist()} is not a d={d} type of total {n} in integers")
     return SymmetricState(d, n, (type_table(n, d)[0] == occ).all(axis=1))
 
 

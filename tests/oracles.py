@@ -3,10 +3,12 @@
 The per-node views condition and truncate one node on the certifier's own
 kernels and map the result into the d^n space; the dense oracles build
 operators on the d^n basis directly. The binomial tail on a grid and the
-dense gentle measurement check are references for the lemmas themselves.
+dense gentle measurement check are references for the lemmas themselves,
+and `type_table_reference` is the type table counted from sorted n-tuples.
 Nothing in the package imports this module.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -51,6 +53,18 @@ def tensor(a, b):
 def min_eigenvalue(a):
     """Smallest eigenvalue of a hermitian operator."""
     return float(np.linalg.eigvalsh(_hermitian_entries(a, "min_eigenvalue"))[0])
+
+
+def type_table_reference(n, d):
+    """`type_table` counted from every sorted n-tuple of levels, read in reverse to ascend."""
+    levels = itertools.combinations_with_replacement(range(d), n)
+    levels = np.array(list(levels)[::-1], dtype=np.int64).reshape(sym_dim(n, d), n)
+    types = np.stack([(levels == c).sum(axis=1) for c in range(d)], axis=1)
+    mult = [math.factorial(n) // math.prod(map(math.factorial, row)) for row in types.tolist()]
+    mult = np.array(mult, dtype=np.float64)
+    types.setflags(write=False)
+    mult.setflags(write=False)
+    return types, mult
 
 
 def dicke_isometry(n, d):

@@ -95,6 +95,18 @@ def test_instance_validation():
             Instance(d=2, n=0, k=2, r=0, rho=rho)
 
 
+def test_instance_refuses_non_integer_sizes():
+    # a float r would reach _truncate as a slice index; 2.0 is refused like 1.5
+    ghz = ghz_state(4, 2)
+    fields = {"d": 2, "n": 2, "k": 2, "r": 1}
+    for field in fields:
+        for bad in (1.5, 2.0, "2", None):
+            with pytest.raises(InstanceError, match=f"{field} must be an integer"):
+                Instance(**{**fields, field: bad}, rho=ghz)
+    inst = Instance(d=np.int64(2), n=np.int64(2), k=np.int64(2), r=np.int64(1), rho=ghz)
+    assert all(type(getattr(inst, field)) is int for field in fields)
+
+
 def test_instance_takes_only_symmetric_states():
     # dense inputs are converted once, by SymmetricState.from_dense, never by Instance
     ghz = ghz_state(2, 2).pure()
@@ -782,4 +794,7 @@ def test_verify_thresholds_are_checked_like_instance_r():
     assert verify(inst, rule, thresholds=(1,)) == (verify(inst, rule),)
     for bad in ([2], [0, -1]):
         with pytest.raises(InstanceError, match="outside 0..1"):
+            verify(inst, rule, thresholds=bad)
+    for bad in ([1.5], [0, 1.0]):
+        with pytest.raises(InstanceError, match="r must be an integer"):
             verify(inst, rule, thresholds=bad)

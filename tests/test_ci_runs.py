@@ -108,3 +108,14 @@ def test_sweep_at_a_hundred_sites(tmp_path):
     ], tmp_path)
     assert_all_pass(code, rows, 21)
     assert any(float(row["explicit_bound"]) < 1e-3 for row in rows)
+
+
+def test_qutrit_run_at_three_hundred_and_one_sites_stays_below_150_mb(tmp_path):
+    # the type tables of 301 sites come from bar positions; a table of sorted 301-tuples
+    # would take this run to about 260 MB
+    code, rows, peak_mb = run([
+        "verify", "--d", "3", "--n", "1", "--k", "300", "--r", "0,1",
+        "--state", "random-sym:1", "--rule", "mc:8:1",
+    ], tmp_path)
+    assert_all_pass(code, rows, 2)
+    assert peak_mb < 150, peak_mb

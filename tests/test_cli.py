@@ -272,8 +272,8 @@ def test_usage_errors(tmp_path, monkeypatch, capsys):
         captured = capsys.readouterr()
         assert captured.err.startswith("error:"), argv
 
-    # refused by the memory floor alone, before any table for n+k sites is built: the Gram
-    # term at d=4 n=k=300 (about 1.3 PB) and the type-table term at d=3 n=2 k=20000 (about 32 TB)
+    # refused by the memory floor alone, before any table for n+k sites is built: by its Gram
+    # term at d=4 n=k=300 (about 1.3 PB) and at d=3 n=2 k=20000 (about 660 GB)
     tables = []
 
     def no_table(n, d):
@@ -346,6 +346,7 @@ def test_memory_check_names_both_byte_counts(monkeypatch, capsys):
         (3, 12, 12, 13, "mc:2000:1"),
         (4, 6, 6, 7, "mc:2000:1"),
         (3, 2, 60, 3, "mc:2000:1"),
+        (3, 1, 300, 2, "mc:8:1"),
     ],
 )
 def test_memory_floor_is_a_lower_bound(d, n, k, thresholds, rule, capsys):
@@ -410,7 +411,7 @@ def test_sizes_whose_multiplicities_overflow_a_float_are_refused(d, n, k, r, mon
         raise AssertionError("a state was built")
 
     monkeypatch.setattr(cli, "parse_state_spec", refuse)
-    monkeypatch.setattr(cli, "_physical_memory", lambda: None)  # the d=3 floor is 1.1 GB
+    monkeypatch.setattr(cli, "_physical_memory", lambda: None)  # the d=3 floor is about 17 MB
     start = time.perf_counter()
     code = main([
         "verify", "--d", str(d), "--n", str(n), "--k", str(k), "--r", str(r),

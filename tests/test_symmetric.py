@@ -15,7 +15,7 @@ from definetti.symmetric import (
     type_codes,
     type_table,
 )
-from oracles import dicke_isometry, permutation_operator
+from oracles import dicke_isometry, permutation_operator, type_table_reference
 
 
 def _digit_counts(n, d):
@@ -103,6 +103,14 @@ def test_dicke_state_invalid_occupation():
         dicke_state(2, 2, (3, -1))
     with pytest.raises(ValueError):
         dicke_state(2, 2, (1, 1, 0))
+
+
+def test_dicke_state_refuses_non_integer_counts():
+    # a count of 2.5 must not be truncated into the type (1, 2)
+    for occ in ((1, 2.5), (1.0, 2), ("1", 2)):
+        with pytest.raises(ValueError, match="type of total 3 in integers"):
+            dicke_state(3, 2, occ)
+    assert np.array_equal(dicke_state(3, 2, np.array([1, 2])).coefficients, [0, 1, 0, 0])
 
 
 def test_dicke_states_orthonormal():
@@ -252,6 +260,18 @@ def test_dicke_states_span_fixed_points_of_symmetrizer():
     for occ in type_table(n, d)[0]:
         psi = dicke_state(n, d, occ).pure()
         np.testing.assert_allclose(proj.entries @ psi.amplitudes, psi.amplitudes, atol=1e-12)
+
+
+def test_type_table_matches_sorted_tuple_reference():
+    # the bar positions give the reference's types, dtype, flags and multiplicity bytes,
+    # from n = 0 up to the largest d=2 size whose multiplicities fit a float
+    grid = [(n, d) for d, top in ((1, 30), (2, 60), (3, 30), (4, 16), (5, 10), (6, 8))
+            for n in range(top)]
+    for n, d in grid + [(1029, 2), (200, 3)]:
+        for new, old in zip(type_table(n, d), type_table_reference(n, d)):
+            assert (new.dtype, new.shape, new.strides) == (old.dtype, old.shape, old.strides)
+            assert not new.flags.writeable and not old.flags.writeable, (n, d)
+            assert new.tobytes() == old.tobytes(), (n, d)
 
 
 def test_type_codes_match_digit_counts():
