@@ -39,7 +39,6 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -498,13 +497,15 @@ def check_chernoff_claim(n: int, r: int) -> float:
 
 
 def check_exponent_sandwich(pairs) -> bool:
-    """min(k/n, 1) <= 2k/(n+k) <= 2 min(k/n, 1), in exact rational arithmetic."""
+    """min(k/n, 1) <= 2k/(n+k) <= 2 min(k/n, 1), in exact integer arithmetic.
+
+    Times n (n+k) > 0 it reads min(k, n) (n+k) <= 2kn <= 2 min(k, n) (n+k).
+    """
     for n, k in pairs:
         if n < 1 or k < 1:
             raise ValueError(f"need n, k >= 1, got n={n} k={k}")
-        low = min(Fraction(k, n), Fraction(1))
-        mid = Fraction(2 * k, n + k)
-        if not low <= mid <= 2 * low:
+        low = min(k, n) * (n + k)
+        if not low <= 2 * k * n <= 2 * low:
             return False
     return True
 

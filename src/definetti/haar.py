@@ -37,7 +37,8 @@ class QuadratureRule:
     """Weighted single-site nodes approximating the Haar average.
 
     `node_matrix` holds one unit row per node; `weights` are nonnegative and
-    sum to 1. Exact rules carry the polynomial degree they reproduce.
+    sum to 1. Exact rules carry the polynomial degree they reproduce; a Monte
+    Carlo rule's sample count is its node count.
     """
 
     d: int
@@ -45,7 +46,6 @@ class QuadratureRule:
     weights: np.ndarray
     kind: str
     exact_degree: int = 0
-    samples: int = 0
     seed: int | None = None
 
     def __post_init__(self):
@@ -81,7 +81,7 @@ class QuadratureRule:
     def describe(self) -> str:
         if self.kind == EXACT:
             return f"exact(degree={self.exact_degree}, nodes={self.node_count})"
-        return f"mc(samples={self.samples}, seed={self.seed})"
+        return f"mc(samples={self.node_count}, seed={self.seed})"
 
 
 def _gauss_legendre(points: int) -> tuple[np.ndarray, np.ndarray]:
@@ -137,9 +137,7 @@ def monte_carlo_rule(d: int, samples: int, seed: int = 0) -> QuadratureRule:
     z = rng.standard_normal((samples, d)) + 1j * rng.standard_normal((samples, d))
     z /= np.linalg.norm(z, axis=1)[:, None]
     weights = np.full(samples, 1.0 / samples)
-    return QuadratureRule(
-        d=d, node_matrix=z, weights=weights, kind=MONTE_CARLO, samples=samples, seed=seed
-    )
+    return QuadratureRule(d=d, node_matrix=z, weights=weights, kind=MONTE_CARLO, seed=seed)
 
 
 # kept in the package only because bench/tracer.py traces it (ROADMAP item 1)

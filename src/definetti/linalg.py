@@ -126,14 +126,14 @@ class Operator:
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
 
-    def is_hermitian(self, atol: float = HERMITIAN_ATOL) -> bool:
-        return _hermiticity_defect(self.entries) <= atol
+    def is_hermitian(self) -> bool:
+        return _hermiticity_defect(self.entries) <= HERMITIAN_ATOL
 
-    def is_psd(self, atol: float = PSD_ATOL) -> bool:
-        return self.is_hermitian() and float(np.linalg.eigvalsh(self.entries)[0]) >= -atol
+    def is_psd(self) -> bool:
+        return self.is_hermitian() and float(np.linalg.eigvalsh(self.entries)[0]) >= -PSD_ATOL
 
-    def is_trace_one(self, atol: float = TRACE_ONE_ATOL) -> bool:
-        return abs(self.trace() - 1.0) <= atol
+    def is_trace_one(self) -> bool:
+        return abs(self.trace() - 1.0) <= TRACE_ONE_ATOL
 
     def _require_same_space(self, other: Operator, what: str):
         if (self.site_dim, self.sites) != (other.site_dim, other.sites):

@@ -89,7 +89,7 @@ def test_sweep_does_not_import_numpy_polynomial(spec, tmp_path):
         "from definetti.cli import main\n"
         f"code = main({cold_sweep_args(spec, tmp_path / 'rows.csv')!r})\n"
         "print(code, 'numpy.polynomial' in sys.modules, 'definetti.hamming' in sys.modules,\n"
-        "      'numpy.random' in sys.modules)\n"
+        "      'fractions' in sys.modules, 'numpy.random' in sys.modules)\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -97,11 +97,11 @@ def test_sweep_does_not_import_numpy_polynomial(spec, tmp_path):
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    # nor the dense weight-projector oracles: the production path never imports them. Only a
-    # random state loads numpy.random (about 12 ms and 5.5 MB), so a deterministic run never pays
-    # for it, and no module imports it at load time
+    # nor the dense weight-projector oracles, nor fractions: the production path never imports
+    # them. Only a random state loads numpy.random (about 12 ms and 5.5 MB), so a deterministic
+    # run never pays for it, and no module imports it at load time
     random = spec.startswith("random-sym:")
-    assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} False False {random}"
+    assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} False False False {random}"
 
 
 def test_sweep_never_handles_the_full_state(monkeypatch, tmp_path):

@@ -293,3 +293,6 @@ def test_haar_state_reproducibility():
 def test_describe():
     assert "degree=3" in exact_qubit_rule(3).describe()
     assert "samples=10" in monte_carlo_rule(2, 10, seed=5).describe()
+    # a hand-built rule reports the nodes it holds
+    two = QuadratureRule(d=2, node_matrix=np.eye(2), weights=[0.5, 0.5], kind="monte_carlo")
+    assert two.describe() == "mc(samples=2, seed=None)"

@@ -56,7 +56,7 @@ def test_weight_family_invariants():
             fam = weight_family(psi, n)
             total = Operator.zero(d, n)
             for i, q in enumerate(fam.projectors):
-                assert q.is_hermitian(1e-10)
+                assert q.is_hermitian()
                 assert np.abs((q @ q - q).entries).max() < 1e-10, f"d={d} n={n} i={i}"
                 rank = math.comb(n, i) * (d - 1) ** i
                 assert abs(q.trace().real - rank) < 1e-8

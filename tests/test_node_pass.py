@@ -577,7 +577,6 @@ def test_blocked_standard_error_matches_full_stack(d):
         node_matrix=np.repeat(single.node_matrix, 30, axis=0),
         weights=np.full(30, 1 / 30),
         kind="monte_carlo",
-        samples=30,
         seed=4,
     )
     assert verify(inst, repeated).lhs_integration_error == pytest.approx(defect, rel=1e-12)

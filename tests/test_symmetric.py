@@ -160,7 +160,7 @@ def test_symmetrizer_idempotent_with_correct_rank():
     for d in (2, 3):
         for n in range(1, 7 if d == 2 else 6):
             proj = symmetrizer(n, d)
-            assert proj.is_hermitian(1e-12)
+            assert proj.is_hermitian()
             defect = np.abs((proj @ proj - proj).entries).max()
             assert defect < 1e-10, f"n={n} d={d}"
             assert abs(proj.trace().real - sym_dim(n, d)) < 1e-9
