@@ -241,15 +241,17 @@ def build_rows(d, n, k_list, r_list, state_spec, rule_spec):
             f"verify would hold at least {need} bytes at n+k={sites}, "
             f"more than this machine's {memory} bytes of memory"
         )
-    q, extra = divmod(sites, d)  # the most even type has the largest multiplicity
-    largest = math.factorial(sites) // (
-        math.factorial(q) ** (d - extra) * math.factorial(q + 1) ** extra
-    )
-    if largest > sys.float_info.max:
-        raise UsageError(
-            f"n+k={sites} is too large at d={d}: the multiplicity (n+k)!/prod t_i! of its "
-            f"most even type t exceeds the largest float, {sys.float_info.max:.6g}"
-        )
+    # the most even type has the largest multiplicity. Built site by site, round-robin over the
+    # levels, site p raises its level to ceil(p/d) sites and the exact value never decreases,
+    # so the first value past the largest float refuses the run
+    largest = 1
+    for placed in range(1, sites + 1):
+        largest = largest * placed // -(-placed // d)
+        if largest > sys.float_info.max:
+            raise UsageError(
+                f"n+k={sites} is too large at d={d}: the multiplicity (n+k)!/prod t_i! of its "
+                f"most even type t exceeds the largest float, {sys.float_info.max:.6g}"
+            )
     instances = []
     for k in ks:
         state, state_seed = parse_state_spec(state_spec, d, n + k)

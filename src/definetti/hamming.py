@@ -13,25 +13,14 @@ products are folded in by a per-site recurrence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from definetti.linalg import Operator, PureState
 
 
-@dataclass(frozen=True)
-class WeightProjectorFamily:
-    """Projectors Q_0 ... Q_n onto the deviation-weight subspaces for psi."""
-
-    psi: PureState
-    n: int
-    projectors: tuple[Operator, ...]
-
-
 # kept in the package only because bench/tracer.py traces it (ROADMAP item 1)
-def weight_family(psi: PureState, n: int) -> WeightProjectorFamily:
-    """Build the weight projectors for n sites referenced to psi."""
+def weight_family(psi: PureState, n: int) -> tuple[Operator, ...]:
+    """The weight projectors Q_0 ... Q_n for n sites referenced to psi."""
     if psi.sites != 1:
         raise ValueError("weight_family expects a single-site reference state")
     if n < 1:
@@ -47,17 +36,16 @@ def weight_family(psi: PureState, n: int) -> WeightProjectorFamily:
             grown.append(np.kron(level[w], keep) + np.kron(level[w - 1], flip))
         grown.append(np.kron(level[-1], flip))
         level = grown
-    ops = tuple(Operator(psi.site_dim, n, q) for q in level)
-    return WeightProjectorFamily(psi=psi, n=n, projectors=ops)
+    return tuple(Operator(psi.site_dim, n, q) for q in level)
 
 
 # kept in the package only because bench/tracer.py traces it (ROADMAP item 1)
-def threshold_projectors(family: WeightProjectorFamily, r: int) -> tuple[Operator, Operator]:
-    """(P_below, P_at_or_above): weights < r and weights >= r."""
-    if not 0 <= r <= family.n + 1:
-        raise ValueError(f"threshold r={r} outside 0..{family.n + 1}")
-    d, n = family.psi.site_dim, family.n
+def threshold_projectors(projectors: tuple[Operator, ...], r: int) -> tuple[Operator, Operator]:
+    """(P_below, P_at_or_above) from `weight_family`'s Q_0 ... Q_n: weights < r and >= r."""
+    d, n = projectors[0].site_dim, len(projectors) - 1
+    if not 0 <= r <= n + 1:
+        raise ValueError(f"threshold r={r} outside 0..{n + 1}")
     below = Operator.zero(d, n)
     for i in range(r):
-        below = below + family.projectors[i]
+        below = below + projectors[i]
     return below, Operator.identity(d, n) - below

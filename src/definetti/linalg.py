@@ -88,7 +88,8 @@ class PureState:
         """The state repeated on `copies * sites` sites."""
         if copies < 1:
             raise ValueError(f"copies must be >= 1, got {copies}")
-        return PureState(self.site_dim, self.sites * copies, kron_power(self.amplitudes, copies))
+        rows = power_rows(self.amplitudes[None, :], copies)
+        return PureState(self.site_dim, self.sites * copies, rows[0])
 
 
 @dataclass(frozen=True)
@@ -157,13 +158,8 @@ class Operator:
         return Operator(self.site_dim, self.sites, self.entries @ other.entries)
 
 
-def kron_power(vector: np.ndarray, copies: int) -> np.ndarray:
-    """`copies`-fold Kronecker power of a vector (copies = 0 gives [1])."""
-    return power_rows(np.asarray(vector)[None, :], copies)[0]
-
-
 def power_rows(rows: np.ndarray, copies: int) -> np.ndarray:
-    """Row-wise `copies`-fold Kronecker power of a stack of vectors."""
+    """Row-wise `copies`-fold Kronecker power of a stack of vectors (copies = 0 gives ones)."""
     count, width = rows.shape
     out = np.ones((count, 1), dtype=np.complex128)
     for _ in range(copies):
@@ -219,7 +215,7 @@ def sandwich_bra_last(rho: Operator, psi: PureState, k: int) -> Operator:
         return rho
     keep = rho.site_dim ** (rho.sites - k)
     gone = rho.site_dim**k
-    phi = kron_power(psi.amplitudes, k)
+    phi = power_rows(psi.amplitudes[None, :], k)[0]
     blocks = rho.entries.reshape(keep, gone, keep, gone)
     out = np.einsum("x,axby,y->ab", phi.conj(), blocks, phi, optimize=True)
     return Operator(rho.site_dim, rho.sites - k, out)

@@ -224,6 +224,6 @@ def hamming_distance(tau, psi, tol=DISTANCE_TOL):
     if not tau.is_psd():
         raise ValueError("tau must be positive semidefinite")
     family = weight_family(psi, tau.sites)
-    masses = [np.einsum("ij,ji->", q.entries, tau.entries).real for q in family.projectors]
+    masses = [np.einsum("ij,ji->", q.entries, tau.entries).real for q in family]
     above = np.cumsum(masses[::-1])[::-1]  # above[j] = sum_{i >= j}
     return next((r for r in range(tau.sites) if above[r + 1] <= tol), tau.sites)

@@ -81,7 +81,7 @@ def test_tail_identity():
         family = weight_family(psi, n)
         vec = theta.tensor_power(n).amplitudes
         masses = np.array(
-            [float(np.real(vec.conj() @ (proj.entries @ vec))) for proj in family.projectors]
+            [float(np.real(vec.conj() @ (proj.entries @ vec))) for proj in family]
         )
         above = np.concatenate([np.cumsum(masses[::-1])[::-1], [0.0]])
         for r in range(n + 2):

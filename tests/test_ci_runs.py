@@ -5,9 +5,10 @@ small launcher that prints the run's exit code and its peak RSS, read with
 `RUSAGE_CHILDREN`. The launcher is needed because Linux carries the peak RSS
 of the process that starts a child into the child's own `RUSAGE_SELF`, so a
 child of the test session would report the session's peak, not the run's.
-Every run must exit 0 with every row PASS; the checks beside that are each
-run's own: a closed-form bound below 2 (or 1e-3) on some row, a post-selection
-defect that is roundoff on every row, and a 150 MB cap on peak RSS.
+Every certifying run must exit 0 with every row PASS; the checks beside that
+are each run's own: a closed-form bound below 2 (or 1e-3) on some row, a
+post-selection defect that is roundoff on every row, and a 150 MB cap on peak
+RSS. One run is a refusal, which must exit 64 with no rows, under 60 MB.
 """
 
 import csv
@@ -119,3 +120,15 @@ def test_qutrit_run_at_three_hundred_and_one_sites_stays_below_150_mb(tmp_path):
     ], tmp_path)
     assert_all_pass(code, rows, 2)
     assert peak_mb < 150, peak_mb
+
+
+def test_three_million_sites_are_refused_without_their_factorial(tmp_path):
+    # the float-range guard builds the most even type's multiplicity site by site and stops
+    # past the largest float, at 1030 sites for d=2; computing (3000001)! in full took minutes
+    code, rows, peak_mb = run([
+        "verify", "--d", "2", "--n", "1", "--k", "3000000", "--r", "0",
+        "--state", "ghz", "--rule", "mc:1",
+    ], tmp_path)
+    assert code == 64
+    assert rows == []
+    assert peak_mb < 60, peak_mb

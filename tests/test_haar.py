@@ -11,13 +11,13 @@ from definetti.haar import (
     integration_error_estimate,
     monte_carlo_rule,
 )
-from definetti.linalg import Operator, PureState, kron_power
+from definetti.linalg import Operator, PureState, power_rows
 from definetti.symmetric import sym_dim, symmetrizer
 from oracles import dicke_isometry, pure_power_moment, random_state
 
 
 def tensor_power_projector(node, s):
-    v = kron_power(node.amplitudes, s)
+    v = power_rows(node.amplitudes[None, :], s)[0]
     return Operator(node.site_dim, s, np.outer(v, v.conj()))
 
 
@@ -164,7 +164,7 @@ def test_exact_rule_degree_twelve_top_power():
     gram = np.zeros((dim, dim), dtype=np.complex128)
     residual = 0.0
     for j in range(rule.node_count):
-        t_j = kron_power(rule.node_matrix[j], s)
+        t_j = power_rows(rule.node_matrix[j : j + 1], s)[0]
         a_j = v.conj().T @ t_j
         residual = max(residual, float(np.linalg.norm(t_j - v @ a_j)))
         gram += rule.weights[j] * np.outer(a_j, a_j.conj())
