@@ -45,7 +45,7 @@ import numpy as np
 
 from definetti.haar import QuadratureRule
 from definetti.linalg import DimensionError, trace_norm
-from definetti.symmetric import SymmetricState, sym_dim, type_table
+from definetti.symmetric import SymmetricState, sym_dim, type_rank, type_table
 
 PASS = "PASS"
 VIOLATION = "VIOLATION"
@@ -184,12 +184,11 @@ def _rotation_blocks(n: int, d: int) -> tuple[tuple[_Block, ...], ...]:
     types = type_table(n, d)[0]
     out = []
     for j in range(1, d):
-        total = types[:, j - 1] + types[:, j]
-        spectators = np.delete(types, [j - 1, j], axis=1)
-        order = np.lexsort((types[:, j], *spectators.T, total))
+        step = np.eye(d, dtype=np.int64)[j] - np.eye(d, dtype=np.int64)[j - 1]  # e_j - e_{j-1}
         blocks = []
         for m in range(1, n + 1):
-            rows = order[total[order] == m].reshape(-1, m + 1)
+            starts = types[(types[:, j - 1] == m) & (types[:, j] == 0)]
+            rows = type_rank(starts[:, None, :] + np.arange(m + 1)[:, None] * step, n)
             if rows.size:
                 blocks.append(_Block(rows, *_generator_eigenbasis(m), np.arange(-m, m + 1, 2)))
         out.append(tuple(blocks))
@@ -269,9 +268,7 @@ def _coupling(inst: Instance) -> np.ndarray:
     d, n, k = inst.d, inst.n, inst.k
     types_n, mult_n = type_table(n, d)
     types_k, mult_k = type_table(k, d)
-    joint = (types_n[:, None, :] + types_k[None, :, :]).reshape(-1, d)
-    # every type of n+k sites splits as s + u, so the sorted joint types are type_table(n+k, d)
-    index = np.unique(joint, axis=0, return_inverse=True)[1].reshape(len(mult_n), len(mult_k))
+    index = type_rank(types_n[:, None, :] + types_k[None, :, :], n + k)
     mult = np.outer(mult_n, mult_k) / type_table(n + k, d)[1][index]
     return inst.rho.coefficients[index] * np.sqrt(mult)
 

@@ -5,9 +5,9 @@ vector per occupation vector (m_1, ..., m_d) with sum n: the equal-amplitude
 superposition of all basis strings of that type. A symmetric pure state is
 its sym_dim(n, d) coefficients in that basis (`SymmetricState`), which is how
 the state builders return it and what `SymmetricState.from_dense` reduces a
-dense state to. `type_table` lists the types; `type_codes` gives only the type
-of each of the d^n basis strings, through which `from_dense` sums amplitudes
-and `strings_from_dicke` spreads Dicke coordinates back over the strings.
+dense state to. `type_table` lists the types, `type_rank` finds their rows, and
+`type_codes` gives the row of each of the d^n basis strings, through which
+`from_dense` sums amplitudes and `strings_from_dicke` spreads Dicke coordinates back.
 """
 
 from __future__ import annotations
@@ -36,38 +36,53 @@ def type_table(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """(types, mult): the occupation types of n sites and the basis strings of each.
 
     types is the (sym_dim(n, d), d) table of occupation vectors in ascending lexicographic
-    order, the order of `type_codes`; mult[t] is the multinomial n! / prod_i types[t, i]!, exact
-    until its one conversion to a float. Row t reads d-1 bar positions b in range(n+d-1) as
+    order, the order of `type_rank`. Row t reads d-1 bar positions b in range(n+d-1) as
     t = diff([-1, b, n+d-1]) - 1 (stars and bars), and `combinations` yields the b in
-    lexicographic, so ascending, order. Both arrays are read-only and cached.
+    lexicographic, so ascending, order. mult[t] = n! / prod_i types[t, i]! is the product of
+    C(t_0 + ... + t_i, t_i) over i >= 1, from Pascal's triangle in Python integers (built by
+    additions, not kept), so exact until its one conversion to a float. Both arrays are
+    read-only and cached.
     """
     rows, slots = sym_dim(n, d), n + d - 1
     bars = itertools.chain.from_iterable(itertools.combinations(range(slots), d - 1))
     bars = np.fromiter(bars, dtype=np.int64, count=rows * (d - 1)).reshape(rows, d - 1)
     types = np.diff(bars, axis=1, prepend=-1, append=slots) - 1
-    factorials = [math.factorial(i) for i in range(n + 1)]
-    mult = [factorials[n] // math.prod(factorials[c] for c in row) for row in types.tolist()]
-    mult = np.array(mult, dtype=np.float64)
+    prefix = np.cumsum(types, axis=1)[:, 1:]  # t_0 + ... + t_i for i >= 1
+    read = np.bincount(prefix.ravel(), minlength=n + 1) > 0  # the rows kept; at d=2 only row n
+    pascal, row = np.zeros((n + 1, n + 1), dtype=object), np.eye(1, n + 1, dtype=object)[0]
+    for x in range(n + 1):  # row holds C(x, y) at y
+        pascal[x] = row if read[x] else 0
+        row[1:] = row[1:] + row[:-1]
+    mult = pascal[prefix, types[:, 1:]].prod(axis=1).astype(np.float64)
     types.setflags(write=False)
     mult.setflags(write=False)
     return types, mult
+
+
+def type_rank(types: np.ndarray, n: int) -> np.ndarray:
+    """Row in `type_table(n, d)` of each type of n sites (last axis), found without a sort."""
+    d = types.shape[-1]
+    table = np.arange(n + 1)[:, None].repeat(d - 1, axis=1)  # C(x-1+e, e) at [x, e-1]
+    for e in range(1, d - 1):
+        table[:, e] = np.cumsum(table[:, e - 1])
+    rest = n - np.cumsum(types[..., :-1], axis=-1)  # the sites after level i, for i < d-1
+    # after t come sum_i C(rest_i-1+e_i, e_i) types, e_i = d-1-i: same before level i, more on it
+    return sym_dim(n, d) - 1 - table[rest, np.arange(d - 2, -1, -1)].sum(axis=-1)
 
 
 @functools.lru_cache(maxsize=4)
 def type_codes(n: int, d: int) -> np.ndarray:
     """code[j]: the row of `type_table(n, d)`'s types that basis string j belongs to.
 
-    Types are numbered site by site: appending digit c to a string of type t
-    gives type t + e_c, and np.unique renumbers the types after each site, so
-    no digit table of all strings is built. The table is read-only and cached,
-    so repeated checks of states on the same sites share it.
+    Types are numbered site by site: appending digit c to a string of type t gives type
+    t + e_c, whose row `type_rank` gives, so no digit table of all strings is built. The
+    types of fewer sites skip `type_table`'s cache, which one table per site would fill.
+    The table is read-only and cached, so repeated checks of states on the same sites share it.
     """
-    types = np.zeros((1, d), dtype=np.int64)
     code = np.zeros(1, dtype=np.int64)
-    for _ in range(n):
-        grown = (types[:, None, :] + np.eye(d, dtype=np.int64)).reshape(-1, d)
-        types, renumber = np.unique(grown, axis=0, return_inverse=True)
-        code = renumber.reshape(-1, d)[code].reshape(-1)
+    for m in range(n):
+        grown = type_table.__wrapped__(m, d)[0][:, None, :] + np.eye(d, dtype=np.int64)
+        code = type_rank(grown, m + 1)[code].reshape(-1)
     code.setflags(write=False)
     return code
 

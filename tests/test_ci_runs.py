@@ -122,6 +122,18 @@ def test_qutrit_run_at_three_hundred_and_one_sites_stays_below_150_mb(tmp_path):
     assert peak_mb < 150, peak_mb
 
 
+def test_qutrit_run_at_the_site_limit_stays_below_150_mb(tmp_path):
+    # 652 sites is the largest d=3 run whose multiplicities fit a float; each type's row comes
+    # from type_rank and its multiplicity from Pascal's triangle, where np.unique and factorial
+    # divisions took about 9 s
+    code, rows, peak_mb = run([
+        "verify", "--d", "3", "--n", "1", "--k", "651", "--r", "0,1",
+        "--state", "random-sym:1", "--rule", "mc:8:1",
+    ], tmp_path)
+    assert_all_pass(code, rows, 2)
+    assert peak_mb < 150, peak_mb
+
+
 def test_three_million_sites_are_refused_without_their_factorial(tmp_path):
     # the float-range guard builds the most even type's multiplicity site by site and stops
     # past the largest float, at 1030 sites for d=2; computing (3000001)! in full took minutes

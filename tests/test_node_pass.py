@@ -402,6 +402,27 @@ def test_frame_tables_match_angle_exponentials(d, n):
     np.testing.assert_allclose(unphase.conj(), site_phases(n, nodes), rtol=0, atol=1e-12)
 
 
+def test_rotation_blocks_hold_the_rows_a_sort_finds():
+    # the rows of a block share the spectators and m = t_{j-1} + t_j, with t_j = 0..m along the
+    # block; sorting by (m, spectators, t_j) finds the same blocks, in the same order for d <= 3
+    for d in range(2, 6):
+        for n in range(9):
+            types = type_table(n, d)[0]
+            for j, blocks in enumerate(_rotation_blocks(n, d), start=1):
+                total = types[:, j - 1] + types[:, j]
+                spectators = np.delete(types, [j - 1, j], axis=1)
+                order = np.lexsort((types[:, j], *spectators.T, total))
+                sorted_blocks = [order[total[order] == m].reshape(-1, m + 1) for m in range(1, n + 1)]
+                sorted_blocks = [rows for rows in sorted_blocks if rows.size]
+                assert [len(block.rows[0]) for block in blocks] == [
+                    len(rows[0]) for rows in sorted_blocks
+                ], (d, n, j)
+                for block, rows in zip(blocks, sorted_blocks):
+                    if d <= 3:
+                        np.testing.assert_array_equal(block.rows, rows, f"d={d} n={n} j={j}")
+                    assert sorted(map(tuple, block.rows.tolist())) == sorted(map(tuple, rows.tolist()))
+
+
 def test_pass_at_forty_sites_reads_only_dicke_coefficients():
     # 2^80 amplitudes cannot be held, so the pass must work from the sym_dim(80, 2) coefficients
     rng = np.random.default_rng(40)

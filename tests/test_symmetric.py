@@ -13,6 +13,7 @@ from definetti.symmetric import (
     sym_dim,
     symmetrizer,
     type_codes,
+    type_rank,
     type_table,
 )
 from oracles import dicke_isometry, permutation_operator, type_table_reference
@@ -272,6 +273,44 @@ def test_type_table_matches_sorted_tuple_reference():
             assert (new.dtype, new.shape, new.strides) == (old.dtype, old.shape, old.strides)
             assert not new.flags.writeable and not old.flags.writeable, (n, d)
             assert new.tobytes() == old.tobytes(), (n, d)
+
+
+def test_type_table_multiplicities_match_factorial_formula():
+    # each float is n! / prod_i t_i! in integers, rounded once: bit for bit the same
+    for n, d in [(n, d) for d in range(1, 6) for n in range(41)] + [(200, 3)]:
+        types, mult = type_table(n, d)
+        factorials = [math.factorial(i) for i in range(n + 1)]
+        exact = [factorials[n] // math.prod(factorials[c] for c in row) for row in types.tolist()]
+        assert mult.tobytes() == np.array(exact, dtype=np.float64).tobytes(), (n, d)
+
+
+def test_type_rank_numbers_the_type_table():
+    for d in range(1, 6):
+        for n in range(13):
+            np.testing.assert_array_equal(
+                type_rank(type_table(n, d)[0], n), np.arange(sym_dim(n, d)), err_msg=f"n={n} d={d}"
+            )
+
+
+def test_type_rank_matches_unique_inverse_over_joint_types():
+    # np.unique runs on a mixed-radix code of each type, which orders types as the rows
+    # compare; d=5 stops at n, k <= 8 because its n=k=12 joint table alone has 3.3M types
+    for d, top in ((2, 12), (3, 12), (4, 12), (5, 8)):
+        for n in range(top + 1):
+            for k in range(top + 1):
+                joint = type_table(n, d)[0][:, None, :] + type_table(k, d)[0][None, :, :]
+                code = joint @ (n + k + 1) ** np.arange(d - 1, -1, -1)
+                inverse = np.unique(code, return_inverse=True)[1].reshape(code.shape)
+                np.testing.assert_array_equal(type_rank(joint, n + k), inverse, f"{n} {k} {d}")
+
+
+def test_type_codes_leave_the_type_table_cache_alone():
+    # the types of each site count are built outside the cache, which they would fill
+    type_codes.cache_clear()
+    type_table.cache_clear()
+    type_codes(12, 2)
+    type_codes(5, 3)
+    assert type_table.cache_info().currsize == 0
 
 
 def test_type_codes_match_digit_counts():
