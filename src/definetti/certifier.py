@@ -14,10 +14,10 @@ The certified chain is
         <= 3 sym_dim(k,d) sqrt(sym_dim(n+k,d)) exp(-(r/6) min(k/n, 1)),
 
 with post-selection, the tail maxima and the large-deviation slack each
-exposed as its own check. `verify` checks the chain for the rule's own
-approximant, with the integral replaced by the weighted sum over the rule's
-nodes. The gentle measurement step is, for a pure conditioned state, an
-identity: for a node that keeps its truncation,
+exposed as its own check. `verify` checks the chain at each threshold r it is
+given, for the rule's own approximant, with the integral replaced by the
+weighted sum over the rule's nodes. The gentle measurement step is, for a pure
+conditioned state, an identity: for a node that keeps its truncation,
 ||rho_psi - trace(rho_psi) tau_psi||_1 = 2 sqrt(trace(rho_psi) e_psi) with
 e_psi = trace(P_geq_r rho_psi). A node of trace a falls back to tau_psi =
 psi^(x)n only when its kept mass is at most f a, f = _FALLBACK_FRACTION;
@@ -38,7 +38,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -62,33 +62,37 @@ class InstanceError(ValueError):
     """The problem instance violates its invariants; nothing was certified."""
 
 
+def _integer(name: str, value, low: int, high=None) -> int:
+    """`operator.index(value)` (1.0 does not pass), checked to lie in low..high."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        raise InstanceError(f"{name} must be an integer, got {value!r}") from None
+    if high is not None and not low <= index <= high:
+        raise InstanceError(f"{name}={index} outside {low}..{high}")
+    if index < low:
+        raise InstanceError(f"{name} must be >= {low}, got {index}")
+    return index
+
+
 @dataclass(frozen=True)
 class Instance:
     """A certification problem: sites split as n kept + k conditioned.
 
     rho is a SymmetricState on n+k sites of dimension d; `verify` reads only
     its Dicke coefficients. A dense PureState or density Operator is converted
-    once by `SymmetricState.from_dense`. d, n, k and r must pass `operator.index`
-    (1.0 does not), and r lies in 0..n. Violations raise InstanceError at construction.
+    once by `SymmetricState.from_dense`. d, n and k must pass `operator.index`
+    (1.0 does not), else InstanceError at construction; the thresholds r are `verify`'s.
     """
 
     d: int
     n: int
     k: int
-    r: int
     rho: SymmetricState
 
     def __post_init__(self):
-        for field, low in (("d", 2), ("n", 1), ("k", 1), ("r", None)):
-            value = getattr(self, field)
-            try:
-                object.__setattr__(self, field, operator.index(value))
-            except TypeError:
-                raise InstanceError(f"{field} must be an integer, got {value!r}") from None
-            if low is not None and value < low:
-                raise InstanceError(f"{field} must be >= {low}, got {value}")
-        if not 0 <= self.r <= self.n:
-            raise InstanceError(f"r={self.r} outside 0..{self.n}")
+        for field, low in (("d", 2), ("n", 1), ("k", 1)):
+            object.__setattr__(self, field, _integer(field, getattr(self, field), low))
         rho = self.rho
         if not isinstance(rho, SymmetricState):
             raise InstanceError(
@@ -103,12 +107,13 @@ class Instance:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of one certification run; all numeric fields are finite.
+    """Outcome of certifying one threshold r; all numeric fields are finite.
 
     `lhs_integration_error` is the rule's post-selection defect delta, the same
     for every threshold, and lhs <= delta + chain_bound holds as a theorem.
     """
 
+    r: int
     lhs: float
     lhs_integration_error: float
     chain_bound: float
@@ -354,14 +359,14 @@ def _chain_bound(inst: Instance, escaped: float) -> float:
 
 
 # kept in the package only because bench/tracer.py traces it (ROADMAP item 1)
-def chain_bound(inst: Instance, rule: QuadratureRule) -> float:
-    """3 sym_dim(k,d) sqrt(int trace(P_geq_r rho_psi) d(psi)).
+def chain_bound(inst: Instance, rule: QuadratureRule, r) -> float:
+    """3 sym_dim(k,d) sqrt(int trace(P_geq_r rho_psi) d(psi)), r checked as `verify` checks it.
 
     The integrand is a polynomial of degree n+k in the node projector, so a
     qubit rule of degree >= n+k evaluates the integral without error. Equal to
-    `verify(inst, rule).chain_bound`.
+    `verify(inst, rule, (r,))[0].chain_bound`.
     """
-    return _chain_bound(inst, _prepare(inst, rule, (inst.r,)).escaped[0])
+    return _chain_bound(inst, _prepare(inst, rule, (_integer("r", r, 0, inst.n),)).escaped[0])
 
 
 def explicit_bound(n: int, k: int, d: int, r: int) -> float:
@@ -507,16 +512,15 @@ def check_exponent_sandwich(pairs) -> bool:
     return True
 
 
-def _report(inst: Instance, rule: QuadratureRule, prepared: _Prepared, i: int, err: float):
-    """The VerificationReport for threshold inst.r, from entry i of `prepared` and delta `err`.
+def _report(inst: Instance, rule: QuadratureRule, r: int, prepared: _Prepared, i: int, err: float):
+    """The VerificationReport for threshold r, from entry i of `prepared` and delta `err`.
 
     The trace norm is taken in Dicke coordinates; the isometry into the d^n
     space does not change it.
     """
     lhs = trace_norm(prepared.reduced - prepared.grams[i])
     chain = _chain_bound(inst, prepared.escaped[i])
-    explicit = explicit_bound(inst.n, inst.k, inst.d, inst.r)
-    tail_peak = g_max(inst.n, inst.k, inst.r)
+    explicit = explicit_bound(inst.n, inst.k, inst.d, r)
     if err > chain:
         status = INCONCLUSIVE
     elif lhs <= err + chain + COMPARISON_SLACK and chain <= explicit + COMPARISON_SLACK:
@@ -524,19 +528,20 @@ def _report(inst: Instance, rule: QuadratureRule, prepared: _Prepared, i: int, e
     else:
         status = VIOLATION
     return VerificationReport(
+        r=r,
         lhs=lhs,
         lhs_integration_error=err,
         chain_bound=chain,
         explicit_bound=explicit,
-        g_max_value=tail_peak,
+        g_max_value=g_max(inst.n, inst.k, r),
         fallback_node_count=int(prepared.fallback[i]),
         rule_description=rule.describe(),
         status=status,
     )
 
 
-def verify(inst: Instance, rule: QuadratureRule, thresholds=None):
-    """Run the full certification and classify the outcome.
+def verify(inst: Instance, rule: QuadratureRule, thresholds) -> tuple[VerificationReport, ...]:
+    """Certify every threshold r of `thresholds` and classify each outcome.
 
     lhs <= delta + chain bound for every rule, with delta its post-selection
     defect, the lhs of one more threshold, n+1, that keeps every row. A row whose
@@ -544,14 +549,13 @@ def verify(inst: Instance, rule: QuadratureRule, thresholds=None):
     <= delta + chain bound and chain bound <= explicit bound, both with
     COMPARISON_SLACK. Anything else is a VIOLATION: a broken kernel.
 
-    Returns the report for inst.r, or, given a sequence of `thresholds`, a
-    tuple of the reports for `replace(inst, r=r)` in their order. One walk
-    over the nodes serves every threshold (`_prepare`), so a sweep is one call.
+    Each r must pass `operator.index` and lie in 0..n, else InstanceError. Returns
+    one report per threshold, in their order and carrying its r; () for none. One
+    walk over the nodes serves every threshold (`_prepare`), so a sweep is one call.
     """
     if rule.d != inst.d:
         raise DimensionError(f"rule has site dimension {rule.d}, instance has d={inst.d}")
-    rows = (inst,) if thresholds is None else tuple(replace(inst, r=r) for r in thresholds)
-    prepared = _prepare(inst, rule, tuple(row.r for row in rows) + (inst.n + 1,))
+    thresholds = tuple(_integer("r", r, 0, inst.n) for r in thresholds)
+    prepared = _prepare(inst, rule, thresholds + (inst.n + 1,))
     defect = trace_norm(prepared.reduced - prepared.grams[-1])
-    reports = tuple(_report(row, rule, prepared, i, defect) for i, row in enumerate(rows))
-    return reports[0] if thresholds is None else reports
+    return tuple(_report(inst, rule, r, prepared, i, defect) for i, r in enumerate(thresholds))

@@ -256,28 +256,22 @@ def build_rows(d, n, k_list, r_list, state_spec, rule_spec):
     for k in ks:
         state, state_seed = parse_state_spec(state_spec, d, n + k)
         try:
-            instances.append((Instance(d=d, n=n, k=k, r=thresholds[0], rho=state), state_seed))
+            instances.append((Instance(d=d, n=n, k=k, rho=state), state_seed))
         except ValueError as exc:
             raise UsageError(f"cannot build instance: {exc}") from None
     rule = parse_rule_spec(rule_spec, d, sites)
     rows = []
     for inst, state_seed in instances:
-        reports = verify(inst, rule, thresholds=thresholds)
-        for r, report in zip(thresholds, reports):
-            rows.append(
-                ReportRow(
-                    d=d, n=n, k=inst.k, r=r, state=state_spec,
-                    lhs=report.lhs,
-                    lhs_err=report.lhs_integration_error,
-                    chain_bound=report.chain_bound,
-                    explicit_bound=report.explicit_bound,
-                    g_max=report.g_max_value,
-                    fallback_nodes=report.fallback_node_count,
-                    nodes=rule.node_count,
-                    seed=rule.seed if state_seed is None else state_seed,
-                    status=report.status,
-                )
+        rows += [
+            ReportRow(
+                d=d, n=n, k=inst.k, r=report.r, state=state_spec, lhs=report.lhs,
+                lhs_err=report.lhs_integration_error, chain_bound=report.chain_bound,
+                explicit_bound=report.explicit_bound, g_max=report.g_max_value,
+                fallback_nodes=report.fallback_node_count, nodes=rule.node_count,
+                seed=rule.seed if state_seed is None else state_seed, status=report.status,
             )
+            for report in verify(inst, rule, thresholds)
+        ]
     return rows
 
 

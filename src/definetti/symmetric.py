@@ -40,8 +40,8 @@ def type_table(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     t = diff([-1, b, n+d-1]) - 1 (stars and bars), and `combinations` yields the b in
     lexicographic, so ascending, order. mult[t] = n! / prod_i types[t, i]! is the product of
     C(t_0 + ... + t_i, t_i) over i >= 1, from Pascal's triangle in Python integers (built by
-    additions, not kept), so exact until its one conversion to a float. Both arrays are
-    read-only and cached.
+    additions, not kept), so exact until its one conversion to a float, 4096 rows at a time.
+    Both arrays are read-only and cached.
     """
     rows, slots = sym_dim(n, d), n + d - 1
     bars = itertools.chain.from_iterable(itertools.combinations(range(slots), d - 1))
@@ -53,7 +53,9 @@ def type_table(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     for x in range(n + 1):  # row holds C(x, y) at y
         pascal[x] = row if read[x] else 0
         row[1:] = row[1:] + row[:-1]
-    mult = pascal[prefix, types[:, 1:]].prod(axis=1).astype(np.float64)
+    mult = np.empty(rows)  # by blocks, so that the exact products never all coexist
+    for block in (slice(start, start + 4096) for start in range(0, rows, 4096)):
+        mult[block] = pascal[prefix[block], types[block, 1:]].prod(axis=1)
     types.setflags(write=False)
     mult.setflags(write=False)
     return types, mult

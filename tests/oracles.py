@@ -102,10 +102,10 @@ def pure_power_moment(rule, s):
     return Operator(rule.d, s, (rows * rule.weights[:, None]).T @ rows.conj())
 
 
-def node_pass(inst, nodes):
-    """Condition, truncate and renormalize at every row of `nodes` at once."""
+def node_pass(inst, nodes, r):
+    """Condition, truncate below weight r and renormalize at every row of `nodes` at once."""
     phi = _coupling(inst) @ _bra_powers(nodes, inst.k)
-    return _truncate(inst.n, inst.d, inst.r, _condition(inst, phi, nodes))
+    return _truncate(inst.n, inst.d, r, _condition(inst, phi, nodes))
 
 
 def _spread(inst, dicke):
@@ -119,19 +119,19 @@ def rho_psi(inst, psi):
     return _spread(inst, _gram(_coupling(inst) @ _bra_powers(psi.amplitudes[None, :], inst.k)))
 
 
-def tau_psi(inst, psi):
+def tau_psi(inst, psi, r):
     """(trace of rho_psi truncated below weight r, the renormalized state, fallback flag).
 
     Where the truncated trace is a negligible part of the trace of rho_psi
     (always at r = 0), the state falls back to psi^(x)n, of deviation weight 0.
     """
-    node = node_pass(inst, psi.amplitudes[None, :])
+    node = node_pass(inst, psi.amplitudes[None, :], r)
     return float(node.kept[0]), _spread(inst, _gram(node.tau)), bool(node.fallback[0])
 
 
-def approximant(inst, rule):
-    """The weighted average sym_dim(k,d) int trace(rho_psi) tau_psi d(psi), from verify's pass."""
-    return _spread(inst, _prepare(inst, rule, (inst.r,)).grams[0])
+def approximant(inst, rule, r):
+    """The weighted average sym_dim(k,d) int trace(rho_psi) tau_psi d(psi) at threshold r."""
+    return _spread(inst, _prepare(inst, rule, (r,)).grams[0])
 
 
 def nu_weight_normalization(inst, rule):

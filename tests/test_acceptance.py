@@ -142,7 +142,7 @@ def test_operator_upper_bound():
     for seed in range(20):
         n, k = cells[seed % len(cells)]
         state = random_symmetric_pure(n + k, 2, seed)
-        inst = Instance(d=2, n=n, k=k, r=0, rho=SymmetricState.from_dense(state.pure().projector()))
+        inst = Instance(d=2, n=n, k=k, rho=SymmetricState.from_dense(state.pure().projector()))
         psi = random_state(rng, 2)
         min_slack = min(min_slack, check_operator_inequality(inst, psi, exact_qubit_rule(n + k)))
     _report(
@@ -170,12 +170,12 @@ def _end_to_end():
     support = {"fallback": 0, "kept": 0, "worst_fallback": -1, "worst_kept": -1, "ok": True}
     for name, state in states.items():
         rho = SymmetricState.from_dense(state.projector())
-        for r in range(5):
-            inst = Instance(d=2, n=4, k=4, r=r, rho=rho)
-            reports[(name, r)] = verify(inst, rule)
+        inst = Instance(d=2, n=4, k=4, rho=rho)
+        for r, report in enumerate(verify(inst, rule, range(5))):
+            reports[(name, r)] = report
             for j in range(rule.node_count):
                 node = rule.node(j)
-                _, tau, used_fallback = tau_psi(inst, node)
+                _, tau, used_fallback = tau_psi(inst, node, r)
                 distance = hamming_distance(tau, node, 1e-10)
                 if used_fallback:
                     support["fallback"] += 1
@@ -200,7 +200,7 @@ def test_end_to_end_certification():
     )
 
     bell_state = SymmetricState.from_dense(ghz_state(2, 2).pure().projector())
-    bell = verify(Instance(d=2, n=1, k=1, r=1, rho=bell_state), exact_qubit_rule(6))
+    (bell,) = verify(Instance(d=2, n=1, k=1, rho=bell_state), exact_qubit_rule(6), (1,))
     anchor_ok = (
         bell.lhs <= 1e-8
         and abs(bell.chain_bound - math.sqrt(6)) <= 1e-9

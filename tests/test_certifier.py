@@ -56,13 +56,13 @@ def from_projector(state):
     return SymmetricState.from_dense(state.pure().projector())
 
 
-def bell_instance(r=1):
-    return Instance(d=2, n=1, k=1, r=r, rho=from_projector(ghz_state(2, 2)))
+def bell_instance():
+    return Instance(d=2, n=1, k=1, rho=from_projector(ghz_state(2, 2)))
 
 
-def product_instance(n, k, r, d=2):
+def product_instance(n, k, d=2):
     base = PureState(d, 1, [1] + [0] * (d - 1)).tensor_power(n + k)
-    return Instance(d=d, n=n, k=k, r=r, rho=SymmetricState.from_dense(base.projector()))
+    return Instance(d=d, n=n, k=k, rho=SymmetricState.from_dense(base.projector()))
 
 
 def exact_beta_mass(n, k, r):
@@ -79,32 +79,40 @@ def exact_beta_mass(n, k, r):
 def test_instance_validation():
     bell_instance()  # valid
     ghz = ghz_state(2, 2)
+    rule = exact_qubit_rule(2)
     for rho in (ghz, from_projector(ghz)):
-        Instance(d=2, n=1, k=1, r=1, rho=rho)
+        inst = Instance(d=2, n=1, k=1, rho=rho)
+        verify(inst, rule, (0, 1))
+        for bad in (2, -1):  # the thresholds are verify's: each lies in 0..n
+            with pytest.raises(InstanceError, match=f"r={bad} outside 0..1"):
+                verify(inst, rule, (bad,))
         with pytest.raises(InstanceError):
-            Instance(d=2, n=1, k=1, r=2, rho=rho)
+            Instance(d=2, n=2, k=1, rho=rho)  # wrong site count
         with pytest.raises(InstanceError):
-            Instance(d=2, n=2, k=1, r=0, rho=rho)  # wrong site count
+            Instance(d=3, n=1, k=1, rho=rho)  # wrong site dimension
         with pytest.raises(InstanceError):
-            Instance(d=3, n=1, k=1, r=0, rho=rho)  # wrong site dimension
+            Instance(d=2, n=1, k=0, rho=rho)
         with pytest.raises(InstanceError):
-            Instance(d=2, n=1, k=0, r=0, rho=rho)
+            Instance(d=1, n=1, k=1, rho=rho)
         with pytest.raises(InstanceError):
-            Instance(d=1, n=1, k=1, r=0, rho=rho)
-        with pytest.raises(InstanceError):
-            Instance(d=2, n=0, k=2, r=0, rho=rho)
+            Instance(d=2, n=0, k=2, rho=rho)
 
 
 def test_instance_refuses_non_integer_sizes():
     # a float r would reach _truncate as a slice index; 2.0 is refused like 1.5
     ghz = ghz_state(4, 2)
-    fields = {"d": 2, "n": 2, "k": 2, "r": 1}
+    fields = {"d": 2, "n": 2, "k": 2}
     for field in fields:
         for bad in (1.5, 2.0, "2", None):
             with pytest.raises(InstanceError, match=f"{field} must be an integer"):
                 Instance(**{**fields, field: bad}, rho=ghz)
-    inst = Instance(d=np.int64(2), n=np.int64(2), k=np.int64(2), r=np.int64(1), rho=ghz)
+    inst, rule = Instance(**fields, rho=ghz), exact_qubit_rule(4)
+    for bad in (1.5, 2.0, "2", None):
+        with pytest.raises(InstanceError, match="r must be an integer"):
+            verify(inst, rule, (bad,))
+    inst = Instance(d=np.int64(2), n=np.int64(2), k=np.int64(2), rho=ghz)
     assert all(type(getattr(inst, field)) is int for field in fields)
+    assert type(verify(inst, rule, (np.int64(1),))[0].r) is int
 
 
 def test_instance_takes_only_symmetric_states():
@@ -112,16 +120,16 @@ def test_instance_takes_only_symmetric_states():
     ghz = ghz_state(2, 2).pure()
     for rho in (ghz, ghz.projector(), ghz.amplitudes):
         with pytest.raises(InstanceError, match="from_dense"):
-            Instance(d=2, n=1, k=1, r=1, rho=rho)
+            Instance(d=2, n=1, k=1, rho=rho)
 
 
 def test_symmetric_state_instance_validation():
     ghz = ghz_state(3, 2)
-    inst = Instance(d=2, n=2, k=1, r=1, rho=ghz)
+    inst = Instance(d=2, n=2, k=1, rho=ghz)
     assert inst.rho is ghz
     for d, n, k in ((3, 2, 1), (2, 1, 1), (2, 3, 1)):
         with pytest.raises(InstanceError, match="sites of dimension"):
-            Instance(d=d, n=n, k=k, r=0, rho=ghz)
+            Instance(d=d, n=n, k=k, rho=ghz)
     # like a PureState, a SymmetricState refuses a wrong length or norm when it is built,
     # with a ValueError (the base of InstanceError), so no Instance ever sees one
     with pytest.raises(ValueError, match="shape"):
@@ -163,9 +171,9 @@ def test_verify_on_symmetric_state_matches_its_pure_adapter(d, n, k, rule):
     states = (random_symmetric_pure(n + k, d, 11), ghz_state(n + k, d), dicke_state(n + k, d, occupation))
     for state in states:
         dense = SymmetricState.from_dense(state.pure())
-        for r in range(n + 1):
-            got = verify(Instance(d=d, n=n, k=k, r=r, rho=state), rule)
-            want = verify(Instance(d=d, n=n, k=k, r=r, rho=dense), rule)
+        got_rows = verify(Instance(d=d, n=n, k=k, rho=state), rule, range(n + 1))
+        want_rows = verify(Instance(d=d, n=n, k=k, rho=dense), rule, range(n + 1))
+        for got, want in zip(got_rows, want_rows, strict=True):
             assert (got.status, got.fallback_node_count) == (want.status, want.fallback_node_count)
             for name in ("lhs", "chain_bound", "explicit_bound", "g_max_value"):
                 assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=0)
@@ -223,7 +231,7 @@ def test_sweep_over_r_reduces_the_state_once(monkeypatch):
     dense = random_symmetric_pure(8, 2, seed=7).pure()
     state = SymmetricState.from_dense(dense)
     assert calls == [dense]
-    verify(Instance(d=2, n=6, k=2, r=0, rho=state), exact_qubit_rule(8), thresholds=range(7))
+    verify(Instance(d=2, n=6, k=2, rho=state), exact_qubit_rule(8), range(7))
     assert len(calls) == 1  # Instance and verify read the coefficients, never the dense state
 
 
@@ -232,8 +240,8 @@ def test_reduction_memo_misses_on_a_new_state(monkeypatch):
     calls = counting_reductions(monkeypatch)
     dense = random_symmetric_pure(4, 2, seed=1).pure()
     first = SymmetricState.from_dense(dense)
-    Instance(d=2, n=2, k=2, r=1, rho=first)
-    Instance(d=2, n=3, k=1, r=2, rho=first)
+    Instance(d=2, n=2, k=2, rho=first)
+    Instance(d=2, n=3, k=1, rho=first)
     assert calls == [dense]
     copy = dataclasses.replace(dense)  # equal amplitudes, a new object
     np.testing.assert_array_equal(SymmetricState.from_dense(copy).coefficients, first.coefficients)
@@ -245,7 +253,7 @@ def test_reduction_memo_misses_on_a_new_state(monkeypatch):
 
 
 def test_rho_psi_product():
-    inst = product_instance(2, 2, 0)
+    inst = product_instance(2, 2)
     rng = np.random.default_rng(0)
     psi = random_state(rng, 2)
     conditioned = rho_psi(inst, psi)
@@ -257,7 +265,7 @@ def test_rho_psi_product():
 
 def test_rho_psi_ghz_trace():
     # conditioning the n+k site GHZ on psi^k leaves (|a|^2k + |b|^2k)/2 of mass
-    inst = Instance(d=2, n=2, k=3, r=0, rho=from_projector(ghz_state(5, 2)))
+    inst = Instance(d=2, n=2, k=3, rho=from_projector(ghz_state(5, 2)))
     rng = np.random.default_rng(1)
     for _ in range(5):
         psi = random_state(rng, 2)
@@ -267,13 +275,13 @@ def test_rho_psi_ghz_trace():
 
 
 def test_nu_weight_normalization_exact():
-    for inst in [bell_instance(), product_instance(2, 2, 1), product_instance(3, 2, 0)]:
+    for inst in [bell_instance(), product_instance(2, 2), product_instance(3, 2)]:
         rule = exact_qubit_rule(inst.n + inst.k)
         assert nu_weight_normalization(inst, rule) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_nu_weight_normalization_monte_carlo():
-    inst = product_instance(2, 2, 0)
+    inst = product_instance(2, 2)
     rule = monte_carlo_rule(2, 20000, seed=3)
     value = nu_weight_normalization(inst, rule)
     # integrand trace(rho_psi) = x^2 with x uniform on [0,1]: std sqrt(4/45)
@@ -284,12 +292,12 @@ def test_nu_weight_normalization_monte_carlo():
 def test_tau_psi_product_oracle():
     # sigma keeps x^k (1 - tail(n, r, x)) of mass for a product instance
     n, k, r = 3, 2, 2
-    inst = product_instance(n, k, r)
+    inst = product_instance(n, k)
     rng = np.random.default_rng(4)
     for _ in range(10):
         psi = random_state(rng, 2)
         x = abs(psi.overlap(PureState(2, 1, [1, 0]))) ** 2
-        sigma_trace, tau, used_fallback = tau_psi(inst, psi)
+        sigma_trace, tau, used_fallback = tau_psi(inst, psi, r)
         assert not used_fallback
         expect = x**k * (1 - tail_function(n, r, x))
         assert sigma_trace == pytest.approx(expect, abs=1e-12)
@@ -298,10 +306,10 @@ def test_tau_psi_product_oracle():
 
 
 def test_tau_psi_r_zero_always_falls_back():
-    inst = bell_instance(r=0)
+    inst = bell_instance()
     rng = np.random.default_rng(5)
     psi = random_state(rng, 2)
-    sigma_trace, tau, used_fallback = tau_psi(inst, psi)
+    sigma_trace, tau, used_fallback = tau_psi(inst, psi, 0)
     assert used_fallback
     assert sigma_trace == 0.0
     np.testing.assert_allclose(tau.entries, psi.projector().entries, atol=1e-14)
@@ -309,13 +317,13 @@ def test_tau_psi_r_zero_always_falls_back():
 
 def test_tau_psi_bell_oracle():
     # direct 2x2 computation: sigma mass |conj(a)^2 + conj(b)^2|^2 / 2
-    inst = bell_instance(r=1)
+    inst = bell_instance()
     rng = np.random.default_rng(6)
     for _ in range(10):
         psi = random_state(rng, 2)
         a, b = psi.amplitudes
         expect = abs(a.conjugate() ** 2 + b.conjugate() ** 2) ** 2 / 2
-        sigma_trace, tau, used_fallback = tau_psi(inst, psi)
+        sigma_trace, tau, used_fallback = tau_psi(inst, psi, 1)
         assert sigma_trace == pytest.approx(expect, abs=1e-13)
         if not used_fallback:
             np.testing.assert_allclose(tau.entries, psi.projector().entries, atol=1e-10)
@@ -326,54 +334,56 @@ def test_approximant_bell_is_maximally_mixed():
     # and the all-fallback r=0 branch average to I/2
     rule = exact_qubit_rule(4)
     for r in (0, 1):
-        approx = approximant(bell_instance(r=r), rule)
+        approx = approximant(bell_instance(), rule, r)
         np.testing.assert_allclose(approx.entries, np.eye(2) / 2, atol=1e-12)
 
 
 def test_approximant_product_mass():
-    inst = product_instance(2, 2, 2)
+    inst = product_instance(2, 2)
     rule = exact_qubit_rule(5)
-    approx = approximant(inst, rule)
+    approx = approximant(inst, rule, 2)
     assert approx.is_psd()
     assert 0 < approx.trace().real <= 1 + 1e-10
 
 
 def test_lhs_distance_bell():
-    report = verify(bell_instance(), exact_qubit_rule(6))
+    report = verify(bell_instance(), exact_qubit_rule(6), (1,))[0]
     assert report.lhs < 1e-12
     assert report.lhs_integration_error < 1e-12
 
 
 def test_lhs_distance_bounded_by_two():
-    inst = Instance(d=2, n=2, k=2, r=1, rho=from_projector(random_symmetric_pure(4, 2, 12)))
-    report = verify(inst, exact_qubit_rule(4))
+    inst = Instance(d=2, n=2, k=2, rho=from_projector(random_symmetric_pure(4, 2, 12)))
+    report = verify(inst, exact_qubit_rule(4), (1,))[0]
     assert 0 <= report.lhs <= 2 + 1e-10
     assert report.lhs_integration_error >= 0
 
 
 def test_chain_bound_bell():
-    assert chain_bound(bell_instance(), exact_qubit_rule(2)) == pytest.approx(
-        math.sqrt(6), abs=1e-12
-    )
+    inst, rule = bell_instance(), exact_qubit_rule(2)
+    assert chain_bound(inst, rule, 1) == pytest.approx(math.sqrt(6), abs=1e-12)
+    assert chain_bound(inst, rule, 1) == verify(inst, rule, (1,))[0].chain_bound
 
 
 def test_chain_bound_r_zero_closed_form():
     # P_geq_0 is the identity, so the integral is 1/sym_dim(k, d)
     for n, k in [(1, 1), (2, 2), (3, 1)]:
-        inst = product_instance(n, k, 0)
+        inst = product_instance(n, k)
         rule = exact_qubit_rule(n + k)
         expect = 3 * math.sqrt(sym_dim(k, 2))
-        assert chain_bound(inst, rule) == pytest.approx(expect, abs=1e-10)
+        assert chain_bound(inst, rule, 0) == pytest.approx(expect, abs=1e-10)
+        assert chain_bound(inst, rule, 0) == verify(inst, rule, (0,))[0].chain_bound
 
 
 def test_chain_bound_product_exact_oracle():
     # product instances reduce to a 1-D integral over the overlap law
     for n, k, r in [(2, 2, 1), (3, 2, 2), (4, 4, 3)]:
-        inst = product_instance(n, k, r)
+        inst = product_instance(n, k)
         rule = exact_qubit_rule(n + k)
         mass = exact_beta_mass(n, k, r)
         expect = 3 * sym_dim(k, 2) * math.sqrt(float(mass))
-        assert chain_bound(inst, rule) == pytest.approx(expect, abs=1e-11)
+        assert chain_bound(inst, rule, r) == pytest.approx(expect, abs=1e-11)
+        assert chain_bound(inst, rule, r) == verify(inst, rule, (r,))[0].chain_bound
         numeric, quad_err = scipy_integrate.quad(
             lambda x: x**k * tail_function(n, r, x), 0, 1
         )
@@ -387,12 +397,12 @@ def test_chain_bound_roundoff_at_forty_sites():
     n = k = 40
     state = random_symmetric_pure(n + k, 2, 1)
     rule = exact_qubit_rule(40)
+    inst = Instance(d=2, n=n, k=k, rho=state)
     for r in (38, 39, 40):
-        inst = Instance(d=2, n=n, k=k, r=r, rho=state)
         expect = 3 * sym_dim(k, 2) * math.sqrt(exact_beta_mass(n, k, r))
-        assert chain_bound(inst, rule) == pytest.approx(expect, rel=1e-6), r
+        assert chain_bound(inst, rule, r) == pytest.approx(expect, rel=1e-6), r
         # the view runs verify's own streamed pass over the 3362 nodes, bit for bit
-        assert chain_bound(inst, rule) == verify(inst, rule).chain_bound, r
+        assert chain_bound(inst, rule, r) == verify(inst, rule, (r,))[0].chain_bound, r
 
 
 def test_explicit_bound_values():
@@ -556,7 +566,7 @@ def test_check_operator_inequality_bell_example():
 
 
 def test_check_operator_inequality_orthogonal_psi():
-    inst = product_instance(1, 1, 0)
+    inst = product_instance(1, 1)
     slack = check_operator_inequality(inst, PureState(2, 1, [0, 1]), exact_qubit_rule(2))
     # rho_psi vanishes; the slack is the smallest eigenvalue of the average
     assert slack == pytest.approx(0.5, abs=1e-12)
@@ -567,7 +577,7 @@ def test_check_operator_inequality_random_instances():
     for seed in range(10):
         n = int(rng.integers(1, 4))
         k = int(rng.integers(1, 4))
-        inst = Instance(d=2, n=n, k=k, r=0, rho=from_projector(random_symmetric_pure(n + k, 2, seed)))
+        inst = Instance(d=2, n=n, k=k, rho=from_projector(random_symmetric_pure(n + k, 2, seed)))
         psi = random_state(rng, 2)
         slack = check_operator_inequality(inst, psi, exact_qubit_rule(n + k))
         assert slack >= -1e-9
@@ -692,8 +702,8 @@ def test_reconstruction_identity():
     # with the trailing sites symmetric, averaging the conditioned states
     # over an exact rule rebuilds the reduction: the lhs of the whole
     # artifact vanishes before truncation
-    for inst in [bell_instance(), product_instance(2, 2, 1),
-                 Instance(d=2, n=2, k=2, r=1, rho=from_projector(random_symmetric_pure(4, 2, 3)))]:
+    for inst in [bell_instance(), product_instance(2, 2),
+                 Instance(d=2, n=2, k=2, rho=from_projector(random_symmetric_pure(4, 2, 3)))]:
         rule = exact_qubit_rule(inst.n + inst.k)
         from definetti.haar import integrate
 
@@ -708,23 +718,24 @@ def test_chain_bound_consistent_with_g_max():
     from definetti.haar import integrate
 
     for seed in range(3):
-        inst = Instance(d=2, n=3, k=2, r=2, rho=from_projector(random_symmetric_pure(5, 2, seed)))
+        inst, r = Instance(d=2, n=3, k=2, rho=from_projector(random_symmetric_pure(5, 2, seed))), 2
         rule = exact_qubit_rule(5)
 
         def escaped(node):
             family = weight_family(node, inst.n)
-            _, above = threshold_projectors(family, inst.r)
+            _, above = threshold_projectors(family, r)
             return float(
                 np.einsum("ij,ji->", above.entries, rho_psi(inst, node).entries).real
             )
 
         mass = integrate(rule, escaped)
-        ceiling = sym_dim(inst.n + inst.k, inst.d) * g_max(inst.n, inst.k, inst.r)
+        ceiling = sym_dim(inst.n + inst.k, inst.d) * g_max(inst.n, inst.k, r)
         assert mass <= ceiling + 1e-9
 
 
 def test_verify_bell_report():
-    report = verify(bell_instance(), exact_qubit_rule(6))
+    (report,) = verify(bell_instance(), exact_qubit_rule(6), (1,))
+    assert report.r == 1
     assert report.status == PASS
     assert report.lhs < 1e-8
     assert report.chain_bound == pytest.approx(math.sqrt(6), abs=1e-9)
@@ -737,9 +748,8 @@ def test_verify_bell_report():
 def test_verify_passes_across_states_and_r():
     rule = exact_qubit_rule(6)
     for state in [ghz_state(4, 2), dicke_state(4, 2, (2, 2)), random_symmetric_pure(4, 2, 1)]:
-        for r in (0, 1, 2):
-            inst = Instance(d=2, n=2, k=2, r=r, rho=from_projector(state))
-            report = verify(inst, rule)
+        inst = Instance(d=2, n=2, k=2, rho=from_projector(state))
+        for r, report in zip((0, 1, 2), verify(inst, rule, (0, 1, 2)), strict=True):
             assert report.status == PASS, f"{state} r={r}: {report}"
             assert report.lhs - report.lhs_integration_error <= report.chain_bound + 1e-9
             assert report.chain_bound <= report.explicit_bound + 1e-9
@@ -747,7 +757,7 @@ def test_verify_passes_across_states_and_r():
 
 def test_verify_inconclusive_on_tiny_monte_carlo():
     # one node cannot reproduce Tr_k rho: its post-selection defect exceeds the chain
-    report = verify(bell_instance(), monte_carlo_rule(2, 1, seed=3))
+    report = verify(bell_instance(), monte_carlo_rule(2, 1, seed=3), (1,))[0]
     assert report.status == INCONCLUSIVE
     assert report.lhs_integration_error > report.chain_bound
 
@@ -757,7 +767,7 @@ def test_verify_never_passes_a_broken_rule():
     # approximant is |0><0| against Tr_k rho = I/2, and the classification must not say PASS
     node = np.array([[1, 0], [1, 0]], dtype=complex)
     broken = QuadratureRule(d=2, node_matrix=node, weights=[0.5, 0.5], kind="monte_carlo", seed=0)
-    report = verify(bell_instance(), broken)
+    report = verify(bell_instance(), broken, (1,))[0]
     assert report.status == INCONCLUSIVE
     assert report.lhs_integration_error == pytest.approx(1.0, rel=0, abs=1e-15)
     assert report.lhs_integration_error > report.chain_bound
@@ -766,19 +776,19 @@ def test_verify_never_passes_a_broken_rule():
 def test_verify_violation_stays_reachable(monkeypatch):
     # lhs <= delta + chain is a theorem, so only a broken kernel reports VIOLATION; a chain
     # shrunk below lhs but above delta stands in for one
-    inst = Instance(d=2, n=2, k=2, r=1, rho=random_symmetric_pure(4, 2, 1))
+    inst = Instance(d=2, n=2, k=2, rho=random_symmetric_pure(4, 2, 1))
     rule = exact_qubit_rule(6)
-    report = verify(inst, rule)
+    report = verify(inst, rule, (1,))[0]
     assert report.status == PASS and report.lhs > 1e-3
     monkeypatch.setattr(certifier, "_chain_bound", lambda inst, escaped: 1e-12)
-    broken = verify(inst, rule)
+    broken = verify(inst, rule, (1,))[0]
     assert broken.lhs_integration_error <= broken.chain_bound
     assert broken.status == VIOLATION
 
 
 def test_verify_fallback_count_r_zero():
     rule = exact_qubit_rule(4)
-    report = verify(bell_instance(r=0), rule)
+    report = verify(bell_instance(), rule, (0,))[0]
     assert report.fallback_node_count == rule.node_count
     assert report.status == PASS
 
@@ -786,18 +796,24 @@ def test_verify_fallback_count_r_zero():
 def test_verify_rejects_a_rule_of_another_site_dimension():
     inst = bell_instance()
     with pytest.raises(DimensionError, match=r"site dimension 3.*d=2"):
-        verify(inst, monte_carlo_rule(3, 20, seed=1))
+        verify(inst, monte_carlo_rule(3, 20, seed=1), (1,))
     with pytest.raises(DimensionError):
-        verify(inst, monte_carlo_rule(3, 20, seed=1), thresholds=[0, 1])
+        verify(inst, monte_carlo_rule(3, 20, seed=1), [0, 1])
 
 
 def test_verify_thresholds_are_checked_like_instance_r():
+    # the thresholds are checked as Instance checks d, n and k, and each report names its r
     inst, rule = bell_instance(), exact_qubit_rule(4)
-    assert verify(inst, rule, thresholds=[]) == ()
-    assert verify(inst, rule, thresholds=(1,)) == (verify(inst, rule),)
+    assert verify(inst, rule, []) == ()
+    reports = verify(inst, rule, (1, 0, 1))
+    assert [report.r for report in reports] == [1, 0, 1]
+    for report in reports:
+        assert report == verify(inst, rule, (report.r,))[0]
+    (report,) = verify(inst, rule, np.array([1], dtype=np.int64))
+    assert type(report.r) is int and report == reports[0]
     for bad in ([2], [0, -1]):
         with pytest.raises(InstanceError, match="outside 0..1"):
-            verify(inst, rule, thresholds=bad)
+            verify(inst, rule, bad)
     for bad in ([1.5], [0, 1.0]):
         with pytest.raises(InstanceError, match="r must be an integer"):
-            verify(inst, rule, thresholds=bad)
+            verify(inst, rule, bad)

@@ -437,14 +437,14 @@ def test_exact_rule_floor_is_degree_2t_plus_1(nk, capsys):
     sites = 2 * nk
     floor = sites // 2
     state, _ = cli.parse_state_spec("random-sym:1", 2, sites)
-    inst = Instance(d=2, n=nk, k=nk, r=0, rho=state)
-    full = verify(inst, exact_qubit_rule(sites), thresholds=range(nk + 1))
-    at = verify(inst, cli.parse_rule_spec(f"exact:{floor}", 2, sites), thresholds=range(nk + 1))
+    inst = Instance(d=2, n=nk, k=nk, rho=state)
+    full = verify(inst, exact_qubit_rule(sites), range(nk + 1))
+    at = verify(inst, cli.parse_rule_spec(f"exact:{floor}", 2, sites), range(nk + 1))
     for r, (got, want) in enumerate(zip(at, full)):
         assert got.chain_bound == pytest.approx(want.chain_bound, rel=1e-12, abs=0), r
         assert got.lhs_integration_error < 1e-13, r
         assert got.status == PASS, r
-    below = verify(inst, exact_qubit_rule(floor - 1), thresholds=range(nk + 1))
+    below = verify(inst, exact_qubit_rule(floor - 1), range(nk + 1))
     assert any(abs(got.chain_bound / want.chain_bound - 1) > 1e-9 for got, want in zip(below, full))
     code = main([
         "verify", "--d", "2", "--n", str(nk), "--k", str(nk), "--r", "1",
@@ -506,10 +506,10 @@ def test_sweep_calls_verify_once_per_k(monkeypatch, tmp_path, capsys):
     calls, rules = [], []
     real_verify = cli.verify
 
-    def counting_verify(inst, rule, **kwargs):
-        calls.append((inst.k, tuple(kwargs["thresholds"])))
+    def counting_verify(inst, rule, thresholds):
+        calls.append((inst.k, tuple(thresholds)))
         rules.append(rule)
-        return real_verify(inst, rule, **kwargs)
+        return real_verify(inst, rule, thresholds)
 
     monkeypatch.setattr(cli, "verify", counting_verify)
     code = main([

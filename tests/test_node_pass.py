@@ -23,7 +23,7 @@ where no dense operator fits.
 
 The node pass splits into a threshold-independent half, which `verify`
 computes once per block of nodes, and the per-r truncation. A call with
-`thresholds=` is checked against single calls on fresh copies of the inputs,
+several thresholds is checked against one-threshold calls on fresh copies of the inputs,
 and `verify` is checked to hold no reference to its inputs once it returns.
 `verify` walks the nodes in blocks of `_NODE_BLOCK`: its reports must not
 depend on the block size beyond roundoff, and neither its peak memory nor
@@ -93,13 +93,12 @@ BLOCKED = {
 }
 
 
-def instances(d, n, k):
-    state = random_symmetric_pure(n + k, d, seed=100 * d + 10 * n + k)
-    return [Instance(d=d, n=n, k=k, r=r, rho=state) for r in range(n + 1)]
+def instance(d, n, k):
+    return Instance(d=d, n=n, k=k, rho=random_symmetric_pure(n + k, d, seed=100 * d + 10 * n + k))
 
 
-def dense_terms(inst, rule):
-    """Per node: (trace(rho_psi), kept mass, escaped mass, tau_psi, fallback).
+def dense_terms(inst, rule, r):
+    """Per node at threshold r: (trace(rho_psi), kept mass, escaped mass, tau_psi, fallback).
 
     A node falls back where its kept mass is at most `certifier._FALLBACK_FRACTION` of its trace.
     """
@@ -107,7 +106,7 @@ def dense_terms(inst, rule):
     terms = []
     for node in rule.nodes:
         conditioned = sandwich_bra_last(rho, node, inst.k)
-        below, above = threshold_projectors(weight_family(node, inst.n), inst.r)
+        below, above = threshold_projectors(weight_family(node, inst.n), r)
         sigma = below @ conditioned @ below
         kept = sigma.trace().real
         escaped = np.einsum("ij,ji->", above.entries, conditioned.entries).real
@@ -128,9 +127,9 @@ def dense_defect(inst, rule):
     return trace_norm(reduced - Operator(inst.d, inst.n, sym_dim(inst.k, inst.d) * conditioned))
 
 
-def dense_report(inst, rule):
-    """(lhs, lhs_err, chain_bound, fallback count) of `verify`, from dense operators."""
-    terms = dense_terms(inst, rule)
+def dense_report(inst, rule, r):
+    """(lhs, lhs_err, chain_bound, fallback count) of `verify` at r, from dense operators."""
+    terms = dense_terms(inst, rule, r)
     approx = sym_dim(inst.k, inst.d) * sum(
         w * weight * tau.entries for w, (weight, _, _, tau, _) in zip(rule.weights, terms)
     )
@@ -148,13 +147,14 @@ def dense_report(inst, rule):
 @pytest.mark.parametrize("d,n,k", GRID)
 def test_node_pass_matches_dense_oracle(d, n, k, fraction, monkeypatch):
     monkeypatch.setattr(certifier, "_FALLBACK_FRACTION", fraction)
+    inst = instance(d, n, k)
     for rule in rules(d, n, k):
-        for inst in instances(d, n, k):
-            nodes = node_pass(inst, rule.node_matrix)
+        for r in range(n + 1):
+            nodes = node_pass(inst, rule.node_matrix, r)
             taus = dicke_isometry(n, d) @ nodes.tau
-            for j, term in enumerate(dense_terms(inst, rule)):
+            for j, term in enumerate(dense_terms(inst, rule, r)):
                 weight, kept, escaped, tau, fallback = term
-                where = f"{rule.describe()} r={inst.r} node {j}"
+                where = f"{rule.describe()} r={r} node {j}"
                 assert nodes.density[j] == pytest.approx(sym_dim(k, d) * weight, abs=TOL), where
                 assert nodes.kept[j] == pytest.approx(kept, abs=TOL), where
                 assert nodes.escaped[j] == pytest.approx(escaped, abs=TOL), where
@@ -171,14 +171,13 @@ def test_node_pass_matches_dense_oracle(d, n, k, fraction, monkeypatch):
 @pytest.mark.parametrize("d,n,k", GRID + list(BLOCKED))
 def test_verify_matches_dense_reference(d, n, k, fraction, monkeypatch):
     monkeypatch.setattr(certifier, "_FALLBACK_FRACTION", fraction)
-    blocked = (d, n, k) in BLOCKED
+    blocked, inst = (d, n, k) in BLOCKED, instance(d, n, k)
     for rule in BLOCKED[d, n, k]() if blocked else rules(d, n, k):
         assert not blocked or rule.node_count % certifier._NODE_BLOCK > 0, rule.describe()
         assert not blocked or rule.node_count > certifier._NODE_BLOCK, rule.describe()
-        for inst in instances(d, n, k):
-            report = verify(inst, rule)
-            lhs, err, chain, fallback = dense_report(inst, rule)
-            where = f"{rule.describe()} r={inst.r}"
+        for r, report in enumerate(verify(inst, rule, range(n + 1))):
+            lhs, err, chain, fallback = dense_report(inst, rule, r)
+            where = f"{rule.describe()} r={r}"
             assert report.lhs == pytest.approx(lhs, abs=TOL), where
             assert report.lhs_integration_error == pytest.approx(err, abs=TOL), where
             assert report.chain_bound == pytest.approx(chain, abs=TOL), where
@@ -189,18 +188,19 @@ def test_verify_matches_dense_reference(d, n, k, fraction, monkeypatch):
 def test_node_distance_is_twice_root_of_escaped_times_trace(d, n, k):
     # rho_psi - a tau_psi has rank two, with eigenvalues +-sqrt(e a), for every node
     # that keeps its truncation (a = trace(rho_psi), e = its escaped mass)
+    inst = instance(d, n, k)
+    rho = inst.rho.pure().projector()
     for rule in rules(d, n, k):
-        for inst in instances(d, n, k):
-            rho = inst.rho.pure().projector()
-            nodes = node_pass(inst, rule.node_matrix)
+        for r in range(n + 1):
+            nodes = node_pass(inst, rule.node_matrix, r)
             trace = nodes.density / sym_dim(k, d)
-            for j, term in enumerate(dense_terms(inst, rule)):
+            for j, term in enumerate(dense_terms(inst, rule, r)):
                 if term[4]:
                     continue
                 conditioned = sandwich_bra_last(rho, rule.node(j), k)
                 distance = trace_norm(conditioned - trace[j] * term[3])
                 expected = 2 * math.sqrt(nodes.escaped[j] * trace[j])
-                where = f"{rule.describe()} r={inst.r} node {j}"
+                where = f"{rule.describe()} r={r} node {j}"
                 assert distance == pytest.approx(expected, rel=0, abs=TOL), where
 
 
@@ -211,16 +211,16 @@ def test_lhs_within_defect_and_gentle_sum(d, n, k, fraction, monkeypatch):
     # fallback node at most 2a <= 3 sqrt(e a), as e >= (1 - fraction) a and fraction <= 5/9;
     # past 5/9 (at 1.0 every node falls back) only the 2a form is left
     monkeypatch.setattr(certifier, "_FALLBACK_FRACTION", fraction)
+    inst = instance(d, n, k)
     for rule in rules(d, n, k):
-        for inst in instances(d, n, k):
-            report = verify(inst, rule)
-            nodes = node_pass(inst, rule.node_matrix)
+        for r, report in enumerate(verify(inst, rule, range(n + 1))):
+            nodes = node_pass(inst, rule.node_matrix, r)
             trace = nodes.density / sym_dim(k, d)
             root = np.sqrt(nodes.escaped * trace)
             fallback_cost = 3 * root if fraction <= 5 / 9 else 2 * trace
             cost = np.where(nodes.fallback, fallback_cost, 2 * root)
             gentle = sym_dim(k, d) * float(rule.weights @ cost)
-            where = f"{rule.describe()} r={inst.r}"
+            where = f"{rule.describe()} r={r}"
             if fraction <= 5 / 9:
                 assert gentle <= report.chain_bound, where
             assert report.lhs <= report.lhs_integration_error + gentle + TOL, where
@@ -235,8 +235,8 @@ def test_verify_conditions_once(monkeypatch, rule):
         return _condition(*args)
 
     monkeypatch.setattr(certifier, "_condition", counted)
-    inst = Instance(d=2, n=2, k=2, r=1, rho=random_symmetric_pure(4, 2, seed=3))
-    assert len(verify(inst, rule, thresholds=range(3))) == 3
+    inst = Instance(d=2, n=2, k=2, rho=random_symmetric_pure(4, 2, seed=3))
+    assert len(verify(inst, rule, range(3))) == 3
     assert len(calls) == 1
 
 
@@ -429,7 +429,7 @@ def test_pass_at_forty_sites_reads_only_dicke_coefficients():
     coefficients = rng.standard_normal(81) + 1j * rng.standard_normal(81)
     coefficients /= np.linalg.norm(coefficients)
     rule = exact_qubit_rule(80)
-    inst = Instance(d=2, n=40, k=40, r=0, rho=SymmetricState(2, 80, coefficients))
+    inst = Instance(d=2, n=40, k=40, rho=SymmetricState(2, 80, coefficients))
     phi = _coupling(inst) @ _bra_powers(rule.node_matrix, inst.k)
     cond = _condition(inst, phi, rule.node_matrix)
     assert float(rule.weights @ cond.density) == pytest.approx(1.0, abs=1e-12)
@@ -473,7 +473,7 @@ def test_dicke_state_needs_one_node_per_ring(n, ones, rtol, floor):
     # equispaced azimuths cancel every off-diagonal frequency: each ring sums to a diagonal
     # matrix, and lhs = sum_s |p_s - A_ss| from the first node of each ring
     rule = exact_qubit_rule(n)
-    inst = Instance(d=2, n=n, k=n, r=0, rho=dicke_state(2 * n, 2, (2 * n - ones, ones)))
+    inst = Instance(d=2, n=n, k=n, rho=dicke_state(2 * n, 2, (2 * n - ones, ones)))
     grams = certifier._prepare(inst, rule, tuple(range(n + 2))).grams  # with keep-all n+1
     off_diagonal = grams.copy()
     off_diagonal[:, range(n + 1), range(n + 1)] = 0
@@ -482,8 +482,8 @@ def test_dicke_state_needs_one_node_per_ring(n, ones, rtol, floor):
     firsts, ring_weights = rule.node_matrix[::ring], rule.weights.reshape(-1, ring).sum(axis=1)
     reduced = hypergeometric(n, n, ones)
     compared = 0
-    for r, report in enumerate(verify(inst, rule, thresholds=range(n + 1))):
-        node = node_pass(dataclasses.replace(inst, r=r), firsts)
+    for r, report in enumerate(verify(inst, rule, range(n + 1))):
+        node = node_pass(inst, firsts, r)
         diagonal = (np.abs(node.tau) ** 2 * node.density) @ ring_weights
         lhs = float(np.abs(reduced - diagonal).sum())
         if lhs >= floor:
@@ -510,7 +510,7 @@ def counting_prepares(monkeypatch):
     return calls
 
 
-# named after the memo that the thresholds= call replaced; it checks the one pass per sweep
+# named after the memo that the one call per sweep replaced; it checks the one pass per sweep
 @pytest.mark.parametrize("d,n,k", [(2, 4, 3), (3, 2, 2)])
 def test_sweep_reuse_matches_fresh_inputs(d, n, k, monkeypatch):
     state = random_symmetric_pure(n + k, d, seed=5)
@@ -518,17 +518,16 @@ def test_sweep_reuse_matches_fresh_inputs(d, n, k, monkeypatch):
     for rule in rules(d, n, k):
         prepares.clear()
         expected = [
-            verify(Instance(d=d, n=n, k=k, r=r, rho=fresh(state)), fresh(rule))
+            verify(Instance(d=d, n=n, k=k, rho=fresh(state)), fresh(rule), (r,))[0]
             for r in range(n + 1)
         ]
         assert len(prepares) == n + 1, rule.describe()  # single calls share nothing
         prepares.clear()
-        # inst.r is not among the thresholds: with thresholds=, only they count
-        inst = Instance(d=d, n=n, k=k, r=n, rho=state)
-        reports = verify(inst, rule, thresholds=range(n + 1))
+        inst = Instance(d=d, n=n, k=k, rho=state)
+        reports = verify(inst, rule, range(n + 1))
         assert len(prepares) == 1, rule.describe()
         assert reports == tuple(expected), rule.describe()
-        backwards = verify(inst, rule, thresholds=[n, 0, n, 1])
+        backwards = verify(inst, rule, [n, 0, n, 1])
         assert backwards == (expected[n], expected[0], expected[n], expected[1]), rule.describe()
 
 
@@ -549,24 +548,24 @@ def test_reuse_misses_on_new_split_state_or_rule():
     ]
     expected = [
         tuple(
-            verify(Instance(d=2, n=n, k=k, r=r, rho=fresh(rho)), fresh(rule))
+            verify(Instance(d=2, n=n, k=k, rho=fresh(rho)), fresh(rule), (r,))[0]
             for r in range(n + 1)
         )
         for rho, n, k, rule in calls
     ]
     for (rho, n, k, rule), want in zip(calls, expected):
-        inst = Instance(d=2, n=n, k=k, r=1, rho=rho)
-        assert verify(inst, rule, thresholds=range(n + 1)) == want, (n, k, rule.describe())
-        assert verify(inst, rule) == want[1], (n, k, rule.describe())
+        inst = Instance(d=2, n=n, k=k, rho=rho)
+        assert verify(inst, rule, range(n + 1)) == want, (n, k, rule.describe())
+        assert verify(inst, rule, (1,)) == want[1:2], (n, k, rule.describe())
 
 
 def test_verify_keeps_no_reference_to_its_inputs():
     state = random_symmetric_pure(6, 2, seed=4)
     rule = monte_carlo_rule(2, 40, seed=4)
-    inst = Instance(d=2, n=3, k=3, r=1, rho=state)
+    inst = Instance(d=2, n=3, k=3, rho=state)
     refs = [weakref.ref(obj) for obj in (state, rule, inst)]
-    verify(inst, rule)
-    verify(inst, exact_qubit_rule(6))
+    verify(inst, rule, (1,))
+    verify(inst, exact_qubit_rule(6), (1,))
     del state, rule, inst
     gc.collect()
     assert [ref() for ref in refs] == [None, None, None]
@@ -578,18 +577,18 @@ def test_blocked_standard_error_matches_full_stack(d):
     for grid_d, n, k in GRID:
         if grid_d != d:
             continue
-        inst = instances(d, n, k)[1]
+        inst = instance(d, n, k)
         for rule in rules(d, n, k):
-            defect = verify(inst, rule).lhs_integration_error
+            defect = verify(inst, rule, (1,))[0].lhs_integration_error
             if rule.kind == "exact":
                 # exact through degree n + k >= k: sym_dim(k,d) sum_j w_j b b^dag = I
                 assert defect <= 1e-13, (n, k)
             else:
                 assert defect > 0, (n, k)
                 assert defect == pytest.approx(dense_defect(inst, rule), rel=1e-12), (n, k)
-    inst = instances(d, 2, 2)[1]
+    inst = instance(d, 2, 2)
     single = monte_carlo_rule(d, 1, seed=4)
-    defect = verify(inst, single).lhs_integration_error
+    defect = verify(inst, single, (1,))[0].lhs_integration_error
     assert defect > 0
     assert defect == pytest.approx(dense_defect(inst, single), rel=1e-12)
     # 30 copies of one node average to that node, so delta is the same
@@ -600,7 +599,8 @@ def test_blocked_standard_error_matches_full_stack(d):
         kind="monte_carlo",
         seed=4,
     )
-    assert verify(inst, repeated).lhs_integration_error == pytest.approx(defect, rel=1e-12)
+    (report,) = verify(inst, repeated, (1,))
+    assert report.lhs_integration_error == pytest.approx(defect, rel=1e-12)
 
 
 @pytest.mark.parametrize("fraction", [certifier._FALLBACK_FRACTION, 0.05])
@@ -614,17 +614,17 @@ def test_streamed_verify_matches_one_block(d, n, k, rule, fraction, monkeypatch)
     kind, size = rule
     rule = monte_carlo_rule(d, size, seed=6) if kind == "mc" else exact_qubit_rule(size)
     count = rule.node_count
-    inst = Instance(d=d, n=n, k=k, r=0, rho=random_symmetric_pure(n + k, d, seed=8))
+    inst = Instance(d=d, n=n, k=k, rho=random_symmetric_pure(n + k, d, seed=8))
     monkeypatch.setattr(certifier, "_FALLBACK_FRACTION", fraction)
     monkeypatch.setattr(certifier, "_NODE_BLOCK", count)
-    whole = verify(inst, rule, thresholds=range(n + 1))
+    whole = verify(inst, rule, range(n + 1))
     fallbacks = {report.fallback_node_count for report in whole}
     assert count % 7 and count in fallbacks  # a partial last block; every node falls back at r=0
     if fraction == 0.05:
         assert fallbacks - {0, count}  # some row keeps part of its nodes
     for block in (1, 7, count - 1, count, count + 5):
         monkeypatch.setattr(certifier, "_NODE_BLOCK", block)
-        streamed = verify(inst, rule, thresholds=range(n + 1))
+        streamed = verify(inst, rule, range(n + 1))
         for r, (got, want) in enumerate(zip(streamed, whole)):
             where = f"{rule.describe()} block={block} r={r}"
             for field in ("lhs", "lhs_integration_error", "chain_bound"):
@@ -647,9 +647,9 @@ def peak_bytes(call):
 @pytest.mark.parametrize(
     "view",
     [
-        lambda inst, rule: verify(inst, rule, thresholds=range(inst.n + 1)),
-        certifier.chain_bound,
-        approximant,
+        lambda inst, rule: verify(inst, rule, range(inst.n + 1)),
+        lambda inst, rule: certifier.chain_bound(inst, rule, 0),
+        lambda inst, rule: approximant(inst, rule, 0),
         nu_weight_normalization,
     ],
     ids=["verify", "chain_bound", "approximant", "nu_weight_normalization"],
@@ -658,7 +658,7 @@ def test_verify_memory_does_not_grow_with_the_node_count(view):
     # the nodes are walked in fixed blocks, by verify and by the rule-level views alike, so ten
     # times the nodes must not mean ten times the memory; the rules are built first, as their
     # node tables are inputs
-    inst = Instance(d=3, n=2, k=2, r=0, rho=random_symmetric_pure(4, 3, seed=9))
+    inst = Instance(d=3, n=2, k=2, rho=random_symmetric_pure(4, 3, seed=9))
     small, large = monte_carlo_rule(3, 4000, seed=9), monte_carlo_rule(3, 40000, seed=9)
     view(inst, small)  # fills the type and rotation-block caches outside the trace
     small_peak = peak_bytes(lambda: view(inst, small))

@@ -65,7 +65,7 @@ def test_float_gauss_legendre_roundoff_is_pinned(points):
 def test_dicke_lhs_matches_fifty_digit_reference(n, spec, thresholds):
     state, _ = parse_state_spec(spec, 2, 2 * n)
     ones = int(spec.split(",")[1])
-    reports = verify(Instance(d=2, n=n, k=n, r=0, rho=state), exact_qubit_rule(n), thresholds)
+    reports = verify(Instance(d=2, n=n, k=n, rho=state), exact_qubit_rule(n), thresholds)
     for r, report, expected in zip(thresholds, reports, dicke_lhs(n, n, ones, n, thresholds)):
         assert abs(report.lhs - float(expected)) <= LHS_ATOL, (r, report.lhs, expected)
 
@@ -79,7 +79,7 @@ WHOLE_ROWS = [
 def test_whole_rows_match_fifty_digit_reference(n, spec):
     state, _ = parse_state_spec(spec, 2, 2 * n)
     rule, thresholds = exact_qubit_rule(n), range(n + 1)
-    reports = verify(Instance(d=2, n=n, k=n, r=0, rho=state), rule, thresholds)
+    reports = verify(Instance(d=2, n=n, k=n, rho=state), rule, thresholds)
     lhs, delta, escaped = qubit_rows(state, n, rule, thresholds)
     for r, report, expected, mass in zip(thresholds, reports, lhs, escaped):
         assert abs(report.lhs - float(expected)) <= LHS_ATOL, (r, report.lhs, expected)

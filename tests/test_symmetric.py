@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,8 @@ from definetti.symmetric import (
     type_table,
 )
 from oracles import dicke_isometry, permutation_operator, type_table_reference
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _digit_counts(n, d):
@@ -282,6 +288,25 @@ def test_type_table_multiplicities_match_factorial_formula():
         factorials = [math.factorial(i) for i in range(n + 1)]
         exact = [factorials[n] // math.prod(factorials[c] for c in row) for row in types.tolist()]
         assert mult.tobytes() == np.array(exact, dtype=np.float64).tobytes(), (n, d)
+
+
+def test_type_table_at_the_d3_site_limit_stays_below_75_mb():
+    # 652 sites, the largest d=3 run: the exact products are made into floats 4096 rows at a
+    # time, where all of them at once peaked at 94 MB. As in tests/test_ci_runs.py, a launcher
+    # reads the peak RSS of its own child, which does not carry the test session's peak
+    launcher = (
+        "import resource, subprocess, sys\n"
+        "subprocess.check_call([sys.executable, '-c', "
+        "'from definetti.symmetric import type_table; type_table(652, 3)'])\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024)\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", launcher], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 75, proc.stdout
 
 
 def test_type_rank_numbers_the_type_table():
