@@ -110,7 +110,8 @@ class VerificationReport:
     """Outcome of certifying one threshold r; all numeric fields are finite.
 
     `lhs_integration_error` is the rule's post-selection defect delta, the same
-    for every threshold, and lhs <= delta + chain_bound holds as a theorem.
+    for every threshold, and lhs <= delta + chain_bound holds as a theorem. A
+    non-finite field raises ArithmeticError, so that no NaN becomes a verdict.
     """
 
     r: int
@@ -123,6 +124,11 @@ class VerificationReport:
     rule_description: str
     status: str
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ArithmeticError(f"{name} = {value!r} at r={self.r} is not finite")
+
 
 class _Conditioned(NamedTuple):
     """The threshold-independent half of the node pass, one column per node.
@@ -131,7 +137,7 @@ class _Conditioned(NamedTuple):
     `type_table(n, d)`. The frame U = R_1 ... R_{d-1} D of node psi maps psi
     to e_0: D removes the phases of psi's entries and the real rotation R_j
     on levels (j-1, j) moves the remaining weight of levels j.. onto j-1.
-    The inverse rotation in `_truncate` reads `turns` reversed, their conjugate.
+    turns[n + p, j - 1] is w_j^p, p = -n..n; `_rotate` reads every block's phases as views.
     """
 
     density: np.ndarray  # sym_dim(k,d) trace(rho_psi), the density of nu
@@ -166,7 +172,6 @@ class _Block(NamedTuple):
     rows: np.ndarray  # (blocks, m+1): type rows, by t_j = 0..m within each block
     basis: np.ndarray  # W_m
     adjoint: np.ndarray  # W_m^dag
-    spectrum: np.ndarray  # 2a - m for a = 0..m
 
 
 def _generator_eigenbasis(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -195,7 +200,7 @@ def _rotation_blocks(n: int, d: int) -> tuple[tuple[_Block, ...], ...]:
             starts = types[(types[:, j - 1] == m) & (types[:, j] == 0)]
             rows = type_rank(starts[:, None, :] + np.arange(m + 1)[:, None] * step, n)
             if rows.size:
-                blocks.append(_Block(rows, *_generator_eigenbasis(m), np.arange(-m, m + 1, 2)))
+                blocks.append(_Block(rows, *_generator_eigenbasis(m)))
         out.append(tuple(blocks))
     return tuple(out)
 
@@ -203,16 +208,19 @@ def _rotation_blocks(n: int, d: int) -> tuple[tuple[_Block, ...], ...]:
 def _rotate(n: int, d: int, turns, columns: np.ndarray, inverse=False, floor=0) -> np.ndarray:
     """Column c mapped by the symmetric power of R_1 ... R_{d-1} (`turns`), or its inverse.
 
-    An inverse reads only rows with t_0 >= `floor` at its first level; the rest must be zero.
+    A block of m+1 types reads w^(2a - m), a = 0..m, as rows n-m, n-m+2, .., n+m of its
+    level; the inverse reads turns reversed, w^-p = conj(w^p) at row n+p. An inverse
+    reads only rows with t_0 >= `floor` at its first level; the rest must be zero.
     """
-    levels = range(1, d) if inverse else range(d - 1, 0, -1)
+    levels, table = (range(1, d), turns[::-1]) if inverse else (range(d - 1, 0, -1), turns)
     blocks = _rotation_blocks(n, d)
     for j in levels:
         out = np.empty_like(columns) if d == 2 else columns.copy()  # d = 2: one block, all rows
-        for block, phase in zip(blocks[j - 1], turns[j - 1]):
-            live = block.rows.shape[1] - (floor if j == 1 else 0)
+        for block in blocks[j - 1]:
+            m = block.rows.shape[1] - 1
+            live = m + 1 - (floor if j == 1 else 0)
             if live > 0:
-                phase = phase[::-1] if inverse else phase  # w^(m - 2a) is conj(w^(2a - m))
+                phase = table[n - m : n + m + 1 : 2, j - 1]
                 rows = columns[block.rows[:, :live]]
                 out[block.rows] = block.basis @ (phase * (block.adjoint[:, :live] @ rows))
         columns = out
@@ -247,22 +255,17 @@ def _bra_powers(nodes: np.ndarray, k: int) -> np.ndarray:
     return np.sqrt(type_table(k, nodes.shape[1])[1])[:, None] * _monomials(nodes.conj(), k)
 
 
-def _frame(n: int, nodes: np.ndarray) -> tuple[tuple, np.ndarray]:
+def _frame(n: int, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(turns, unphase) of `_Conditioned`: U^(x)n is `_rotate` with turns after unphase^*.
 
     R_j turns (|psi_{j-1}|, tail_j = |(psi_j, ..., psi_{d-1})|) onto level j-1 by
-    theta_j, so w = exp(-i theta_j) is the unit of |psi_{j-1}| - i tail_j; turns[j-1]
-    holds w^(2a - m), a = 0..m, per block on levels (j-1, j). No angle is formed.
+    theta_j, so w_j = exp(-i theta_j) is the unit of |psi_{j-1}| - i tail_j. turns holds
+    w_j^p at [n + p, j - 1] for p = -n..n, one table per level. No angle is formed.
     """
     unphase = _monomials(_unit(nodes), n)  # first: its power table and the turns' never coexist
     tails = np.sqrt(np.cumsum(np.abs(nodes[:, ::-1]) ** 2, axis=1)[:, ::-1])
-    givens = _unit(np.abs(nodes[:, :-1]) - 1j * tails[:, 1:])
-    turns = []
-    for w, blocks in zip(givens.T, _rotation_blocks(n, nodes.shape[1])):
-        powers = _powers(w, n)  # w is a unit number, so w^-p is conj(w^p)
-        signed = np.concatenate([powers[:0:-1].conj(), powers])  # w^p at row n + p
-        turns.append(tuple(signed[n + block.spectrum] for block in blocks))
-    return tuple(turns), unphase
+    powers = _powers(_unit(np.abs(nodes[:, :-1]) - 1j * tails[:, 1:]).T, n)
+    return np.concatenate([powers[:0:-1].conj(), powers]), unphase  # w is a unit: w^-p = conj(w^p)
 
 
 def _coupling(inst: Instance) -> np.ndarray:
@@ -335,9 +338,10 @@ def memory_floor(d: int, n: int, k: int, thresholds: int, nodes: int) -> int:
 def _prepare(inst: Instance, rule: QuadratureRule, thresholds) -> _Prepared:
     """Sum what each of `thresholds`, in 0..n+1, needs over the nodes, _NODE_BLOCK at a time.
 
-    A block is conditioned once, truncated for every threshold and dropped. Peak memory is
-    O(_NODE_BLOCK sym_dim(n,d) + len(thresholds) sym_dim(n,d)^2), and at least the Gram term
-    of `memory_floor`; the fixed block fixes each sum's order.
+    A block is conditioned once and truncated for every threshold; its conditioned arrays and
+    each truncation are dropped before the next is built, so one of each lives at a time. Peak
+    memory is O(_NODE_BLOCK sym_dim(n,d) + len(thresholds) sym_dim(n,d)^2), and at least the
+    Gram term of `memory_floor`; the fixed block fixes each sum's order.
     """
     coupling = _coupling(inst)
     reduced = _gram(coupling)
@@ -351,6 +355,8 @@ def _prepare(inst: Instance, rule: QuadratureRule, thresholds) -> _Prepared:
             grams[i] += _gram(node.tau, weights * node.density)
             escaped[i] += weights @ node.escaped
             fallback[i] += node.fallback.sum()
+            del node  # before the next truncation
+        del cond  # before the next block is conditioned
     return _Prepared(reduced, grams, escaped, fallback)
 
 

@@ -76,11 +76,6 @@ class ReportRow:
     seed: "int | None"
     status: str
 
-    def __post_init__(self):
-        for value in (self.lhs, self.lhs_err, self.chain_bound, self.explicit_bound, self.g_max):
-            if not math.isfinite(value):
-                raise ValueError(f"non-finite report field {value!r}")
-
 
 CSV_HEADER = ",".join(field.name for field in dataclasses.fields(ReportRow))
 
@@ -226,10 +221,9 @@ def build_rows(d, n, k_list, r_list, state_spec, rule_spec):
     n + max k once refuses every k that would fail.
     """
     thresholds, ks = sorted(set(r_list)), sorted(set(k_list))
-    if d < 2:
-        raise UsageError(f"d must be >= 2, got {d}")
-    if ks[0] < 1:
-        raise UsageError(f"k must be positive, got {ks[0]}")
+    for name, value, low in (("d", d, 2), ("n", n, 1), ("k", ks[0], 1)):
+        if value < low:
+            raise UsageError(f"{name} must be >= {low}, got {value}")
     for r in thresholds:
         if not 0 <= r <= n:
             raise UsageError(f"r must lie in [0, n]; got r={r} with n={n}")

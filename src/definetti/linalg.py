@@ -188,7 +188,7 @@ def _hermiticity_defect(entries: np.ndarray) -> float:
 def _hermitian_entries(a: Operator | np.ndarray, what: str) -> np.ndarray:
     entries = a.entries if isinstance(a, Operator) else a
     defect = _hermiticity_defect(entries)
-    if defect > HERMITIAN_ATOL:
+    if not defect <= HERMITIAN_ATOL:  # NaN fails it
         raise ValueError(f"{what} requires a hermitian operator (defect {defect:.3e})")
     return entries
 

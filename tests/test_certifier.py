@@ -156,6 +156,23 @@ def test_non_finite_entries_are_refused_at_construction(bad):
 
 
 @pytest.mark.parametrize(
+    "name,value,field",
+    [
+        ("trace_norm", math.nan, "lhs"),
+        ("_chain_bound", math.nan, "chain_bound"),
+        ("_chain_bound", math.inf, "chain_bound"),
+    ],
+)
+def test_a_non_finite_number_never_becomes_a_verdict(name, value, field, monkeypatch):
+    # every comparison with NaN is False, and inf exceeds the explicit bound: each of these
+    # once read VIOLATION. The report refuses it, naming the first non-finite field
+    monkeypatch.setattr(certifier, name, lambda *args: value)
+    inst = Instance(d=2, n=1, k=1, rho=ghz_state(2, 2))
+    with pytest.raises(ArithmeticError, match=f"^{field} = {value!r} at r=1 is not finite$"):
+        verify(inst, exact_qubit_rule(6), (1,))
+
+
+@pytest.mark.parametrize(
     "d,n,k,rule",
     [
         (2, 4, 3, exact_qubit_rule(7)),

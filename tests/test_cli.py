@@ -153,6 +153,31 @@ def test_crash_exits_internal_not_violation(monkeypatch, capsys):
     assert captured.err.startswith("error: internal error: MemoryError: cannot allocate")
 
 
+@pytest.mark.parametrize(
+    "name,value", [("trace_norm", math.nan), ("_chain_bound", math.nan), ("_chain_bound", math.inf)]
+)
+def test_non_finite_report_exits_internal_not_violation(name, value, monkeypatch, capsys):
+    monkeypatch.setattr(certifier, name, lambda *args: value)
+    assert main(BELL_ARGS) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal error: ArithmeticError: ")
+    assert "is not finite" in captured.err
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_n_below_one_is_refused_before_any_state(n, monkeypatch, capsys):
+    # n=0 once built a state on k sites before Instance refused it, and n=-1 was refused by
+    # the r check as r=0 outside [0, -1]
+    def refuse(*args, **kwargs):
+        raise AssertionError("a state was built")
+
+    monkeypatch.setattr(cli, "parse_state_spec", refuse)
+    argv = ["verify", "--d", "2", "--n", n, "--k", "1", "--r", "0", "--state", "ghz"]
+    assert main(argv + ["--rule", "exact:6"]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: n must be >= 1, got {n}\n"
+
+
 def test_verify_writes_output_and_json(tmp_path, capsys):
     out_path = tmp_path / "rows.csv"
     json_path = tmp_path / "rows.json"

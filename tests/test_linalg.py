@@ -160,6 +160,9 @@ def test_trace_norm_values():
 def test_trace_norm_rejects_non_hermitian():
     with pytest.raises(ValueError):
         trace_norm(Operator(2, 1, [[0, 1], [0, 0]]))
+    # a NaN defect passes `defect > HERMITIAN_ATOL`, and LAPACK then gave eigenvalues [0, -0]
+    with pytest.raises(ValueError, match="hermitian operator \\(defect nan\\)"):
+        trace_norm(np.array([[np.nan, 0], [0, 1]]))
 
 
 def test_trace_norm_triangle_inequality():
