@@ -376,7 +376,14 @@ def chain_bound(inst: Instance, rule: QuadratureRule, r) -> float:
 
 
 def explicit_bound(n: int, k: int, d: int, r: int) -> float:
-    """Closed-form bound 3 sym_dim(k,d) sqrt(sym_dim(n+k,d)) e^(-(r/6) min(k/n,1))."""
+    """Closed-form bound 3 sym_dim(k,d) sqrt(sym_dim(n+k,d)) e^(-(r/6) min(k/n,1)).
+
+    The rate min(k/n, 1) is within a factor 2 of 2k/(n+k): min(k/n, 1) <= 2k/(n+k)
+    <= 2 min(k/n, 1) for all n, k >= 1. Times n(n+k) > 0, with m = min(k, n), it reads
+    m(n+k) <= 2kn <= 2m(n+k). If k <= n, then m = k, k(n+k) <= 2kn holds as k <= n, and
+    2kn <= 2k(n+k) always. If n < k, then m = n, n(n+k) <= 2kn holds as n <= k, and
+    2kn <= 2n(n+k) always.
+    """
     if n < 1 or k < 1:
         raise ValueError("n and k must be >= 1")
     if not 0 <= r <= n:
@@ -391,6 +398,11 @@ def _horner(coefficients, t: float) -> float:
     for c in coefficients:
         total = total * t + c
     return total
+
+
+def _tail(n: int, r: int, x: float, y: float) -> float:
+    """sum_{i=r..n} C(n,i) x^(n-i) y^i, term by term with fsum; at y = 1-x, P[Bin(n, y) >= r]."""
+    return math.fsum([float(math.comb(n, i)) * x ** (n - i) * y**i for i in range(r, n + 1)])
 
 
 def g_max(n: int, k: int, r: int) -> float:
@@ -425,15 +437,10 @@ def g_max(n: int, k: int, r: int) -> float:
     if r == n + 1:
         return 0.0
     # plain floats: at a few hundred terms numpy's per-call cost exceeds the arithmetic
-    span = range(r, n + 1)
-    coeff = [float(math.comb(n, i)) for i in span]
+    coeff = [float(math.comb(n, i)) for i in range(r, n + 1)]
     reverse = coeff[::-1]
     slope = n * float(math.comb(n - 1, r - 1))
     steps = 1 << 53
-
-    def tail(m):
-        x, y = m / steps, (steps - m) / steps
-        return math.fsum([c * x ** (n - i) * y**i for c, i in zip(coeff, span)])
 
     def rising(m):
         # the sign of h(x) / (1-x)^n below x = 1/2, of h(x) / (x^n t^(r-1)) above
@@ -450,7 +457,7 @@ def g_max(n: int, k: int, r: int) -> float:
             lo = mid
         else:
             hi = mid
-    best = max((m / steps) ** k * tail(m) for m in (lo, hi))
+    best = max((m / steps) ** k * _tail(n, r, m / steps, (steps - m) / steps) for m in (lo, hi))
     ceiling = math.exp(-(r / 3.0) * min(k / n, 1.0))
     if best > ceiling + _GRID_SLACK:
         raise ArithmeticError(
@@ -493,29 +500,13 @@ def check_chernoff_claim(n: int, r: int) -> float:
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got n={n} r={r}")
     x = 1.0 - r / (3.0 * n)
-    i = np.arange(r, n + 1)
-    coeff = np.array([float(math.comb(n, j)) for j in i])
-    slack = math.exp(-r / 3.0) - float((coeff * x ** (n - i) * (1 - x) ** i).sum())
+    slack = math.exp(-r / 3.0) - _tail(n, r, x, 1 - x)
     worst = float(n * _binary_divergences(r / n, 1.0 - x) - r / 3.0)
     if worst < -_GRID_SLACK:
         raise ArithmeticError(
             f"large-deviation form fails at n={n} r={r}: slack {worst:.3e}"
         )
     return slack
-
-
-def check_exponent_sandwich(pairs) -> bool:
-    """min(k/n, 1) <= 2k/(n+k) <= 2 min(k/n, 1), in exact integer arithmetic.
-
-    Times n (n+k) > 0 it reads min(k, n) (n+k) <= 2kn <= 2 min(k, n) (n+k).
-    """
-    for n, k in pairs:
-        if n < 1 or k < 1:
-            raise ValueError(f"need n, k >= 1, got n={n} k={k}")
-        low = min(k, n) * (n + k)
-        if not low <= 2 * k * n <= 2 * low:
-            return False
-    return True
 
 
 def _report(inst: Instance, rule: QuadratureRule, r: int, prepared: _Prepared, i: int, err: float):
@@ -562,6 +553,8 @@ def verify(inst: Instance, rule: QuadratureRule, thresholds) -> tuple[Verificati
     if rule.d != inst.d:
         raise DimensionError(f"rule has site dimension {rule.d}, instance has d={inst.d}")
     thresholds = tuple(_integer("r", r, 0, inst.n) for r in thresholds)
+    if not thresholds:
+        return ()
     prepared = _prepare(inst, rule, thresholds + (inst.n + 1,))
     defect = trace_norm(prepared.reduced - prepared.grams[-1])
     return tuple(_report(inst, rule, r, prepared, i, defect) for i, r in enumerate(thresholds))

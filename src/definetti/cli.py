@@ -13,7 +13,7 @@ Three subcommands:
 ``check-props``
     Run the standalone property checks that the verdicts rest on
     (post-selection reconstruction, the Chernoff tail claim at the point of
-    its window where it binds, exponent comparison) on their default grids.
+    its window where it binds) on their default grids.
 
 Exit codes: 0 all PASS, 1 any VIOLATION, 2 any INCONCLUSIVE (and none worse),
 64 on a usage error, 70 on an internal error (a crash such as running out of
@@ -36,7 +36,6 @@ from .certifier import (
     VIOLATION,
     Instance,
     check_chernoff_claim,
-    check_exponent_sandwich,
     check_post_selection,
     memory_floor,
     verify,
@@ -351,11 +350,6 @@ def cmd_check_props(args) -> int:
         f"divergence lower bound {'holds' if divergence_ok else 'FAILS'} "
         f"{'ok' if ok else 'FAIL'}"
     )
-
-    pairs = [(n, k) for n in range(1, 51) for k in range(1, 51)]
-    ok = check_exponent_sandwich(pairs)
-    failures += 0 if ok else 1
-    print(f"exponent sandwich, n,k <= 50: {'ok' if ok else 'FAIL'}")
 
     return EXIT_OK if failures == 0 else EXIT_VIOLATION
 

