@@ -13,11 +13,12 @@ The certified chain is
     lhs <= 3 sym_dim(k,d) sqrt(integral trace(P_geq_r rho_psi))
         <= 3 sym_dim(k,d) sqrt(sym_dim(n+k,d)) exp(-(r/6) min(k/n, 1)),
 
-with post-selection, the tail maxima and the large-deviation slack each
-exposed as its own check. `verify` checks the chain at each threshold r it is
-given, for the rule's own approximant, with the integral replaced by the
-weighted sum over the rule's nodes. The gentle measurement step is, for a pure
-conditioned state, an identity: for a node that keeps its truncation,
+with post-selection (`check_post_selection`) and the Chernoff step (the
+ceiling that `g_max` asserts) each exposed as its own check. `verify` checks
+the chain at each threshold r it is given, for the rule's own approximant,
+with the integral replaced by the weighted sum over the rule's nodes. The
+gentle measurement step is, for a pure conditioned state, an identity: for
+a node that keeps its truncation,
 ||rho_psi - trace(rho_psi) tau_psi||_1 = 2 sqrt(trace(rho_psi) e_psi) with
 e_psi = trace(P_geq_r rho_psi). A node of trace a falls back to tau_psi =
 psi^(x)n only when its kept mass is at most f a, f = _FALLBACK_FRACTION;
@@ -422,11 +423,20 @@ def g_max(n: int, k: int, r: int) -> float:
     halves [0, 1] on the sign of h until no such x is left between its ends,
     then takes the larger f of the two, summed term by term with fsum. The
     sign comes from one Horner sum in t = min(x, 1-x) / max(x, 1-x) <= 1,
-    with positive coefficients, so each step costs O(n - r + 1).
+    with positive coefficients, so each step costs O(n - r + 1). Both sides
+    of the sign test carry the factor 2^-(n//2), exact in binary, so that
+    the sums, up to 2^n, stay finite for every n whose C(n, i) are floats.
 
-    The maximum never exceeds e^(-(r/3) min(k/n, 1)): for x below 1 - r/(3n)
-    the power x^k decays enough, and above that point the binomial tail
-    itself is small. That ceiling is asserted before returning.
+    The maximum never exceeds e^(-(r/3) min(k/n, 1)), which is asserted before
+    returning, since f is at most e^(-rk/(3n)) or e^(-r/3) on either side of
+    x = 1 - r/(3n):
+    - x < 1 - r/(3n): x^k <= e^(-rk/(3n)), and tail <= 1.
+    - otherwise q = 1-x <= p/3, p = r/n, and x^k <= 1. The Chernoff-Hoeffding
+      bound P[Bin(n, q) >= r] <= e^(-n D(p || q)) holds for q <= p, D the
+      binary relative entropy, and D(p || q) falls in q on (0, p], so
+      tail <= e^(-n D(p || p/3)) <= e^(-r/3), as
+    - f(p) = D(p || p/3) - p/3 is 0 at p = 0 and f' increases from
+      f'(0) = ln 3 - 1 > 0, so n f(r/n) >= (ln 3 - 1) r.
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be >= 1")
@@ -437,9 +447,10 @@ def g_max(n: int, k: int, r: int) -> float:
     if r == n + 1:
         return 0.0
     # plain floats: at a few hundred terms numpy's per-call cost exceeds the arithmetic
-    coeff = [float(math.comb(n, i)) for i in range(r, n + 1)]
+    scale = 2.0 ** -(n // 2)
+    coeff = [scale * float(math.comb(n, i)) for i in range(r, n + 1)]
     reverse = coeff[::-1]
-    slope = n * float(math.comb(n - 1, r - 1))
+    slope = n * scale * float(math.comb(n - 1, r - 1))  # n * float(..) alone can overflow
     steps = 1 << 53
 
     def rising(m):
@@ -477,36 +488,6 @@ def check_post_selection(rule: QuadratureRule, n: int) -> float:
     mult = type_table(n, rule.d)[1]
     moment = sym_dim(n, rule.d) * _gram(_bra_powers(rule.node_matrix, n), rule.weights)
     return float(np.max(np.abs(moment - np.eye(len(mult))) / np.sqrt(np.outer(mult, mult))))
-
-
-def _binary_divergences(p: float, q: np.ndarray) -> np.ndarray:
-    """Relative entropy p ln(p/q_j) + (1-p) ln((1-p)/(1-q_j)) of coin biases, per q_j in (0, 1)."""
-    first = 0.0 if p == 0.0 else p * np.log(p / q)
-    second = 0.0 if p == 1.0 else (1 - p) * np.log((1 - p) / (1 - q))
-    return first + second
-
-
-def check_chernoff_claim(n: int, r: int) -> float:
-    """Slack of the tail bound on the window where failures are rare.
-
-    On x in [1 - r/(3n), 1) the chance tail(x) that at least r of n trials
-    fail, each failing with probability 1-x, is at most e^(-r/3). Returns
-    e^(-r/3) - tail(x) at the window's left end x = 1 - r/(3n), and verifies
-    the large-deviation form n D(r/n || 1-x) >= r/3 there. Both bind at that
-    end: tail(x) = P[Bin(n, 1-x) >= r] falls as x grows, and with p = r/n,
-    dD(p || q)/dq = (q-p)/(q(1-q)) < 0 for q = 1-x <= r/(3n) < p, so the
-    divergence rises as x grows.
-    """
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got n={n} r={r}")
-    x = 1.0 - r / (3.0 * n)
-    slack = math.exp(-r / 3.0) - _tail(n, r, x, 1 - x)
-    worst = float(n * _binary_divergences(r / n, 1.0 - x) - r / 3.0)
-    if worst < -_GRID_SLACK:
-        raise ArithmeticError(
-            f"large-deviation form fails at n={n} r={r}: slack {worst:.3e}"
-        )
-    return slack
 
 
 def _report(inst: Instance, rule: QuadratureRule, r: int, prepared: _Prepared, i: int, err: float):

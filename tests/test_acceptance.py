@@ -12,8 +12,8 @@ import numpy as np
 from definetti.certifier import (
     PASS,
     Instance,
-    check_chernoff_claim,
     explicit_bound,
+    g_max,
     verify,
 )
 from definetti.haar import exact_qubit_rule, monte_carlo_rule
@@ -95,20 +95,21 @@ def test_tail_identity():
 
 
 def test_tail_decay_claim():
-    # tail stays below exp(-r/3) left of the divergence threshold
-    min_slack = math.inf
-    divergence_ok = True
+    # link 3, the Chernoff step: g_max stays below e^(-(r/3) min(k/n, 1)), as proved in its
+    # docstring; g_max raises ArithmeticError above that ceiling
+    largest, raised = 0.0, 0
     for n in range(1, 51):
-        for r in range(1, n + 1):
-            try:
-                min_slack = min(min_slack, check_chernoff_claim(n, r))
-            except ArithmeticError:
-                divergence_ok = False
+        for k in (1, n, 2 * n):
+            for r in range(1, n + 1):
+                try:
+                    largest = max(largest, g_max(n, k, r) / math.exp(-(r / 3) * min(k / n, 1)))
+                except ArithmeticError:
+                    raised += 1
     _report(
         "tail decay claim",
-        divergence_ok and min_slack >= -1e-12,
-        f"n <= 50, all r: min tail slack {min_slack:.3e} >= -1e-12, "
-        f"divergence bound {'holds' if divergence_ok else 'fails'}",
+        raised == 0 and largest <= 1.0,
+        f"n <= 50, all r, k in {{1, n, 2n}}: max g_max / e^(-(r/3) min(k/n, 1)) {largest:.6f} "
+        f"<= 1, {raised} ceiling errors",
     )
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy import integrate as scipy_integrate
+from scipy.stats import binom
 
 from definetti import certifier, cli, symmetric
 from definetti.certifier import (
@@ -14,10 +15,8 @@ from definetti.certifier import (
     VIOLATION,
     Instance,
     InstanceError,
-    _binary_divergences,
     _tail,
     chain_bound,
-    check_chernoff_claim,
     check_post_selection,
     explicit_bound,
     g_max,
@@ -575,6 +574,28 @@ def test_g_max_stays_below_ceiling_up_to_200_sites():
                 assert g_max(n, k, r) <= ceiling + 1e-12, f"n={n} k={k} r={r}"
 
 
+def log_oracle_g_max(n, k, r, points=20001):
+    """Max of exp(k ln x + ln P[Bin(n, 1-x) >= r]) on a grid, refined once around its best x.
+
+    scipy's binom.logsf works with logarithms, so no sum overflows at any n.
+    """
+    x = np.linspace(0.0, 1.0, points)[1:-1]
+    best = int(np.argmax(k * np.log(x) + binom.logsf(r - 1, n, 1 - x)))
+    x = np.linspace(x[max(best - 1, 0)], x[min(best + 1, len(x) - 1)], points)
+    return float(np.exp(np.max(k * np.log(x) + binom.logsf(r - 1, n, 1 - x))))
+
+
+@pytest.mark.parametrize(
+    "n,k,r",
+    [(1021, 1, 1), (1021, 7, 340), (1021, 7, 1021), (1023, 5, 512), (1023, 5, 1000),
+     (1027, 1, 514), (1027, 1, 1027)],
+)
+def test_g_max_past_a_thousand_sites_matches_a_log_oracle(n, k, r):
+    # from n = 1021 the unscaled coefficient sums and n C(n-1, r-1) overflow to inf, and the
+    # bisection walked to x near 0: (1023, 5, 512) gave 1.7e-80 and (1027, 1, 514) 1.1e-16
+    assert g_max(n, k, r) == pytest.approx(log_oracle_g_max(n, k, r), rel=1e-7, abs=0)
+
+
 def test_check_operator_inequality_bell_example():
     # conditioning on |0> leaves diag(1/2, 0); the averaged upper bound is
     # (I + |0><0|)/2; the gap has smallest eigenvalue 1/2
@@ -651,46 +672,59 @@ def test_binary_divergence():
 
 
 def test_binary_divergences_match_scalar_oracle():
-    for n in (1, 5, 13, 37, 50):
+    # the margin in g_max's ceiling proof: f(p) = D(p || p/3) - p/3 >= (ln 3 - 1) p, so
+    # n D(r/n || r/(3n)) - r/3 >= (ln 3 - 1) r for every 1 <= r <= n; the bound is sharp as r/n -> 0
+    assert "f'(0) = ln 3 - 1 > 0" in g_max.__doc__
+    margin = math.log(3) - 1
+    least = math.inf
+    for n in range(1, 201):
         for r in range(1, n + 1):
-            left = 1.0 - r / (3.0 * n)
-            q = 1.0 - (left + (1.0 - left) * np.arange(1000) / 1000)
-            expected = [binary_divergence(r / n, float(value)) for value in q]
-            np.testing.assert_allclose(_binary_divergences(r / n, q), expected, rtol=1e-14, atol=0)
+            excess = (n * binary_divergence(r / n, r / (3 * n)) - r / 3) / r
+            assert excess >= margin - 1e-12, (n, r)
+            least = min(least, excess)
+    assert least < margin + 2e-3  # at n = 200, r = 1
 
 
-def test_check_chernoff_claim_reports_a_failed_divergence_bound(monkeypatch):
-    monkeypatch.setattr(certifier, "_binary_divergences", lambda p, q: np.zeros_like(q))
-    with pytest.raises(ArithmeticError, match="large-deviation"):
-        check_chernoff_claim(20, 6)
+def test_check_chernoff_claim_reports_a_failed_divergence_bound(monkeypatch, capsys):
+    # a tail above g_max's ceiling at one n makes g_max raise; check-props prints FAIL, exits 1
+    tail = certifier._tail
+    monkeypatch.setattr(certifier, "_tail", lambda n, r, x, y: 2.0 if n == 20 else tail(n, r, x, y))
+    assert cli.main(["check-props"]) == cli.EXIT_VIOLATION
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith("tail decay claim, n <= 50") and last.endswith(" FAIL")
+
+
+def window(n, r, points=1000):
+    """`points` equally spaced x from the left end 1 - r/(3n) of the right window toward 1."""
+    left = 1.0 - r / (3.0 * n)
+    return left + (1.0 - left) * np.arange(points) / points
 
 
 def test_check_chernoff_claim_binds_at_the_left_end_of_its_window():
-    # reference: the minimum over a 1000-point grid of the window. Tail slack and divergence
-    # both bind at its first point, x = 1 - r/(3n), so the value is that minimum, up to the
-    # rounding of the oracle's plain sum against the fsum; at the window's right end the
-    # tail is smaller and the slack larger
+    # g_max's right window, x >= 1 - r/(3n): tail(x) <= e^(-r/3) and n D(r/n || 1-x) >= r/3.
+    # Both bind at its left end: the tail falls as x grows, and D(p || q) falls in q on (0, p]
     for n in range(1, 51):
         for r in range(1, n + 1):
-            left = 1.0 - r / (3.0 * n)
-            xs = left + (1.0 - left) * np.arange(1000) / 1000
-            slack = math.exp(-r / 3.0) - tail_function_grid(n, r, xs)
-            assert slack.argmin() == 0, (n, r)
-            assert check_chernoff_claim(n, r) == pytest.approx(slack[0], rel=0, abs=1e-16)
-            divergence = n * _binary_divergences(r / n, 1.0 - xs) - r / 3.0
-            assert divergence.argmin() == 0, (n, r)
+            tails = tail_function_grid(n, r, window(n, r))
+            assert tails.argmax() == 0 and tails[0] <= math.exp(-r / 3.0), (n, r)
+            divergence = [n * binary_divergence(r / n, 1.0 - x) for x in window(n, r, 20)]
+            assert np.argmin(divergence) == 0 and divergence[0] >= r / 3.0, (n, r)
 
 
 def test_check_chernoff_claim():
-    assert check_chernoff_claim(20, 6) >= -1e-12
-    assert check_chernoff_claim(1, 1) >= -1e-12
-    for n in (5, 13, 37):
+    # the steps of g_max's ceiling proof for 1 <= r <= n <= 50. Left window: x^k <= e^(-rk/(3n))
+    # below x = 1 - r/(3n), where x^k rises to its largest value. Right window: the
+    # Chernoff-Hoeffding bound tail <= e^(-n D(r/n || 1-x)), an equality at r = n, then n D >= r/3
+    for n in range(1, 51):
         for r in range(1, n + 1):
-            assert check_chernoff_claim(n, r) >= -1e-12, f"n={n} r={r}"
-    with pytest.raises(ValueError):
-        check_chernoff_claim(5, 0)
-    with pytest.raises(ValueError):
-        check_chernoff_claim(5, 6)
+            left = 1.0 - r / (3.0 * n)
+            for k in (1, n, 2 * n):
+                assert left**k <= math.exp(-r * k / (3.0 * n)) * (1 + 1e-12), (n, k, r)
+            xs = window(n, r, 20)
+            for x, tail in zip(xs, tail_function_grid(n, r, xs)):
+                divergence = n * binary_divergence(r / n, 1.0 - x)
+                assert tail <= math.exp(-divergence) * (1 + 1e-12), (n, r, x)
+                assert divergence >= r / 3.0, (n, r, x)
 
 
 def test_check_exponent_sandwich():

@@ -660,7 +660,10 @@ def test_check_props_default_grid(monkeypatch, capsys):
     assert all(line.endswith("ok") for line in lines)
     assert sum("post-selection" in line for line in lines) == 7
     assert not any("gentle" in line for line in lines)
-    # the smallest slack is at n = r = 50, where the tail is negligible: e^(-50/3)
-    assert "tail decay claim, n <= 50, all r: min slack 5.77775e-08, " in out
+    # link 3: the largest g_max against its ceiling is at n = 50, k = 1, r = 1
+    assert (
+        "tail decay claim, n <= 50, all r, k in {1, n, 2n}: "
+        "max g_max / e^(-(r/3) min(k/n, 1)) 0.912313 ok" in out
+    )
     # the dense value; without the 1/sqrt(mult_s mult_t) scaling it reads 5.108e-03 and fails
     assert "d=3 n=2 mc(samples=100000, seed=0): max entrywise error 3.612e-03" in out

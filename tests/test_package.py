@@ -54,7 +54,8 @@ MOVED = {
         "rho_psi", "tau_psi", "approximant", "nu_weight_normalization",
         "check_operator_inequality", "_node_pass", "_node_row", "_spread", "binary_divergence",
         "check_gentle", "tail_function_grid", "_validate_tail_args", "_GRID_POINTS",
-        "Operator", "PSD_ATOL", "check_exponent_sandwich",
+        "Operator", "PSD_ATOL", "check_exponent_sandwich", "check_chernoff_claim",
+        "_binary_divergences",
     ),
     "cli": ("_gentle_suite", "check_gentle", "Operator", "np"),
     "haar": ("pure_power_moment", "haar_state"),
