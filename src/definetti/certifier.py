@@ -39,7 +39,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -92,8 +93,8 @@ class Instance:
     rho: SymmetricState
 
     def __post_init__(self):
-        for field, low in (("d", 2), ("n", 1), ("k", 1)):
-            object.__setattr__(self, field, _integer(field, getattr(self, field), low))
+        for name, low in (("d", 2), ("n", 1), ("k", 1)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), low))
         rho = self.rho
         if not isinstance(rho, SymmetricState):
             raise InstanceError(
@@ -113,6 +114,10 @@ class VerificationReport:
     `lhs_integration_error` is the rule's post-selection defect delta, the same
     for every threshold, and lhs <= delta + chain_bound holds as a theorem. A
     non-finite field raises ArithmeticError, so that no NaN becomes a verdict.
+
+    `status` is derived from these numbers, never passed: INCONCLUSIVE when delta
+    exceeds the chain bound, else PASS when lhs <= delta + chain bound and chain
+    bound <= explicit bound, both with COMPARISON_SLACK, else VIOLATION (a broken kernel).
     """
 
     r: int
@@ -123,12 +128,20 @@ class VerificationReport:
     g_max_value: float
     fallback_node_count: int
     rule_description: str
-    status: str
+    status: str = field(init=False)
 
     def __post_init__(self):
         for name, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ArithmeticError(f"{name} = {value!r} at r={self.r} is not finite")
+        err, chain, slack = self.lhs_integration_error, self.chain_bound, COMPARISON_SLACK
+        if err > chain:
+            status = INCONCLUSIVE
+        elif self.lhs <= err + chain + slack and chain <= self.explicit_bound + slack:
+            status = PASS
+        else:
+            status = VIOLATION
+        object.__setattr__(self, "status", status)
 
 
 class _Conditioned(NamedTuple):
@@ -142,7 +155,7 @@ class _Conditioned(NamedTuple):
     """
 
     density: np.ndarray  # sym_dim(k,d) trace(rho_psi), the density of nu
-    turns: tuple  # from `_frame`
+    turns: np.ndarray  # (2n+1, d-1, N), from `_frame`
     unphase: np.ndarray  # (D^dag)^(x)n, diagonal in type coordinates
     rotated: np.ndarray  # phi_psi with U^(x)n applied
     mass: np.ndarray  # |rotated|^2
@@ -403,7 +416,13 @@ def _horner(coefficients, t: float) -> float:
 
 def _tail(n: int, r: int, x: float, y: float) -> float:
     """sum_{i=r..n} C(n,i) x^(n-i) y^i, term by term with fsum; at y = 1-x, P[Bin(n, y) >= r]."""
-    return math.fsum([float(math.comb(n, i)) * x ** (n - i) * y**i for i in range(r, n + 1)])
+    terms = []
+    for i in range(r, n + 1):
+        term = float(math.comb(n, i)) * x ** (n - i) * y**i
+        if term < sys.float_info.min and x > 0 and y > 0:  # y^i alone can underflow
+            term = math.exp(math.log(math.comb(n, i)) + (n - i) * math.log(x) + i * math.log(y))
+        terms.append(term)
+    return math.fsum(terms)
 
 
 def g_max(n: int, k: int, r: int) -> float:
@@ -490,42 +509,13 @@ def check_post_selection(rule: QuadratureRule, n: int) -> float:
     return float(np.max(np.abs(moment - np.eye(len(mult))) / np.sqrt(np.outer(mult, mult))))
 
 
-def _report(inst: Instance, rule: QuadratureRule, r: int, prepared: _Prepared, i: int, err: float):
-    """The VerificationReport for threshold r, from entry i of `prepared` and delta `err`.
-
-    The trace norm is taken in Dicke coordinates; the isometry into the d^n
-    space does not change it.
-    """
-    lhs = trace_norm(prepared.reduced - prepared.grams[i])
-    chain = _chain_bound(inst, prepared.escaped[i])
-    explicit = explicit_bound(inst.n, inst.k, inst.d, r)
-    if err > chain:
-        status = INCONCLUSIVE
-    elif lhs <= err + chain + COMPARISON_SLACK and chain <= explicit + COMPARISON_SLACK:
-        status = PASS
-    else:
-        status = VIOLATION
-    return VerificationReport(
-        r=r,
-        lhs=lhs,
-        lhs_integration_error=err,
-        chain_bound=chain,
-        explicit_bound=explicit,
-        g_max_value=g_max(inst.n, inst.k, r),
-        fallback_node_count=int(prepared.fallback[i]),
-        rule_description=rule.describe(),
-        status=status,
-    )
-
-
 def verify(inst: Instance, rule: QuadratureRule, thresholds) -> tuple[VerificationReport, ...]:
-    """Certify every threshold r of `thresholds` and classify each outcome.
+    """Certify every threshold r of `thresholds`; each report classifies itself.
 
     lhs <= delta + chain bound for every rule, with delta its post-selection
-    defect, the lhs of one more threshold, n+1, that keeps every row. A row whose
-    delta exceeds its chain bound is INCONCLUSIVE. Otherwise PASS requires lhs
-    <= delta + chain bound and chain bound <= explicit bound, both with
-    COMPARISON_SLACK. Anything else is a VIOLATION: a broken kernel.
+    defect, the lhs of one more threshold, n+1, that keeps every row. The trace
+    norms are taken in Dicke coordinates; the isometry into the d^n space does
+    not change them.
 
     Each r must pass `operator.index` and lie in 0..n, else InstanceError. Returns
     one report per threshold, in their order and carrying its r; () for none. One
@@ -538,4 +528,13 @@ def verify(inst: Instance, rule: QuadratureRule, thresholds) -> tuple[Verificati
         return ()
     prepared = _prepare(inst, rule, thresholds + (inst.n + 1,))
     defect = trace_norm(prepared.reduced - prepared.grams[-1])
-    return tuple(_report(inst, rule, r, prepared, i, defect) for i, r in enumerate(thresholds))
+    return tuple(
+        VerificationReport(
+            r=r, lhs=trace_norm(prepared.reduced - prepared.grams[i]),
+            lhs_integration_error=defect, chain_bound=_chain_bound(inst, prepared.escaped[i]),
+            explicit_bound=explicit_bound(inst.n, inst.k, inst.d, r),
+            g_max_value=g_max(inst.n, inst.k, r), fallback_node_count=int(prepared.fallback[i]),
+            rule_description=rule.describe(),
+        )
+        for i, r in enumerate(thresholds)
+    )

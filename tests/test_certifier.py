@@ -588,11 +588,13 @@ def log_oracle_g_max(n, k, r, points=20001):
 @pytest.mark.parametrize(
     "n,k,r",
     [(1021, 1, 1), (1021, 7, 340), (1021, 7, 1021), (1023, 5, 512), (1023, 5, 1000),
-     (1027, 1, 514), (1027, 1, 1027)],
+     (1027, 1, 514), (1027, 1, 1027), (1021, 2042, 340), (1024, 2048, 341), (1027, 2054, 342)],
 )
 def test_g_max_past_a_thousand_sites_matches_a_log_oracle(n, k, r):
     # from n = 1021 the unscaled coefficient sums and n C(n-1, r-1) overflow to inf, and the
-    # bisection walked to x near 0: (1023, 5, 512) gave 1.7e-80 and (1027, 1, 514) 1.1e-16
+    # bisection walked to x near 0: (1023, 5, 512) gave 1.7e-80 and (1027, 1, 514) 1.1e-16.
+    # At k = 2n the maximum is near 1e-184, where y^i in a tail term underflows on its own:
+    # (1021, 2042, 340) gave 0.0 before `_tail` recomputed such terms from logarithms
     assert g_max(n, k, r) == pytest.approx(log_oracle_g_max(n, k, r), rel=1e-7, abs=0)
 
 
@@ -860,6 +862,43 @@ def test_verify_violation_stays_reachable(monkeypatch):
     broken = verify(inst, rule, (1,))[0]
     assert broken.lhs_integration_error <= broken.chain_bound
     assert broken.status == VIOLATION
+
+
+def report_of(lhs, delta, chain, explicit):
+    return certifier.VerificationReport(
+        r=1, lhs=lhs, lhs_integration_error=delta, chain_bound=chain, explicit_bound=explicit,
+        g_max_value=0.25, fallback_node_count=0, rule_description="exact(degree=6, nodes=98)",
+    )
+
+
+@pytest.mark.parametrize(
+    "lhs,delta,chain,explicit,status",
+    [
+        (0.5, 0.25, 0.5, 1.0, PASS),
+        # lhs against delta + chain, at either side of COMPARISON_SLACK
+        (0.25 + 0.5 + 1e-9, 0.25, 0.5, 1.0, PASS),
+        (0.25 + 0.5 + 2e-9, 0.25, 0.5, 1.0, VIOLATION),
+        # chain against explicit, at either side of COMPARISON_SLACK
+        (0.5, 0.25, 1.0 + 1e-9, 1.0, PASS),
+        (0.5, 0.25, 1.0 + 2e-9, 1.0, VIOLATION),
+        # delta above the chain bounds nothing, whatever the other numbers say
+        (5.0, 0.5 + 1e-12, 0.5, 1.0, INCONCLUSIVE),
+        (0.5, 3.0, 2.0, 1.0, INCONCLUSIVE),
+        (0.5, 0.5, 0.5, 1.0, PASS),
+    ],
+)
+def test_report_status_follows_its_numbers(lhs, delta, chain, explicit, status):
+    assert report_of(lhs, delta, chain, explicit).status == status
+
+
+def test_report_status_is_neither_settable_nor_stale():
+    (report,) = verify(bell_instance(), exact_qubit_rule(6), (1,))
+    assert report.status == PASS
+    delta, chain = report.lhs_integration_error, report.chain_bound
+    assert dataclasses.replace(report, lhs=delta + chain + 1).status == VIOLATION
+    assert dataclasses.replace(report, lhs_integration_error=chain + 1).status == INCONCLUSIVE
+    with pytest.raises(TypeError):
+        certifier.VerificationReport(**dataclasses.asdict(report))  # carries status=PASS
 
 
 def test_verify_fallback_count_r_zero():

@@ -1,8 +1,9 @@
 """Large CLI runs, each in a fresh interpreter with one BLAS thread.
 
-Each test runs `python -m definetti ARGV` with OPENBLAS_NUM_THREADS=1 under a
-small launcher that prints the run's exit code and its peak RSS, read with
-`RUSAGE_CHILDREN`. The launcher is needed because Linux carries the peak RSS
+Each test runs `python -W error -m definetti ARGV` with OPENBLAS_NUM_THREADS=1
+under a small launcher that prints the run's exit code and its peak RSS, read
+with `RUSAGE_CHILDREN`. `-W error` fails a run on any warning, as
+`filterwarnings = ["error"]` does for the in-process tests. The launcher is needed because Linux carries the peak RSS
 of the process that starts a child into the child's own `RUSAGE_SELF`, so a
 child of the test session would report the session's peak, not the run's.
 Every certifying run must exit 0 with every row PASS; the checks beside that
@@ -22,7 +23,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 LAUNCHER = (
     "import json, resource, subprocess, sys\n"
-    "code = subprocess.call([sys.executable, '-m', 'definetti', *sys.argv[1:]])\n"
+    "code = subprocess.call([sys.executable, '-W', 'error', '-m', 'definetti', *sys.argv[1:]])\n"
     "peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024\n"
     "print(json.dumps({'code': code, 'peak_mb': peak_mb}))\n"
 )

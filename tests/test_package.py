@@ -1,11 +1,12 @@
 import importlib
 import importlib.util
 import re
+import shlex
 import sys
 from pathlib import Path
 
 import definetti
-from definetti import hamming
+from definetti import cli, hamming
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -47,6 +48,20 @@ def test_readme_library_example_passes():
     assert namespace["report"].status == definetti.PASS
 
 
+def test_readme_verify_example_prints_its_rows(capsys):
+    # lhs and lhs_err are roundoff, whose digits follow the BLAS library and thread count;
+    # every other field of the row, and the header, must read as the README shows them
+    readme = (ROOT / "README.md").read_text()
+    command, header, row = re.search(r"\n\$ (definetti verify .*)\n(.*)\n(.*)\n", readme).groups()
+    assert cli.main(shlex.split(command)[1:]) == 0
+    got_header, got_row = capsys.readouterr().out.splitlines()
+    assert got_header == header
+    got, want = (dict(zip(header.split(","), line.split(","))) for line in (got_row, row))
+    for name in ("lhs", "lhs_err"):
+        assert float(got.pop(name)) <= 1e-15 and float(want.pop(name)) <= 1e-15, name
+    assert got == want
+
+
 # names that only the tests use; they live in tests/oracles.py or were deleted as duplicates.
 # cli and certifier also no longer import the dense Operator, and cli no longer numpy
 MOVED = {
@@ -55,7 +70,7 @@ MOVED = {
         "check_operator_inequality", "_node_pass", "_node_row", "_spread", "binary_divergence",
         "check_gentle", "tail_function_grid", "_validate_tail_args", "_GRID_POINTS",
         "Operator", "PSD_ATOL", "check_exponent_sandwich", "check_chernoff_claim",
-        "_binary_divergences",
+        "_binary_divergences", "_report",
     ),
     "cli": ("_gentle_suite", "check_gentle", "Operator", "np"),
     "haar": ("pure_power_moment", "haar_state"),
