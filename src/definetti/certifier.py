@@ -30,8 +30,7 @@ c_j = 2 for a kept node and 3 for a fallback node,
 
 where delta = ||Tr_k rho - sym_dim(k,d) sum_j w_j rho_j||_1 is the rule's
 post-selection defect: roundoff for a rule exact through degree k, a
-sampling error for a Monte Carlo rule. It is the lhs of the keep-all
-threshold r = n+1, where nothing escapes and tau_j = rho_j / trace(rho_j).
+sampling error for a Monte Carlo rule.
 """
 
 from __future__ import annotations
@@ -175,7 +174,8 @@ class _Prepared(NamedTuple):
     """What one `verify` call needs from the nodes; entry i of the last three is threshold i's."""
 
     reduced: np.ndarray  # Tr_k rho in Dicke coordinates
-    grams: np.ndarray  # sum_j w_j density_j |tau_j><tau_j|; at r = n+1, delta's Gram
+    post_selection: np.ndarray  # sym_dim(k,d) sum_j w_j |phi_j><phi_j|
+    grams: np.ndarray  # sum_j w_j density_j |tau_j><tau_j|
     escaped: np.ndarray  # sum_j w_j escaped_j
     fallback: np.ndarray  # nodes that fell back
 
@@ -311,16 +311,14 @@ def _condition(inst: Instance, phi: np.ndarray, nodes: np.ndarray) -> _Condition
 def _truncate(n: int, d: int, r: int, cond: _Conditioned) -> _NodePass:
     """Truncate every conditioned node of n sites below weight r in 0..n+1 and renormalize.
 
-    Types ascend lexicographically, so the kept rows, t_0 > n - r, are a suffix.
-    tau falls back to psi^(x)n where the kept mass is at most _FALLBACK_FRACTION
-    of the node's trace (always at r = 0); the frame maps psi^(x)n to the last
-    type, (n, 0, ..., 0). The keep-all threshold r = n+1 escapes nothing and
-    falls back only at trace 0, so tau = phi_psi / |phi_psi|, the Gram behind delta.
+    Types ascend lexicographically, so the kept rows, t_0 > n - r, are a suffix. tau falls
+    back to psi^(x)n where the kept mass is at most _FALLBACK_FRACTION of the node's trace
+    (always at r = 0); the frame maps psi^(x)n to the last type, (n, 0, ..., 0).
     """
     start = np.searchsorted(type_table(n, d)[0][:, 0], n - r, side="right")
     kept = cond.mass[start:].sum(axis=0)
     escaped = cond.mass[:start].sum(axis=0)
-    fallback = kept <= (_FALLBACK_FRACTION if r <= n else 0.0) * (kept + escaped)
+    fallback = kept <= _FALLBACK_FRACTION * (kept + escaped)
     tau = np.zeros_like(cond.rotated)
     tau[start:] = cond.rotated[start:] / np.sqrt(np.where(fallback, 1, kept))
     tau[start:, fallback] = 0
@@ -340,8 +338,8 @@ def memory_floor(d: int, n: int, k: int, thresholds: int, nodes: int) -> int:
 
     The rule's complex node matrix and float weights, which live throughout, plus what
     `_prepare` holds at once: the complex coupling C, one block's b(psi) table and the gather
-    temporary of `_monomials` beside it, Tr_k rho, one Gram per threshold and the keep-all
-    threshold's. The type tables, about 8 (d+1) sym_dim(n+k, d) bytes, are left out. It
+    temporary of `_monomials` beside it, Tr_k rho, one Gram per threshold and the
+    post-selection Gram. The type tables, about 8 (d+1) sym_dim(n+k, d) bytes, are left out. It
     never decreases as k, `thresholds` or `nodes` grows.
     """
     dim_n, dim_k = sym_dim(n, d), sym_dim(k, d)
@@ -350,20 +348,24 @@ def memory_floor(d: int, n: int, k: int, thresholds: int, nodes: int) -> int:
 
 
 def _prepare(inst: Instance, rule: QuadratureRule, thresholds) -> _Prepared:
-    """Sum what each of `thresholds`, in 0..n+1, needs over the nodes, _NODE_BLOCK at a time.
+    """Sum, _NODE_BLOCK nodes at a time, delta's Gram and what each threshold in 0..n+1 needs.
 
-    A block is conditioned once and truncated for every threshold; its conditioned arrays and
-    each truncation are dropped before the next is built, so one of each lives at a time. Peak
-    memory is O(_NODE_BLOCK sym_dim(n,d) + len(thresholds) sym_dim(n,d)^2), and at least the
-    Gram term of `memory_floor`; the fixed block fixes each sum's order.
+    A block's phi = C b(psi) is added to the post-selection Gram, conditioned once and truncated
+    for every threshold; each of these arrays is dropped before the next is built, so one of each
+    lives at a time. Peak memory is O(_NODE_BLOCK sym_dim(n,d) + len(thresholds) sym_dim(n,d)^2),
+    at least the Gram term of `memory_floor`; the fixed block fixes each sum's order.
     """
     coupling = _coupling(inst)
     reduced = _gram(coupling)
+    selected = np.zeros_like(reduced)
     grams = np.zeros((len(thresholds), *reduced.shape), complex)
     escaped, fallback = np.zeros(len(thresholds)), np.zeros(len(thresholds), dtype=np.int64)
     cuts = range(_NODE_BLOCK, rule.node_count, _NODE_BLOCK)
     for nodes, weights in zip(np.split(rule.node_matrix, cuts), np.split(rule.weights, cuts)):
-        cond = _condition(inst, coupling @ _bra_powers(nodes, inst.k), nodes)
+        phi = coupling @ _bra_powers(nodes, inst.k)
+        selected += _gram(phi, weights)
+        cond = _condition(inst, phi, nodes)
+        del phi  # before the truncations, which do not read it
         for i, r in enumerate(thresholds):
             node = _truncate(inst.n, inst.d, r, cond)
             grams[i] += _gram(node.tau, weights * node.density)
@@ -371,7 +373,7 @@ def _prepare(inst: Instance, rule: QuadratureRule, thresholds) -> _Prepared:
             fallback[i] += node.fallback.sum()
             del node  # before the next truncation
         del cond  # before the next block is conditioned
-    return _Prepared(reduced, grams, escaped, fallback)
+    return _Prepared(reduced, sym_dim(inst.k, inst.d) * selected, grams, escaped, fallback)
 
 
 def _chain_bound(inst: Instance, escaped: float) -> float:
@@ -512,10 +514,8 @@ def check_post_selection(rule: QuadratureRule, n: int) -> float:
 def verify(inst: Instance, rule: QuadratureRule, thresholds) -> tuple[VerificationReport, ...]:
     """Certify every threshold r of `thresholds`; each report classifies itself.
 
-    lhs <= delta + chain bound for every rule, with delta its post-selection
-    defect, the lhs of one more threshold, n+1, that keeps every row. The trace
-    norms are taken in Dicke coordinates; the isometry into the d^n space does
-    not change them.
+    lhs <= delta + chain bound for every rule, with delta the post-selection defect of the
+    module docstring. Trace norms are taken in Dicke coordinates; the d^n isometry keeps them.
 
     Each r must pass `operator.index` and lie in 0..n, else InstanceError. Returns
     one report per threshold, in their order and carrying its r; () for none. One
@@ -526,8 +526,8 @@ def verify(inst: Instance, rule: QuadratureRule, thresholds) -> tuple[Verificati
     thresholds = tuple(_integer("r", r, 0, inst.n) for r in thresholds)
     if not thresholds:
         return ()
-    prepared = _prepare(inst, rule, thresholds + (inst.n + 1,))
-    defect = trace_norm(prepared.reduced - prepared.grams[-1])
+    prepared = _prepare(inst, rule, thresholds)
+    defect = trace_norm(prepared.reduced - prepared.post_selection)
     return tuple(
         VerificationReport(
             r=r, lhs=trace_norm(prepared.reduced - prepared.grams[i]),

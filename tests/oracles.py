@@ -137,9 +137,9 @@ def approximant(inst, rule, r):
 def nu_weight_normalization(inst, rule):
     """Total mass sym_dim(k,d) int trace(rho_psi) d(psi); 1 for exact rules.
 
-    It is the trace of the keep-all threshold's Gram, where nothing escapes.
+    It is the trace of the post-selection Gram sym_dim(k,d) sum_j w_j |phi_j><phi_j|.
     """
-    return float(np.trace(_prepare(inst, rule, (inst.n + 1,)).grams[0]).real)
+    return float(np.trace(_prepare(inst, rule, ()).post_selection).real)
 
 
 def check_operator_inequality(inst, psi, rule):

@@ -12,7 +12,9 @@ from `partial_trace_last` and the dense conditioned states. Each node obeys
 report has lhs <= delta + 2 sym_dim(k,d) sum_j w_j sqrt(trace(rho_psi_j) e_j);
 both are checked here.
 
-`verify` takes delta from the keep-all threshold r = n+1 of its own pass.
+`verify` takes delta from the post-selection Gram c_{k,d} sum_j w_j |phi_j><phi_j|,
+summed from the same phi_j = C b(psi_j) that it conditions. The approximant of the
+keep-all threshold r = n+1, which keeps every row, is its differential reference.
 
 The frame kernel (a phase and d-1 real rotations, applied in type
 coordinates) is checked against dense d x d frames applied site by site to
@@ -55,6 +57,7 @@ from definetti.certifier import (
     _truncate,
     verify,
 )
+from definetti.cli import parse_rule_spec, parse_state_spec
 from definetti.haar import QuadratureRule, exact_qubit_rule, monte_carlo_rule
 from definetti.hamming import threshold_projectors, weight_family
 from definetti.linalg import (
@@ -228,16 +231,49 @@ def test_lhs_within_defect_and_gentle_sum(d, n, k, fraction, monkeypatch):
 
 @pytest.mark.parametrize("rule", [exact_qubit_rule(4), monte_carlo_rule(2, 20, seed=1)])
 def test_verify_conditions_once(monkeypatch, rule):
-    calls = []
+    # one block: conditioned once and truncated once per threshold, none for delta
+    calls = {"_condition": 0, "_truncate": 0}
 
-    def counted(*args):
-        calls.append(args)
-        return _condition(*args)
+    def counted(name, kernel):
+        def call(*args):
+            calls[name] += 1
+            return kernel(*args)
 
-    monkeypatch.setattr(certifier, "_condition", counted)
+        return call
+
+    for name, kernel in (("_condition", _condition), ("_truncate", _truncate)):
+        monkeypatch.setattr(certifier, name, counted(name, kernel))
     inst = Instance(d=2, n=2, k=2, rho=random_symmetric_pure(4, 2, seed=3))
     assert len(verify(inst, rule, range(3))) == 3
-    assert len(calls) == 1
+    assert calls == {"_condition": 1, "_truncate": 3}
+
+
+@pytest.mark.parametrize(
+    "d,n,k,rule", [(2, 6, 6, "exact:6"), (2, 40, 40, "exact:40"), (3, 2, 2, "mc:4000:7")]
+)
+@pytest.mark.parametrize("state", ["random-sym:7", "ghz"])
+def test_post_selection_gram_matches_the_keep_all_threshold(d, n, k, rule, state):
+    # the keep-all threshold r = n+1 keeps every row, so tau = phi / |phi| and its approximant
+    # is the post-selection Gram that _prepare sums from phi directly
+    inst = Instance(d=d, n=n, k=k, rho=parse_state_spec(state, d, n + k)[0])
+    rule = parse_rule_spec(rule, d, n + k)
+    got = certifier._prepare(inst, rule, ()).post_selection
+    want = certifier._prepare(inst, rule, (n + 1,)).grams[0]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "d,n,k,rule",
+    [(2, 3, 2, "exact:3"), (2, 6, 6, "exact:6"), (2, 4, 3, "mc:300:2"), (3, 2, 2, "mc:400:5"),
+     (3, 3, 2, "mc:400:6")],
+)
+def test_lhs_at_threshold_zero_equals_lhs_at_one(d, n, k, rule):
+    # at r = 0 every node falls back to psi^(x)n, and at r = 1 the one kept row is the frame's
+    # image of psi^(x)n: both give tau_j = psi_j^(x)n up to a phase, so the same Gram
+    rule = parse_rule_spec(rule, d, n + k)
+    inst = Instance(d=d, n=n, k=k, rho=random_symmetric_pure(n + k, d, seed=n + k))
+    zero, one = verify(inst, rule, (0, 1))
+    assert one.lhs == pytest.approx(zero.lhs, rel=0, abs=1e-14), rule.describe()
 
 
 def householder_frames(nodes):
@@ -333,7 +369,7 @@ def test_rotate_sites_matches_batched_matmul(d, n, count, monkeypatch):
     weight = deviation_weights(n, d)
     cond = conditioned(turns, unphase, forward)
     monkeypatch.setattr(certifier, "_FALLBACK_FRACTION", 0.0)  # only a kept mass of 0 falls back
-    for r in range(n + 2):  # r = n + 1 is the keep-all threshold behind delta
+    for r in range(n + 2):  # r = n + 1 is the keep-all threshold: tau = phi / |phi|
         below = weight < r
         kept = np.sum(np.abs(reflected[below]) ** 2, axis=0)
         escaped = np.sum(np.abs(reflected[~below]) ** 2, axis=0)
