@@ -110,7 +110,7 @@ class Instance:
 class VerificationReport:
     """Outcome of certifying one threshold r; all numeric fields are finite.
 
-    `lhs_integration_error` is the rule's post-selection defect delta, the same
+    `lhs_err` is the rule's post-selection defect delta, the same
     for every threshold, and lhs <= delta + chain_bound holds as a theorem. A
     non-finite field raises ArithmeticError, so that no NaN becomes a verdict.
 
@@ -121,11 +121,11 @@ class VerificationReport:
 
     r: int
     lhs: float
-    lhs_integration_error: float
+    lhs_err: float
     chain_bound: float
     explicit_bound: float
-    g_max_value: float
-    fallback_node_count: int
+    g_max: float
+    fallback_nodes: int
     rule_description: str
     status: str = field(init=False)
 
@@ -133,7 +133,7 @@ class VerificationReport:
         for name, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ArithmeticError(f"{name} = {value!r} at r={self.r} is not finite")
-        err, chain, slack = self.lhs_integration_error, self.chain_bound, COMPARISON_SLACK
+        err, chain, slack = self.lhs_err, self.chain_bound, COMPARISON_SLACK
         if err > chain:
             status = INCONCLUSIVE
         elif self.lhs <= err + chain + slack and chain <= self.explicit_bound + slack:
@@ -531,9 +531,9 @@ def verify(inst: Instance, rule: QuadratureRule, thresholds) -> tuple[Verificati
     return tuple(
         VerificationReport(
             r=r, lhs=trace_norm(prepared.reduced - prepared.grams[i]),
-            lhs_integration_error=defect, chain_bound=_chain_bound(inst, prepared.escaped[i]),
+            lhs_err=defect, chain_bound=_chain_bound(inst, prepared.escaped[i]),
             explicit_bound=explicit_bound(inst.n, inst.k, inst.d, r),
-            g_max_value=g_max(inst.n, inst.k, r), fallback_node_count=int(prepared.fallback[i]),
+            g_max=g_max(inst.n, inst.k, r), fallback_nodes=int(prepared.fallback[i]),
             rule_description=rule.describe(),
         )
         for i, r in enumerate(thresholds)

@@ -58,40 +58,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclasses.dataclass(frozen=True)
-class ReportRow:
-    d: int
-    n: int
-    k: int
-    r: int
-    state: str
-    lhs: float
-    lhs_err: float
-    chain_bound: float
-    explicit_bound: float
-    g_max: float
-    fallback_nodes: int
-    nodes: int
-    seed: "int | None"
-    status: str
-
-
-CSV_HEADER = ",".join(field.name for field in dataclasses.fields(ReportRow))
+# the run's context (d, n, k, state, nodes, seed) and the VerificationReport fields but
+# rule_description, each column under its field's name
+CSV_HEADER = (
+    "d,n,k,r,state,lhs,lhs_err,chain_bound,explicit_bound,g_max,fallback_nodes,nodes,seed,status"
+)
 
 
 def rows_to_csv_text(rows) -> str:
     """The header, then one line per row: floats to 12 significant digits, a None seed empty."""
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_HEADER.split(","))
+    writer = csv.DictWriter(buffer, CSV_HEADER.split(","), lineterminator="\n")
+    writer.writeheader()
     for row in rows:
-        values = dataclasses.astuple(row)
-        writer.writerow(f"{v:.12g}" if isinstance(v, float) else v for v in values)
+        writer.writerow({c: f"{v:.12g}" if isinstance(v, float) else v for c, v in row.items()})
     return buffer.getvalue()
 
 
 def rows_to_json_text(rows) -> str:
-    return json.dumps([dataclasses.asdict(row) for row in rows], indent=2) + "\n"
+    return json.dumps(rows, indent=2) + "\n"
 
 
 def _parse_int(name: str, text: str) -> int:
@@ -218,6 +203,8 @@ def build_rows(d, n, k_list, r_list, state_spec, rule_spec):
     though not their sum) are checked before any state or rule is built, and every k's state and
     `Instance` before the rule is built. Both checks only tighten as k grows, so checking
     n + max k once refuses every k that would fail.
+
+    Returns one dict per row, keyed by the columns of CSV_HEADER in their order.
     """
     thresholds, ks = sorted(set(r_list)), sorted(set(k_list))
     for name, value, low in (("d", d, 2), ("n", n, 1), ("k", ks[0], 1)):
@@ -255,21 +242,18 @@ def build_rows(d, n, k_list, r_list, state_spec, rule_spec):
     rule = parse_rule_spec(rule_spec, d, sites)
     rows = []
     for inst, state_seed in instances:
-        rows += [
-            ReportRow(
-                d=d, n=n, k=inst.k, r=report.r, state=state_spec, lhs=report.lhs,
-                lhs_err=report.lhs_integration_error, chain_bound=report.chain_bound,
-                explicit_bound=report.explicit_bound, g_max=report.g_max_value,
-                fallback_nodes=report.fallback_node_count, nodes=rule.node_count,
-                seed=rule.seed if state_seed is None else state_seed, status=report.status,
-            )
-            for report in verify(inst, rule, thresholds)
-        ]
+        context = dict(
+            d=d, n=n, k=inst.k, state=state_spec, nodes=rule.node_count,
+            seed=rule.seed if state_seed is None else state_seed,
+        )
+        for report in verify(inst, rule, thresholds):
+            fields = {**context, **dataclasses.asdict(report)}
+            rows.append({name: fields[name] for name in CSV_HEADER.split(",")})
     return rows
 
 
 def _status_exit_code(rows) -> int:
-    statuses = {row.status for row in rows}
+    statuses = {row["status"] for row in rows}
     if VIOLATION in statuses:
         return EXIT_VIOLATION
     if INCONCLUSIVE in statuses:

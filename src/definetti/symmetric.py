@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from definetti.linalg import PSD_ATOL, Operator, PureState, _unit_vector
+from definetti.linalg import PSD_ATOL, Operator, PureState, _norm, _unit_vector
 
 
 def sym_dim(n: int, d: int) -> int:
@@ -201,7 +201,7 @@ def random_symmetric_pure(n: int, d: int, seed: int) -> SymmetricState:
     size = sym_dim(n, d)
     rng = np.random.default_rng(seed)
     coeff = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    coeff /= np.linalg.norm(coeff)
+    coeff /= _norm(coeff)  # the same bytes at every BLAS thread count
     return SymmetricState(d, n, coeff)
 
 

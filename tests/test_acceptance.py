@@ -196,7 +196,7 @@ def test_end_to_end_certification():
     reports = _end_to_end()["reports"]
     all_pass = all(report.status == PASS for report in reports.values())
     chain_ok = all(
-        report.lhs - report.lhs_integration_error <= report.chain_bound + 1e-9
+        report.lhs - report.lhs_err <= report.chain_bound + 1e-9
         and report.chain_bound <= report.explicit_bound + 1e-9
         for report in reports.values()
     )

@@ -190,12 +190,10 @@ def test_verify_on_symmetric_state_matches_its_pure_adapter(d, n, k, rule):
         got_rows = verify(Instance(d=d, n=n, k=k, rho=state), rule, range(n + 1))
         want_rows = verify(Instance(d=d, n=n, k=k, rho=dense), rule, range(n + 1))
         for got, want in zip(got_rows, want_rows, strict=True):
-            assert (got.status, got.fallback_node_count) == (want.status, want.fallback_node_count)
-            for name in ("lhs", "chain_bound", "explicit_bound", "g_max_value"):
+            assert (got.status, got.fallback_nodes) == (want.status, want.fallback_nodes)
+            for name in ("lhs", "chain_bound", "explicit_bound", "g_max"):
                 assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=0)
-            assert got.lhs_integration_error == pytest.approx(
-                want.lhs_integration_error, rel=1e-12, abs=1e-14
-            )
+            assert got.lhs_err == pytest.approx(want.lhs_err, rel=1e-12, abs=1e-14)
 
 
 @pytest.mark.parametrize("d,sites", [(2, 1), (2, 5), (3, 1), (3, 4), (4, 3)])
@@ -242,7 +240,7 @@ def counting_reductions(monkeypatch):
 def test_sweep_over_r_reduces_the_state_once(monkeypatch):
     calls = counting_reductions(monkeypatch)
     rows = cli.build_rows(2, 6, [2], range(7), "random-sym:7", "exact:8")
-    assert [row.r for row in rows] == list(range(7))
+    assert [row["r"] for row in rows] == list(range(7))
     assert calls == []  # the CLI's states are Dicke coefficients already
     dense = random_symmetric_pure(8, 2, seed=7).pure()
     state = SymmetricState.from_dense(dense)
@@ -365,14 +363,14 @@ def test_approximant_product_mass():
 def test_lhs_distance_bell():
     report = verify(bell_instance(), exact_qubit_rule(6), (1,))[0]
     assert report.lhs < 1e-12
-    assert report.lhs_integration_error < 1e-12
+    assert report.lhs_err < 1e-12
 
 
 def test_lhs_distance_bounded_by_two():
     inst = Instance(d=2, n=2, k=2, rho=from_projector(random_symmetric_pure(4, 2, 12)))
     report = verify(inst, exact_qubit_rule(4), (1,))[0]
     assert 0 <= report.lhs <= 2 + 1e-10
-    assert report.lhs_integration_error >= 0
+    assert report.lhs_err >= 0
 
 
 def test_chain_bound_bell():
@@ -818,8 +816,8 @@ def test_verify_bell_report():
     assert report.lhs < 1e-8
     assert report.chain_bound == pytest.approx(math.sqrt(6), abs=1e-9)
     assert report.explicit_bound == pytest.approx(6 * math.sqrt(3) * math.exp(-1 / 6), abs=1e-9)
-    assert report.g_max_value == pytest.approx(0.25, abs=1e-9)
-    assert report.fallback_node_count == 0
+    assert report.g_max == pytest.approx(0.25, abs=1e-9)
+    assert report.fallback_nodes == 0
     assert "degree=6" in report.rule_description
 
 
@@ -829,7 +827,7 @@ def test_verify_passes_across_states_and_r():
         inst = Instance(d=2, n=2, k=2, rho=from_projector(state))
         for r, report in zip((0, 1, 2), verify(inst, rule, (0, 1, 2)), strict=True):
             assert report.status == PASS, f"{state} r={r}: {report}"
-            assert report.lhs - report.lhs_integration_error <= report.chain_bound + 1e-9
+            assert report.lhs - report.lhs_err <= report.chain_bound + 1e-9
             assert report.chain_bound <= report.explicit_bound + 1e-9
 
 
@@ -837,7 +835,7 @@ def test_verify_inconclusive_on_tiny_monte_carlo():
     # one node cannot reproduce Tr_k rho: its post-selection defect exceeds the chain
     report = verify(bell_instance(), monte_carlo_rule(2, 1, seed=3), (1,))[0]
     assert report.status == INCONCLUSIVE
-    assert report.lhs_integration_error > report.chain_bound
+    assert report.lhs_err > report.chain_bound
 
 
 def test_verify_never_passes_a_broken_rule():
@@ -847,8 +845,8 @@ def test_verify_never_passes_a_broken_rule():
     broken = QuadratureRule(d=2, node_matrix=node, weights=[0.5, 0.5], kind="monte_carlo", seed=0)
     report = verify(bell_instance(), broken, (1,))[0]
     assert report.status == INCONCLUSIVE
-    assert report.lhs_integration_error == pytest.approx(1.0, rel=0, abs=1e-15)
-    assert report.lhs_integration_error > report.chain_bound
+    assert report.lhs_err == pytest.approx(1.0, rel=0, abs=1e-15)
+    assert report.lhs_err > report.chain_bound
 
 
 def test_verify_violation_stays_reachable(monkeypatch):
@@ -860,14 +858,14 @@ def test_verify_violation_stays_reachable(monkeypatch):
     assert report.status == PASS and report.lhs > 1e-3
     monkeypatch.setattr(certifier, "_chain_bound", lambda inst, escaped: 1e-12)
     broken = verify(inst, rule, (1,))[0]
-    assert broken.lhs_integration_error <= broken.chain_bound
+    assert broken.lhs_err <= broken.chain_bound
     assert broken.status == VIOLATION
 
 
 def report_of(lhs, delta, chain, explicit):
     return certifier.VerificationReport(
-        r=1, lhs=lhs, lhs_integration_error=delta, chain_bound=chain, explicit_bound=explicit,
-        g_max_value=0.25, fallback_node_count=0, rule_description="exact(degree=6, nodes=98)",
+        r=1, lhs=lhs, lhs_err=delta, chain_bound=chain, explicit_bound=explicit,
+        g_max=0.25, fallback_nodes=0, rule_description="exact(degree=6, nodes=98)",
     )
 
 
@@ -894,9 +892,9 @@ def test_report_status_follows_its_numbers(lhs, delta, chain, explicit, status):
 def test_report_status_is_neither_settable_nor_stale():
     (report,) = verify(bell_instance(), exact_qubit_rule(6), (1,))
     assert report.status == PASS
-    delta, chain = report.lhs_integration_error, report.chain_bound
+    delta, chain = report.lhs_err, report.chain_bound
     assert dataclasses.replace(report, lhs=delta + chain + 1).status == VIOLATION
-    assert dataclasses.replace(report, lhs_integration_error=chain + 1).status == INCONCLUSIVE
+    assert dataclasses.replace(report, lhs_err=chain + 1).status == INCONCLUSIVE
     with pytest.raises(TypeError):
         certifier.VerificationReport(**dataclasses.asdict(report))  # carries status=PASS
 
@@ -904,7 +902,7 @@ def test_report_status_is_neither_settable_nor_stale():
 def test_verify_fallback_count_r_zero():
     rule = exact_qubit_rule(4)
     report = verify(bell_instance(), rule, (0,))[0]
-    assert report.fallback_node_count == rule.node_count
+    assert report.fallback_nodes == rule.node_count
     assert report.status == PASS
 
 

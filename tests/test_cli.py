@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -192,6 +193,19 @@ def test_verify_writes_output_and_json(tmp_path, capsys):
     assert entry["seed"] is None
     assert entry["nodes"] == 98
     assert entry["chain_bound"] == pytest.approx(math.sqrt(6), abs=1e-9)
+    # the JSON mirror has the CSV's columns, in order, and the CSV prints each value to 12 digits
+    assert [list(entry) for entry in payload] == [CSV_HEADER.split(",")]
+    for entry, row in zip(payload, parse_csv(printed), strict=True):
+        for name, value in entry.items():
+            want = "" if value is None else value if isinstance(value, str) else f"{value:.12g}"
+            assert row[name] == want, name
+
+
+def test_report_fields_are_csv_columns_in_order():
+    # a row is the run's context joined with a report, each field a column under its own name
+    fields = [field.name for field in dataclasses.fields(certifier.VerificationReport)]
+    fields.remove("rule_description")
+    assert [name for name in CSV_HEADER.split(",") if name in fields] == fields
 
 
 def test_verify_multiple_r_sorted(capsys):
@@ -467,7 +481,7 @@ def test_exact_rule_floor_is_degree_2t_plus_1(nk, capsys):
     at = verify(inst, cli.parse_rule_spec(f"exact:{floor}", 2, sites), range(nk + 1))
     for r, (got, want) in enumerate(zip(at, full)):
         assert got.chain_bound == pytest.approx(want.chain_bound, rel=1e-12, abs=0), r
-        assert got.lhs_integration_error < 1e-13, r
+        assert got.lhs_err < 1e-13, r
         assert got.status == PASS, r
     below = verify(inst, exact_qubit_rule(floor - 1), range(nk + 1))
     assert any(abs(got.chain_bound / want.chain_bound - 1) > 1e-9 for got, want in zip(below, full))

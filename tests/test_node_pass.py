@@ -182,9 +182,9 @@ def test_verify_matches_dense_reference(d, n, k, fraction, monkeypatch):
             lhs, err, chain, fallback = dense_report(inst, rule, r)
             where = f"{rule.describe()} r={r}"
             assert report.lhs == pytest.approx(lhs, abs=TOL), where
-            assert report.lhs_integration_error == pytest.approx(err, abs=TOL), where
+            assert report.lhs_err == pytest.approx(err, abs=TOL), where
             assert report.chain_bound == pytest.approx(chain, abs=TOL), where
-            assert report.fallback_node_count == fallback, where
+            assert report.fallback_nodes == fallback, where
 
 
 @pytest.mark.parametrize("d,n,k", GRID)
@@ -226,7 +226,7 @@ def test_lhs_within_defect_and_gentle_sum(d, n, k, fraction, monkeypatch):
             where = f"{rule.describe()} r={r}"
             if fraction <= 5 / 9:
                 assert gentle <= report.chain_bound, where
-            assert report.lhs <= report.lhs_integration_error + gentle + TOL, where
+            assert report.lhs <= report.lhs_err + gentle + TOL, where
 
 
 @pytest.mark.parametrize("rule", [exact_qubit_rule(4), monte_carlo_rule(2, 20, seed=1)])
@@ -612,7 +612,7 @@ def test_blocked_standard_error_matches_full_stack(d):
             continue
         inst = instance(d, n, k)
         for rule in rules(d, n, k):
-            defect = verify(inst, rule, (1,))[0].lhs_integration_error
+            defect = verify(inst, rule, (1,))[0].lhs_err
             if rule.kind == "exact":
                 # exact through degree n + k >= k: sym_dim(k,d) sum_j w_j b b^dag = I
                 assert defect <= 1e-13, (n, k)
@@ -621,7 +621,7 @@ def test_blocked_standard_error_matches_full_stack(d):
                 assert defect == pytest.approx(dense_defect(inst, rule), rel=1e-12), (n, k)
     inst = instance(d, 2, 2)
     single = monte_carlo_rule(d, 1, seed=4)
-    defect = verify(inst, single, (1,))[0].lhs_integration_error
+    defect = verify(inst, single, (1,))[0].lhs_err
     assert defect > 0
     assert defect == pytest.approx(dense_defect(inst, single), rel=1e-12)
     # 30 copies of one node average to that node, so delta is the same
@@ -633,7 +633,7 @@ def test_blocked_standard_error_matches_full_stack(d):
         seed=4,
     )
     (report,) = verify(inst, repeated, (1,))
-    assert report.lhs_integration_error == pytest.approx(defect, rel=1e-12)
+    assert report.lhs_err == pytest.approx(defect, rel=1e-12)
 
 
 @pytest.mark.parametrize("fraction", [certifier._FALLBACK_FRACTION, 0.05])
@@ -651,7 +651,7 @@ def test_streamed_verify_matches_one_block(d, n, k, rule, fraction, monkeypatch)
     monkeypatch.setattr(certifier, "_FALLBACK_FRACTION", fraction)
     monkeypatch.setattr(certifier, "_NODE_BLOCK", count)
     whole = verify(inst, rule, range(n + 1))
-    fallbacks = {report.fallback_node_count for report in whole}
+    fallbacks = {report.fallback_nodes for report in whole}
     assert count % 7 and count in fallbacks  # a partial last block; every node falls back at r=0
     if fraction == 0.05:
         assert fallbacks - {0, count}  # some row keeps part of its nodes
@@ -660,10 +660,10 @@ def test_streamed_verify_matches_one_block(d, n, k, rule, fraction, monkeypatch)
         streamed = verify(inst, rule, range(n + 1))
         for r, (got, want) in enumerate(zip(streamed, whole)):
             where = f"{rule.describe()} block={block} r={r}"
-            for field in ("lhs", "lhs_integration_error", "chain_bound"):
+            for field in ("lhs", "lhs_err", "chain_bound"):
                 expected = pytest.approx(getattr(want, field), rel=1e-12, abs=1e-15)
                 assert getattr(got, field) == expected, (where, field)
-            assert got.fallback_node_count == want.fallback_node_count, where
+            assert got.fallback_nodes == want.fallback_nodes, where
             assert got.status == want.status, where
 
 

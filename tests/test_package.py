@@ -72,7 +72,7 @@ MOVED = {
         "Operator", "PSD_ATOL", "check_exponent_sandwich", "check_chernoff_claim",
         "_binary_divergences", "_report",
     ),
-    "cli": ("_gentle_suite", "check_gentle", "Operator", "np"),
+    "cli": ("_gentle_suite", "check_gentle", "Operator", "np", "ReportRow"),
     "haar": ("pure_power_moment", "haar_state"),
     "linalg": ("tensor", "min_eigenvalue", "kron_power"),
     "symmetric": ("dicke_isometry", "permutation_operator", "_site_strings", "DickeIsometry"),

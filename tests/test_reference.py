@@ -83,6 +83,6 @@ def test_whole_rows_match_fifty_digit_reference(n, spec):
     lhs, delta, escaped = qubit_rows(state, n, rule, thresholds)
     for r, report, expected, mass in zip(thresholds, reports, lhs, escaped):
         assert abs(report.lhs - float(expected)) <= LHS_ATOL, (r, report.lhs, expected)
-        assert abs(report.lhs_integration_error - float(delta)) <= LHS_ATOL, (r, delta)
+        assert abs(report.lhs_err - float(delta)) <= LHS_ATOL, (r, delta)
         chain = 3 * (n + 1) * math.sqrt(mass)  # sym_dim(k, 2) = k + 1
         assert abs(report.chain_bound - chain) <= CHAIN_RTOL * chain, (r, report.chain_bound, chain)

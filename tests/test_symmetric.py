@@ -48,7 +48,7 @@ def _dense_random_symmetric_pure(n, d, seed):
     occs, _, matrix = _dense_isometry(n, d)
     rng = np.random.default_rng(seed)
     coeff = rng.standard_normal(len(occs)) + 1j * rng.standard_normal(len(occs))
-    coeff /= np.linalg.norm(coeff)
+    coeff /= np.sqrt(np.sum(coeff.real**2 + coeff.imag**2))  # linalg._norm's pairwise sum
     return matrix @ coeff
 
 
@@ -368,6 +368,27 @@ def test_state_builders_bitwise_match_dense_oracles():
             new = dicke_state(n, d, occ).pure().amplitudes
             old = _dense_dicke_state(n, d, occ)
             assert np.array_equal(new.view(np.float64), old.view(np.float64)), (n, d, occ)
+
+
+def test_random_symmetric_pure_is_the_same_state_at_one_and_two_blas_threads():
+    # `random-sym:S` names one state: BLAS nrm2 splits its 80601-entry dot across threads and
+    # changes the last bits of the normalization, where the pairwise sum of linalg._norm does not
+    script = (
+        "import sys\n"
+        "from definetti.symmetric import random_symmetric_pure\n"
+        "sys.stdout.write(random_symmetric_pure(400, 3, 7).coefficients.tobytes().hex())\n"
+    )
+    hexes = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        hexes.append(proc.stdout)
+    assert len(hexes[0]) == 2 * 16 * sym_dim(400, 3)
+    assert hexes[0] == hexes[1]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
