@@ -1,26 +1,24 @@
 """Batch front end: build instances, certify bounds, emit machine-readable reports.
 
-Three subcommands:
+usage: definetti verify|sweep|check-props [--FLAG VALUE | --FLAG=VALUE]...
 
-``verify``
-    Certify one state for one or more truncation thresholds and print report
-    rows as CSV.
+  verify       certify one state for one or more truncation thresholds; prints
+               the report rows as CSV
+  sweep        the same over a comma-separated --k list too; writes the rows to
+               --output
+  check-props  run the standalone property checks that the verdicts rest on
+               (post-selection reconstruction, and the Chernoff step: g_max below
+               its ceiling e^(-(r/3) min(k/n, 1))) on their default grids; takes
+               no flags
 
-``sweep``
-    Cartesian sweep over threshold (and optionally trailing-block size) lists,
-    written to a report file.
-
-``check-props``
-    Run the standalone property checks that the verdicts rest on
-    (post-selection reconstruction, and the Chernoff step: `g_max` below
-    its ceiling e^(-(r/3) min(k/n, 1))) on their default grids.
+A flag takes its full name only, the last repeat of a flag wins, and a value
+given as a separate token may not begin with "--". -h or --help prints this text.
 
 Exit codes: 0 all PASS, 1 any VIOLATION, 2 any INCONCLUSIVE (and none worse),
 64 on a usage error, 70 on an internal error (a crash such as running out of
 memory), so that no crash reads as a verdict.
 """
 
-import argparse
 import csv
 import dataclasses
 import functools
@@ -53,9 +51,18 @@ class UsageError(Exception):
     """Invalid flags or config, or a run too large for this machine; maps to exit code 64."""
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
+# every flag of verify and sweep, in help order; each but config is also a config-file key
+FLAGS = {
+    "d": "local site dimension",
+    "n": "number of retained sites",
+    "k": "number of traced-out sites; sweep takes a comma-separated list",
+    "r": "comma-separated truncation thresholds, each in [0, n]",
+    "state": "state spec: product | ghz | dicke:OCC (comma-separated counts) | random-sym:SEED",
+    "rule": "integration rule: exact:DEGREE (d=2) | mc:SAMPLES[:SEED]",
+    "output": "write report rows as CSV to this path",
+    "json": "write a structured mirror of the rows to this path",
+    "config": "flat key = value file; flags override",
+}
 
 
 # the run's context (d, n, k, state, nodes, seed) and the VerificationReport fields but
@@ -156,7 +163,7 @@ def parse_rule_spec(spec: str, d: int, sites: int):
 
 
 def read_config_file(path: str, keys) -> dict:
-    """Flat key = value file; each key names a long flag, whose destination is in `keys`."""
+    """Flat key = value file; each key is a flag name in `keys`."""
     values = {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -171,20 +178,10 @@ def read_config_file(path: str, keys) -> dict:
         if not sep:
             raise UsageError(f"{path}:{lineno}: expected key = value, got {raw.rstrip()!r}")
         key = key.strip()
-        dest = key.replace("-", "_")
-        if dest not in keys:
+        if key not in keys:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[dest] = value.strip()
+        values[key] = value.strip()
     return values
-
-
-def _merge_config(args) -> None:
-    if not getattr(args, "config", None):
-        return
-    keys = set(vars(args)) - {"command", "config"}
-    for dest, value in read_config_file(args.config, keys).items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, value)
 
 
 def _physical_memory():
@@ -269,43 +266,45 @@ def _write_text(path: str, text: str) -> None:
         raise UsageError(f"cannot write {path}: {exc}") from None
 
 
-def _rows_from_args(args, required, k_list: bool) -> list:
-    """Merge the config file, parse the settings and certify; `k_list` lets --k be a list."""
-    _merge_config(args)
+def _rows_from_args(values, required, k_list: bool) -> list:
+    """Fill unset flags from --config, parse and certify; `k_list` lets --k be a list."""
+    if values.get("config"):
+        for key, value in read_config_file(values["config"], FLAGS.keys() - {"config"}).items():
+            values.setdefault(key, value)
     names = ("d", "n", "k", "r", "state", "rule") + required
-    missing = [name for name in names if getattr(args, name, None) is None]
+    missing = [name for name in names if name not in values]
     if missing:
         raise UsageError("missing required settings: " + ", ".join("--" + m for m in missing))
-    d = _parse_int("--d", args.d)
-    n = _parse_int("--n", args.n)
-    ks = _parse_int_list("--k", args.k) if k_list else [_parse_int("--k", args.k)]
-    r_list = _parse_int_list("--r", args.r)
-    return build_rows(d, n, ks, r_list, args.state, args.rule)
+    d = _parse_int("--d", values["d"])
+    n = _parse_int("--n", values["n"])
+    ks = _parse_int_list("--k", values["k"]) if k_list else [_parse_int("--k", values["k"])]
+    r_list = _parse_int_list("--r", values["r"])
+    return build_rows(d, n, ks, r_list, values["state"], values["rule"])
 
 
-def cmd_verify(args) -> int:
-    rows = _rows_from_args(args, (), k_list=False)
+def cmd_verify(values) -> int:
+    rows = _rows_from_args(values, (), k_list=False)
     text = rows_to_csv_text(rows)
     sys.stdout.write(text)
-    if args.output is not None:
-        _write_text(args.output, text)
-    if args.json is not None:
-        _write_text(args.json, rows_to_json_text(rows))
+    if "output" in values:
+        _write_text(values["output"], text)
+    if "json" in values:
+        _write_text(values["json"], rows_to_json_text(rows))
     return _status_exit_code(rows)
 
 
-def cmd_sweep(args) -> int:
-    rows = _rows_from_args(args, ("output",), k_list=True)
-    _write_text(args.output, rows_to_csv_text(rows))
-    print(f"wrote {len(rows)} rows to {args.output}")
-    if args.json is not None:
-        _write_text(args.json, rows_to_json_text(rows))
-        print(f"wrote json mirror to {args.json}")
+def cmd_sweep(values) -> int:
+    rows = _rows_from_args(values, ("output",), k_list=True)
+    _write_text(values["output"], rows_to_csv_text(rows))
+    print(f"wrote {len(rows)} rows to {values['output']}")
+    if "json" in values:
+        _write_text(values["json"], rows_to_json_text(rows))
+        print(f"wrote json mirror to {values['json']}")
     return _status_exit_code(rows)
 
 
-def cmd_check_props(args) -> int:
-    del args
+def cmd_check_props(values) -> int:
+    del values
     failures = 0
 
     cases = [(exact_qubit_rule(n), 2, n, 1e-11, "1e-11") for n in range(1, 7)]
@@ -336,43 +335,41 @@ def cmd_check_props(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_VIOLATION
 
 
-def _add_common_flags(sub, k_help):
-    sub.add_argument("--d", help="local site dimension")
-    sub.add_argument("--n", help="number of retained sites")
-    sub.add_argument("--k", help=k_help)
-    sub.add_argument("--r", help="comma-separated truncation thresholds, each in [0, n]")
-    sub.add_argument(
-        "--state",
-        help="state spec: product | ghz | dicke:OCC (comma-separated counts) | random-sym:SEED",
-    )
-    sub.add_argument("--rule", help="integration rule: exact:DEGREE (d=2) | mc:SAMPLES[:SEED]")
-    sub.add_argument("--output", help="write report rows as CSV to this path")
-    sub.add_argument("--json", help="write a structured mirror of the rows to this path")
-    sub.add_argument("--config", help="flat key = value file; flags override")
+COMMANDS = {"verify": cmd_verify, "sweep": cmd_sweep, "check-props": cmd_check_props}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="definetti", description=__doc__.splitlines()[0])
-    commands = parser.add_subparsers(dest="command", parser_class=_Parser)
-    verify_cmd = commands.add_parser("verify", help="certify one state, one row per threshold")
-    _add_common_flags(verify_cmd, "number of traced-out sites")
-    sweep_cmd = commands.add_parser("sweep", help="cartesian sweep written to a report file")
-    _add_common_flags(sweep_cmd, "comma-separated list of traced-out site counts")
-    commands.add_parser("check-props", help="run the standalone property suites")
-    return parser
+def _parse_args(argv):
+    """(command, {flag: value}) from a subcommand, then --FLAG VALUE or --FLAG=VALUE pairs.
+
+    Each FLAG is a full name from FLAGS, and the last repeat of a flag wins.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        got = repr(argv[0]) if argv else "nothing"
+        raise UsageError(f"expected a subcommand: verify, sweep, or check-props; got {got}")
+    command, tokens, values = argv[0], iter(argv[1:]), {}
+    for token in tokens:
+        if command == "check-props":
+            raise UsageError(f"check-props takes no flags, got {token!r}")
+        name, eq, value = token[2:].partition("=")
+        if not token.startswith("--") or name not in FLAGS:
+            raise UsageError(f"unknown argument {token!r}; the flags are --" + ", --".join(FLAGS))
+        if not eq:
+            value = next(tokens, "--")
+            if value.startswith("--"):
+                raise UsageError(f"--{name} expects a value")
+        values[name] = value
+    return command, values
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        if args.command == "check-props":
-            return cmd_check_props(args)
-        raise UsageError("expected a subcommand: verify, sweep, or check-props")
+        if "-h" in argv or "--help" in argv:
+            flags = "".join(f"\n  --{name:<8}{meaning}" for name, meaning in FLAGS.items())
+            print(f"{__doc__.strip()}\n\nflags of verify and sweep:{flags}")
+            return EXIT_OK
+        command, values = _parse_args(argv)
+        return COMMANDS[command](values)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -17,6 +18,7 @@ from definetti.certifier import PASS, Instance, memory_floor, verify
 from definetti.haar import exact_qubit_rule
 from definetti.cli import (
     CSV_HEADER,
+    FLAGS,
     EXIT_INCONCLUSIVE,
     EXIT_INTERNAL,
     EXIT_OK,
@@ -24,7 +26,8 @@ from definetti.cli import (
     main,
 )
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 # one spec per state builder; each is a small sweep on n + k = 6 sites
 STATE_SPECS = ["product", "ghz", "dicke:3,3", "random-sym:7"]
@@ -103,6 +106,25 @@ def test_sweep_does_not_import_numpy_polynomial(spec, tmp_path):
     # run never pays for it, and no module imports it at load time
     random = spec.startswith("random-sym:")
     assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} False False False {random}"
+
+
+def test_command_line_imports_no_argparse():
+    # argparse, with the gettext and locale it loads, cost every run about 4 ms of parser
+    # start-up; README's verify example, run cold, must load none of them
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    command = re.search(r"\n\$ definetti (verify .*)\n", readme).group(1)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-W", "error", "-m", "definetti", *command.split()],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert [row["status"] for row in parse_csv(proc.stdout)] == ["PASS"]
+    # each -X importtime line ends "| <indent>module"
+    imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()}
+    assert "definetti.cli" in imported
+    assert imported.isdisjoint({"argparse", "gettext", "locale"})
 
 
 def test_sweep_never_handles_the_full_state(monkeypatch, tmp_path):
@@ -254,6 +276,18 @@ def test_verify_inconclusive_exit_code(capsys):
     assert rows[0]["status"] == "INCONCLUSIVE"
 
 
+def refuse_work(monkeypatch):
+    """Make verify and the rule builders raise, so that a run which starts work fails."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the request was refused")
+
+    monkeypatch.setattr(cli, "verify", no_work)
+    for module in (cli, haar):
+        monkeypatch.setattr(module, "monte_carlo_rule", no_work)
+        monkeypatch.setattr(module, "exact_qubit_rule", no_work)
+    return no_work
+
+
 def test_usage_errors(tmp_path, monkeypatch, capsys):
     # the fallback test is a fixed fraction of each node's trace, so --fallback-tol is unknown;
     # the memory check has no override, so --allow-large is unknown
@@ -296,16 +330,18 @@ def test_usage_errors(tmp_path, monkeypatch, capsys):
          "--rule", "exact:4", "--output", str(tmp_path / "refused.csv")],
         ["verify", "--d", "2", "--n", "0", "--k", "4", "--r", "0",
          "--state", "ghz", "--rule", "exact:4"],
+        # flags take full names only, so --out is not --output; every flag needs a value that
+        # does not begin with --; a token that is no flag is refused; check-props takes no flags
+        BELL_ARGS + ["--out", os.devnull],
+        ["verify", "--n", "1", "--k", "1", "--r", "1", "--state", "ghz", "--rule", "exact:6",
+         "--d"],
+        ["verify", "--d", "2", "--n", "1", "--k", "1", "--r", "1", "--state", "--rule", "exact:6"],
+        BELL_ARGS + ["stray"],
+        ["check-props", "--d", "2"],
     ]
 
     # no case reaches the work: the rule builders and verify refuse to run
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started before the request was refused")
-
-    monkeypatch.setattr(cli, "verify", no_work)
-    for module in (cli, haar):
-        monkeypatch.setattr(module, "monte_carlo_rule", no_work)
-        monkeypatch.setattr(module, "exact_qubit_rule", no_work)
+    refuse_work(monkeypatch)
     for argv in cases:
         assert main(argv) == EXIT_USAGE, argv
         captured = capsys.readouterr()
@@ -331,6 +367,31 @@ def test_usage_errors(tmp_path, monkeypatch, capsys):
         assert code == EXIT_USAGE, (d, n, k)
         assert f"{memory_floor(d, n, k, 1, 100)} bytes" in capsys.readouterr().err
     assert tables == []
+
+
+def test_flag_equals_value_reads_as_flag_value(capsys):
+    assert BELL_ARGS[1:3] == ["--d", "2"]
+    assert main(BELL_ARGS) == EXIT_OK
+    spaced = capsys.readouterr().out
+    assert main(["verify", "--d=2", *BELL_ARGS[3:]]) == EXIT_OK
+    assert capsys.readouterr().out == spaced
+
+
+def test_repeated_flag_takes_its_last_value(capsys):
+    assert main(BELL_ARGS + ["--r", "0", "--r=0,1"]) == EXIT_OK
+    assert [row["r"] for row in parse_csv(capsys.readouterr().out)] == ["0", "1"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "-h"]])
+def test_help_lists_every_flag_and_does_no_work(argv, monkeypatch, capsys):
+    no_work = refuse_work(monkeypatch)
+    monkeypatch.setattr(cli, "parse_state_spec", no_work)
+    monkeypatch.setattr(cli, "parse_rule_spec", no_work)
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    for name in FLAGS:
+        assert f"--{name} " in captured.out, name
 
 
 @pytest.mark.parametrize(

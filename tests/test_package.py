@@ -62,6 +62,13 @@ def test_readme_verify_example_prints_its_rows(capsys):
     assert got == want
 
 
+def test_readme_flags_table_lists_cli_flags():
+    # README's Flags table names exactly the flags of cli.FLAGS, the one list the parser reads
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n### Flags\n", 1)[1].split("\n#", 1)[0]
+    assert re.findall(r"^\| `--([a-z]+)` \|", section, re.M) == list(cli.FLAGS)
+
+
 # names that only the tests use; they live in tests/oracles.py or were deleted as duplicates.
 # cli and certifier also no longer import the dense Operator, and cli no longer numpy
 MOVED = {
