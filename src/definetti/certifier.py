@@ -205,7 +205,7 @@ def _generator_eigenbasis(m: int) -> tuple[np.ndarray, np.ndarray]:
 @functools.lru_cache(maxsize=8)
 def _rotation_blocks(n: int, d: int) -> tuple[tuple[_Block, ...], ...]:
     """For j = 1..d-1, the blocks with m >= 1 of a rotation on levels (j-1, j) of n sites."""
-    types = type_table(n, d)[0]
+    types, eigenbasis = type_table(n, d)[0], functools.cache(_generator_eigenbasis)  # one per m
     out = []
     for j in range(1, d):
         step = np.eye(d, dtype=np.int64)[j] - np.eye(d, dtype=np.int64)[j - 1]  # e_j - e_{j-1}
@@ -214,7 +214,7 @@ def _rotation_blocks(n: int, d: int) -> tuple[tuple[_Block, ...], ...]:
             starts = types[(types[:, j - 1] == m) & (types[:, j] == 0)]
             rows = type_rank(starts[:, None, :] + np.arange(m + 1)[:, None] * step, n)
             if rows.size:
-                blocks.append(_Block(rows, *_generator_eigenbasis(m)))
+                blocks.append(_Block(rows, *eigenbasis(m)))
         out.append(tuple(blocks))
     return tuple(out)
 
@@ -224,33 +224,35 @@ def _rotate(n: int, d: int, turns, columns: np.ndarray, inverse=False, floor=0) 
 
     A block of m+1 types reads w^(2a - m), a = 0..m, as rows n-m, n-m+2, .., n+m of its
     level; the inverse reads turns reversed, w^-p = conj(w^p) at row n+p. An inverse
-    reads only rows with t_0 >= `floor` at its first level; the rest must be zero.
+    reads only rows with t_0 >= `floor` at its first level; the rest must be zero. After
+    the first level the blocks turn in place: they are disjoint, each read before written.
     """
     levels, table = (range(1, d), turns[::-1]) if inverse else (range(d - 1, 0, -1), turns)
     blocks = _rotation_blocks(n, d)
+    out = np.empty_like(columns) if d == 2 else columns.copy()  # d = 2: one block, all rows
     for j in levels:
-        out = np.empty_like(columns) if d == 2 else columns.copy()  # d = 2: one block, all rows
         for block in blocks[j - 1]:
             m = block.rows.shape[1] - 1
             live = m + 1 - (floor if j == 1 else 0)
             if live > 0:
                 phase = table[n - m : n + m + 1 : 2, j - 1]
-                rows = columns[block.rows[:, :live]]
+                rows = columns.take(block.rows[:, :live], axis=0)
                 out[block.rows] = block.basis @ (phase * (block.adjoint[:, :live] @ rows))
         columns = out
     return columns
 
 
-def _unit(values: np.ndarray) -> np.ndarray:
-    """values / |values|, and 1 where a value is 0, as arctan2(0, 0) = 0 would give."""
-    return np.divide(values, np.abs(values), out=np.ones_like(values), where=values != 0)
+def _unit(values: np.ndarray, modulus: np.ndarray) -> np.ndarray:
+    """values / modulus, modulus = |values|, and 1 where it is 0, as arctan2(0, 0) = 0 gives."""
+    return np.divide(values, modulus, out=np.ones_like(values), where=modulus != 0)
 
 
 def _powers(values: np.ndarray, top: int) -> np.ndarray:
     """values^p for p = 0..top on a new leading axis, by repeated products."""
     powers = np.empty((top + 1, *values.shape), dtype=np.complex128)
-    powers[0] = 1
-    np.cumprod(np.broadcast_to(values, (top, *values.shape)), axis=0, out=powers[1:])
+    powers[0], powers[1:2] = 1, values  # row 1: a contiguous copy, faster to multiply by
+    for p in range(2, top + 1):
+        np.multiply(powers[p - 1], powers[1], out=powers[p])
     return powers
 
 
@@ -276,9 +278,11 @@ def _frame(n: int, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     theta_j, so w_j = exp(-i theta_j) is the unit of |psi_{j-1}| - i tail_j. turns holds
     w_j^p at [n + p, j - 1] for p = -n..n, one table per level. No angle is formed.
     """
-    unphase = _monomials(_unit(nodes), n)  # first: its power table and the turns' never coexist
-    tails = np.sqrt(np.cumsum(np.abs(nodes[:, ::-1]) ** 2, axis=1)[:, ::-1])
-    powers = _powers(_unit(np.abs(nodes[:, :-1]) - 1j * tails[:, 1:]).T, n)
+    modulus = np.abs(nodes)  # |psi|, for the site phases, the tails and the turns
+    unphase = _monomials(_unit(nodes, modulus), n)  # first: its table and the turns' never coexist
+    tails = np.sqrt(np.cumsum(modulus[:, ::-1] ** 2, axis=1)[:, ::-1])
+    turn = modulus[:, :-1] - 1j * tails[:, 1:]  # |psi_{j-1}| - i tail_j
+    powers = _powers(_unit(turn, np.abs(turn)).T, n)
     return np.concatenate([powers[:0:-1].conj(), powers]), unphase  # w is a unit: w^-p = conj(w^p)
 
 
@@ -315,13 +319,11 @@ def _truncate(n: int, d: int, r: int, cond: _Conditioned) -> _NodePass:
     back to psi^(x)n where the kept mass is at most _FALLBACK_FRACTION of the node's trace
     (always at r = 0); the frame maps psi^(x)n to the last type, (n, 0, ..., 0).
     """
-    start = np.searchsorted(type_table(n, d)[0][:, 0], n - r, side="right")
-    kept = cond.mass[start:].sum(axis=0)
-    escaped = cond.mass[:start].sum(axis=0)
+    start = len(cond.mass) - math.comb(r + d - 2, d - 1)  # sym_dim(r-1, d) rows kept, 0 at r = 0
+    kept, escaped = cond.mass[start:].sum(axis=0), cond.mass[:start].sum(axis=0)
     fallback = kept <= _FALLBACK_FRACTION * (kept + escaped)
     tau = np.zeros_like(cond.rotated)
-    tau[start:] = cond.rotated[start:] / np.sqrt(np.where(fallback, 1, kept))
-    tau[start:, fallback] = 0
+    np.divide(cond.rotated[start:], np.sqrt(kept), out=tau[start:], where=~fallback)
     tau[-1, fallback] = 1
     floor = n + 1 - max(r, 1)  # kept rows have t_0 > n - r, the fallback t_0 = n
     tau = cond.unphase * _rotate(n, d, cond.turns, tau, inverse=True, floor=floor)

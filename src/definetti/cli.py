@@ -1,4 +1,5 @@
-"""Batch front end: build instances, certify bounds, emit machine-readable reports.
+# the --help text; assigned, not a docstring, so that python -OO keeps it
+__doc__ = """Batch front end: build instances, certify bounds, emit machine-readable reports.
 
 usage: definetti verify|sweep|check-props [--FLAG VALUE | --FLAG=VALUE]...
 

@@ -394,6 +394,20 @@ def test_help_lists_every_flag_and_does_no_work(argv, monkeypatch, capsys):
         assert f"--{name} " in captured.out, name
 
 
+def test_help_survives_stripped_docstrings(capsys):
+    # python -OO drops docstrings; the help text must not be one, or --help crashes with exit 70
+    assert main(["--help"]) == EXIT_OK
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-OO", "-W", "error", "-m", "definetti", "--help"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout == capsys.readouterr().out
+    assert proc.stdout.startswith("Batch front end")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -418,6 +418,40 @@ def test_generator_eigenbasis_has_spectrum_two_a_minus_m(m):
     np.testing.assert_allclose(rotated, np.diag(spectrum), rtol=0, atol=4e-15 * m)
 
 
+def test_rotation_blocks_take_one_eigenbasis_per_m(monkeypatch):
+    # every level's block of m types shares W_m: (n, d) = (6, 3) needs 6 eigh calls, not 12
+    sizes, eigh = [], np.linalg.eigh
+
+    def counted(matrix):
+        sizes.append(len(matrix))
+        return eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    first, second = certifier._rotation_blocks.__wrapped__(6, 3)  # past the cache
+    assert sorted(sizes) == [2, 3, 4, 5, 6, 7]
+    assert [block.rows.shape[1] for block in first] == [block.rows.shape[1] for block in second]
+    for a, b in zip(first, second):
+        assert a.basis is b.basis and a.adjoint is b.adjoint
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("top", [0, 1, 2, 8, 100])
+def test_powers_are_repeated_products(d, top):
+    # the frame's table of units and the monomials' table of node entries, |entry| <= 1
+    rng = np.random.default_rng(10 * d + top)
+    nodes = rng.standard_normal((512, d)) + 1j * rng.standard_normal((512, d))
+    nodes /= np.linalg.norm(nodes, axis=1)[:, None]
+    for values in (nodes.T, nodes.T / np.abs(nodes.T)):
+        powers = certifier._powers(values, top)
+        assert powers.shape == (top + 1, d, 512) and powers.dtype == np.complex128
+        assert (powers[0] == 1).all()
+        if top:
+            np.testing.assert_array_equal(powers[1], values)
+        for p in range(2, top + 1):
+            exact = values**p
+            assert (np.abs(powers[p] - exact) <= 1e-15 * p * np.abs(exact)).all(), p
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_frame_tables_match_angle_exponentials(d, n):
