@@ -226,6 +226,8 @@ def _rotate(n: int, d: int, turns, columns: np.ndarray, inverse=False, floor=0) 
     level; the inverse reads turns reversed, w^-p = conj(w^p) at row n+p. An inverse
     reads only rows with t_0 >= `floor` at its first level; the rest must be zero. After
     the first level the blocks turn in place: they are disjoint, each read before written.
+    Phases multiply in place, phase first, so numpy's elision of a temporary (from 256 KiB)
+    never swaps the operands of a complex product, whose two orders round differently.
     """
     levels, table = (range(1, d), turns[::-1]) if inverse else (range(d - 1, 0, -1), turns)
     blocks = _rotation_blocks(n, d)
@@ -236,8 +238,8 @@ def _rotate(n: int, d: int, turns, columns: np.ndarray, inverse=False, floor=0) 
             live = m + 1 - (floor if j == 1 else 0)
             if live > 0:
                 phase = table[n - m : n + m + 1 : 2, j - 1]
-                rows = columns.take(block.rows[:, :live], axis=0)
-                out[block.rows] = block.basis @ (phase * (block.adjoint[:, :live] @ rows))
+                mixed = block.adjoint[:, :live] @ columns.take(block.rows[:, :live], axis=0)
+                out[block.rows] = block.basis @ np.multiply(phase, mixed, out=mixed)
         columns = out
     return columns
 
@@ -326,7 +328,8 @@ def _truncate(n: int, d: int, r: int, cond: _Conditioned) -> _NodePass:
     np.divide(cond.rotated[start:], np.sqrt(kept), out=tau[start:], where=~fallback)
     tau[-1, fallback] = 1
     floor = n + 1 - max(r, 1)  # kept rows have t_0 > n - r, the fallback t_0 = n
-    tau = cond.unphase * _rotate(n, d, cond.turns, tau, inverse=True, floor=floor)
+    tau = _rotate(n, d, cond.turns, tau, inverse=True, floor=floor)
+    np.multiply(cond.unphase, tau, out=tau)  # in place, unphase first, as `_rotate` multiplies
     return _NodePass(cond.density, kept, escaped, tau, fallback)
 
 

@@ -21,7 +21,6 @@ memory), so that no crash reads as a verdict.
 """
 
 import csv
-import dataclasses
 import functools
 import io
 import json
@@ -233,10 +232,7 @@ def build_rows(d, n, k_list, r_list, state_spec, rule_spec):
     instances = []
     for k in ks:
         state, state_seed = parse_state_spec(state_spec, d, n + k)
-        try:
-            instances.append((Instance(d=d, n=n, k=k, rho=state), state_seed))
-        except ValueError as exc:
-            raise UsageError(f"cannot build instance: {exc}") from None
+        instances.append((Instance(d=d, n=n, k=k, rho=state), state_seed))
     rule = parse_rule_spec(rule_spec, d, sites)
     rows = []
     for inst, state_seed in instances:
@@ -245,7 +241,7 @@ def build_rows(d, n, k_list, r_list, state_spec, rule_spec):
             seed=rule.seed if state_seed is None else state_seed,
         )
         for report in verify(inst, rule, thresholds):
-            fields = {**context, **dataclasses.asdict(report)}
+            fields = {**context, **vars(report)}
             rows.append({name: fields[name] for name in CSV_HEADER.split(",")})
     return rows
 

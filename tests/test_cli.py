@@ -151,8 +151,10 @@ def test_sweep_never_handles_the_full_state(monkeypatch, tmp_path):
 @pytest.mark.parametrize(
     "make_state",
     [
-        lambda sites, d: symmetric.ghz_state(sites + 1, d),  # site count
-        lambda sites, d: symmetric.ghz_state(sites, d + 1),  # site dimension
+        lambda sites, d: symmetric.SymmetricState(1, sites, np.ones(1)),  # site dimension below 2
+        lambda sites, d: symmetric.SymmetricState(  # NaN coefficients
+            d, sites, np.full(symmetric.sym_dim(sites, d), np.nan)
+        ),
         lambda sites, d: symmetric.SymmetricState(d, sites, np.ones(sites) / np.sqrt(sites)),  # length
         lambda sites, d: symmetric.SymmetricState(d, sites, np.ones(sites + 1)),  # norm
     ],
@@ -163,6 +165,23 @@ def test_invalid_symmetric_state_exits_usage(make_state, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "make_state",
+    [
+        lambda sites, d: symmetric.ghz_state(sites + 1, d),  # site count
+        lambda sites, d: symmetric.ghz_state(sites, d + 1),  # site dimension
+    ],
+)
+def test_state_of_the_wrong_shape_exits_internal(make_state, monkeypatch, capsys):
+    # the CLI checks d, n and k and builds every state for them, so only a broken state builder
+    # hands Instance a state of other sites: a bug, which must not read as a usage error
+    monkeypatch.setattr(cli, "ghz_state", make_state)
+    assert main(BELL_ARGS) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal error: InstanceError")
 
 
 def test_crash_exits_internal_not_violation(monkeypatch, capsys):

@@ -28,9 +28,9 @@ computes once per block of nodes, and the per-r truncation. A call with
 several thresholds is checked against one-threshold calls on fresh copies of the inputs,
 and `verify` is checked to hold no reference to its inputs once it returns.
 `verify` walks the nodes in blocks of `_NODE_BLOCK`: its reports must not
-depend on the block size beyond roundoff, and neither its peak memory nor
-that of the rule-level views, which read the same pass, may grow with the
-node count.
+depend on the block size beyond roundoff, nor each node's truncation at all,
+and neither its peak memory nor that of the rule-level views, which read the
+same pass, may grow with the node count.
 """
 
 import dataclasses
@@ -699,6 +699,30 @@ def test_streamed_verify_matches_one_block(d, n, k, rule, fraction, monkeypatch)
                 assert getattr(got, field) == expected, (where, field)
             assert got.fallback_nodes == want.fallback_nodes, where
             assert got.status == want.status, where
+
+
+@pytest.mark.parametrize(
+    "d,n,k,rule_spec", [(2, 40, 40, "exact:40"), (3, 10, 2, "mc:600:1")], ids=["qubit", "qutrit"]
+)
+def test_truncation_is_bit_identical_in_any_block(d, n, k, rule_spec):
+    # a node's tau, masses and fallback flag must not depend on the nodes beside it. A block's
+    # tau here is 328 KiB (qubit) or 528 KiB (qutrit) at _NODE_BLOCK nodes, past the 256 KiB from
+    # which numpy may elide a temporary operand and so reorder a complex product; 8 nodes never are
+    inst = Instance(d=d, n=n, k=k, rho=parse_state_spec("random-sym:1", d, n + k)[0])
+    nodes = parse_rule_spec(rule_spec, d, n + k).node_matrix[: certifier._NODE_BLOCK]
+    assert 16 * sym_dim(n, d) * len(nodes) > 256 * 1024
+    coupling = _coupling(inst)
+
+    def conditioned(block):
+        parts = np.split(nodes, range(block, len(nodes), block))
+        return [_condition(inst, coupling @ _bra_powers(part, k), part) for part in parts]
+
+    (whole,), pieces = conditioned(len(nodes)), conditioned(8)
+    for r in range(n + 2):
+        got, want = [_truncate(n, d, r, cond) for cond in pieces], _truncate(n, d, r, whole)
+        for field, axis in (("tau", 1), ("kept", 0), ("escaped", 0), ("fallback", 0)):
+            joined = np.concatenate([getattr(node, field) for node in got], axis=axis)
+            assert joined.tobytes() == getattr(want, field).tobytes(), (r, field)
 
 
 def peak_bytes(call):
