@@ -1,7 +1,7 @@
 """Desk-scale construction and certification of exponential de Finetti bounds.
 
-The package root exports the documented library API. The dense operators
-that the bench tracer still lists (`symmetrizer`, `weight_family`,
+The package root exports the documented library API. The eight names that
+`bench/tracer.py` lists beside it (`symmetrizer`, `weight_family`,
 `chain_bound`, ...) are imported from their submodules.
 """
 

@@ -32,7 +32,7 @@ MONTE_CARLO = "monte_carlo"
 DEGREE_ESCALATION = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Weighted single-site nodes approximating the Haar average.
 

@@ -49,7 +49,7 @@ def _unit_vector(vector, length: int, what: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Unit vector on `sites` subsystems of dimension `site_dim` each."""
 
@@ -92,7 +92,7 @@ class PureState:
         return PureState(self.site_dim, self.sites * copies, rows[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Operator:
     """Square matrix acting on `sites` subsystems of dimension `site_dim`.
 

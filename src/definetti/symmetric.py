@@ -120,7 +120,7 @@ def _dicke_coefficients(state: PureState) -> tuple[np.ndarray, float]:
     return coefficients, float(np.linalg.norm(deviation))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymmetricState:
     """Pure state of `sites` sites of dimension `site_dim`, given by its Dicke coefficients.
 

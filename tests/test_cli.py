@@ -110,21 +110,29 @@ def test_sweep_does_not_import_numpy_polynomial(spec, tmp_path):
 
 def test_command_line_imports_no_argparse():
     # argparse, with the gettext and locale it loads, cost every run about 4 ms of parser
-    # start-up; README's verify example, run cold, must load none of them
+    # start-up, and numpy.random, with secrets and hashlib, about 9 ms; README's verify
+    # example draws nothing at random, and run cold must load none of them. numpy 1.x
+    # loads numpy.random itself, so the package is held only to what `import numpy` loads
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     command = re.search(r"\n\$ definetti (verify .*)\n", readme).group(1)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-W", "error", "-m", "definetti", *command.split()],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == EXIT_OK, proc.stderr
-    assert [row["status"] for row in parse_csv(proc.stdout)] == ["PASS"]
-    # each -X importtime line ends "| <indent>module"
-    imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()}
+
+    def imports(*args):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-W", "error", *args],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        # each -X importtime line ends "| <indent>module"
+        return proc.stdout, {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()}
+
+    _, by_numpy = imports("-c", "import numpy")
+    out, imported = imports("-m", "definetti", *command.split())
+    assert [row["status"] for row in parse_csv(out)] == ["PASS"]
     assert "definetti.cli" in imported
-    assert imported.isdisjoint({"argparse", "gettext", "locale"})
+    randomness = {"numpy.random", "secrets", "hashlib"}
+    assert imported.isdisjoint({"argparse", "gettext", "locale"} | (randomness - by_numpy))
 
 
 def test_sweep_never_handles_the_full_state(monkeypatch, tmp_path):

@@ -1,9 +1,12 @@
+import dataclasses
 import importlib
 import importlib.util
 import re
 import shlex
 import sys
 from pathlib import Path
+
+import pytest
 
 import definetti
 from definetti import cli, hamming
@@ -105,3 +108,31 @@ def test_every_traced_name_resolves(monkeypatch):
     assert tracer.TRACED_NAMES
     for name in tracer.TRACED_NAMES:
         assert tracer.find(name) is not None, name
+
+
+def identity_cases():
+    """(record, copy, whether they are equal): the four array-holding types compare by identity."""
+    rho = definetti.ghz_state(2, 2)
+    dense = rho.pure()
+    rule = definetti.exact_qubit_rule(2)
+    inst = definetti.Instance(d=2, n=1, k=1, rho=rho)
+    return {
+        "PureState": (dense, dataclasses.replace(dense), False),
+        "Operator": (dense.projector(), dataclasses.replace(dense.projector()), False),
+        "SymmetricState": (rho, dataclasses.replace(rho), False),
+        "QuadratureRule": (rule, dataclasses.replace(rule), False),
+        "Instance-same-rho": (inst, dataclasses.replace(inst), True),
+        "Instance-copied-rho": (inst, dataclasses.replace(inst, rho=dataclasses.replace(rho)), False),
+    }
+
+
+@pytest.mark.parametrize("case", list(identity_cases()))
+def test_records_compare_and_hash_by_identity(case):
+    # a field-wise == over arrays raises, and arrays do not hash, so these types keep object's
+    # identity == and hash; Instance compares fields, its rho by identity
+    record, copy, equal = identity_cases()[case]
+    assert record == record
+    assert (record == copy) is equal and (record != copy) is not equal
+    assert {record: 1}[record] == 1
+    if equal:
+        assert hash(record) == hash(copy)
