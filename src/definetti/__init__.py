@@ -16,7 +16,6 @@ from definetti.certifier import (
     verify,
 )
 from definetti.haar import QuadratureRule, exact_qubit_rule, monte_carlo_rule
-from definetti.linalg import Operator, PureState
 from definetti.symmetric import SymmetricState, dicke_state, ghz_state, random_symmetric_pure
 
 __version__ = "0.1.0"
@@ -25,9 +24,7 @@ __all__ = [
     "INCONCLUSIVE",
     "Instance",
     "InstanceError",
-    "Operator",
     "PASS",
-    "PureState",
     "QuadratureRule",
     "SymmetricState",
     "VIOLATION",

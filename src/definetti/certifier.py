@@ -80,10 +80,10 @@ def _integer(name: str, value, low: int, high=None) -> int:
 class Instance:
     """A certification problem: sites split as n kept + k conditioned.
 
-    rho is a SymmetricState on n+k sites of dimension d; `verify` reads only
-    its Dicke coefficients. A dense PureState or density Operator is converted
-    once by `SymmetricState.from_dense`. d, n and k must pass `operator.index`
-    (1.0 does not), else InstanceError at construction; the thresholds r are `verify`'s.
+    rho is a SymmetricState on n+k sites of dimension d, the package's one state
+    format; `verify` reads only its Dicke coefficients. d, n and k must pass
+    `operator.index` (1.0 does not), else InstanceError at construction; the
+    thresholds r are `verify`'s.
     """
 
     d: int
@@ -97,7 +97,7 @@ class Instance:
         rho = self.rho
         if not isinstance(rho, SymmetricState):
             raise InstanceError(
-                f"rho is a {type(rho).__name__}; convert it with SymmetricState.from_dense"
+                f"rho is a {type(rho).__name__}; give its Dicke coefficients as a SymmetricState"
             )
         if rho.site_dim != self.d or rho.sites != self.n + self.k:
             raise InstanceError(

@@ -3,11 +3,11 @@
 The permutation-symmetric subspace of n sites of dimension d has one basis
 vector per occupation vector (m_1, ..., m_d) with sum n: the equal-amplitude
 superposition of all basis strings of that type. A symmetric pure state is
-its sym_dim(n, d) coefficients in that basis (`SymmetricState`), which is how
-the state builders return it and what `SymmetricState.from_dense` reduces a
-dense state to. `type_table` lists the types, `type_rank` finds their rows, and
-`type_codes` gives the row of each of the d^n basis strings, through which
-`from_dense` sums amplitudes and `strings_from_dicke` spreads Dicke coordinates back.
+its sym_dim(n, d) coefficients in that basis (`SymmetricState`), the one state
+format of the package: the state builders return it and `Instance` takes it.
+`type_table` lists the types, `type_rank` finds their rows, and `type_codes`
+gives the row of each of the d^n basis strings, through which
+`strings_from_dicke` spreads Dicke coordinates over the strings for `symmetrizer`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from definetti.linalg import PSD_ATOL, Operator, PureState, _norm, _unit_vector
+from definetti.linalg import Operator, _norm, _unit_vector
 
 
 def sym_dim(n: int, d: int) -> int:
@@ -79,7 +79,7 @@ def type_codes(n: int, d: int) -> np.ndarray:
     Types are numbered site by site: appending digit c to a string of type t gives type
     t + e_c, whose row `type_rank` gives, so no digit table of all strings is built. The
     types of fewer sites skip `type_table`'s cache, which one table per site would fill.
-    The table is read-only and cached, so repeated checks of states on the same sites share it.
+    The table is read-only and cached.
     """
     code = np.zeros(1, dtype=np.int64)
     for m in range(n):
@@ -95,31 +95,6 @@ def strings_from_dicke(n: int, d: int, columns: np.ndarray) -> np.ndarray:
     return (scale[:, None] * columns)[type_codes(n, d)]
 
 
-def _dicke_coefficients(state: PureState) -> tuple[np.ndarray, float]:
-    """(c, beta): the Dicke coefficients of `state` and the norm of its non-symmetric part.
-
-    With S_t the sum of the amplitudes over the basis strings of type t,
-    c_t = S_t / sqrt(mult_t) in the order of `type_table`. Projecting onto the
-    symmetric subspace replaces each amplitude by S_t / mult_t. `np.bincount`
-    sums in order, so S_t carries up to about mult_t ulps of error (4e-12
-    relative at n+k = 21); summing the deviations from those means once more
-    removes it. The residual beta is the norm of the deviations, summed
-    directly: 1 - sum_t |c_t|^2 loses it to cancellation near 1e-8, above the
-    defect bound.
-    """
-    code = type_codes(state.sites, state.site_dim)
-    mult = np.bincount(code)
-
-    def type_sums(values):
-        return np.bincount(code, values.real) + 1j * np.bincount(code, values.imag)
-
-    sums = type_sums(state.amplitudes)
-    deviation = state.amplitudes - (sums / mult)[code]
-    coefficients = (sums + type_sums(deviation)) / np.sqrt(mult)
-    coefficients.setflags(write=False)
-    return coefficients, float(np.linalg.norm(deviation))
-
-
 @dataclass(frozen=True, eq=False)
 class SymmetricState:
     """Pure state of `sites` sites of dimension `site_dim`, given by its Dicke coefficients.
@@ -128,7 +103,7 @@ class SymmetricState:
     `type_table(sites, site_dim)`, so the state is symmetric by construction
     and nothing of size site_dim**sites is held. The coefficients must number
     sym_dim(sites, site_dim) and have unit norm (the pairwise-sum check of
-    `PureState`); they are stored read-only.
+    `_unit_vector`); they are stored read-only.
     """
 
     site_dim: int
@@ -144,41 +119,6 @@ class SymmetricState:
             self.coefficients, sym_dim(self.sites, self.site_dim), "SymmetricState coefficients"
         )
         object.__setattr__(self, "coefficients", coefficients)
-
-    @classmethod
-    def from_dense(cls, rho: PureState | Operator) -> SymmetricState:
-        """The SymmetricState of a dense PureState or density Operator.
-
-        An Operator must be hermitian, unit trace, PSD and pure, and gives its
-        top eigenvector. The state must lie in the symmetric subspace up to a
-        trace-norm defect of 1e-9. A failed check raises ValueError.
-        """
-        if isinstance(rho, Operator):
-            if not rho.is_hermitian():
-                raise ValueError("rho must be hermitian")
-            if not rho.is_trace_one():
-                raise ValueError(f"rho must have unit trace, got {rho.trace():.6g}")
-            eigs, vecs = np.linalg.eigh(rho.entries)
-            if eigs[0] < -PSD_ATOL:
-                raise ValueError(f"rho must be PSD, smallest eigenvalue {eigs[0]:.3e}")
-            second = eigs[:-1].max(initial=0.0)  # a 1x1 operator on no sites has none
-            if second > 1e-10:
-                raise ValueError(f"rho must be pure, second eigenvalue {second:.3e}")
-            rho = PureState(rho.site_dim, rho.sites, vecs[:, -1])
-        coefficients, beta = _dicke_coefficients(rho)
-        # trace norm of P rho P - rho for rho = |Phi><Phi| whose component
-        # outside the symmetric subspace has norm beta
-        defect = beta * math.sqrt(beta**2 + 4.0 * (1.0 - beta**2))
-        if defect > 1e-9:
-            raise ValueError(
-                f"rho must be supported on the symmetric subspace (defect {defect:.3e})"
-            )
-        return cls(rho.site_dim, rho.sites, coefficients)
-
-    def pure(self) -> PureState:
-        """The site_dim**sites amplitudes: c_t / sqrt(mult_t) on every basis string of type t."""
-        amplitudes = strings_from_dicke(self.sites, self.site_dim, self.coefficients[:, None])
-        return PureState(self.site_dim, self.sites, amplitudes[:, 0])
 
 
 def dicke_state(n: int, d: int, occupation) -> SymmetricState:

@@ -20,7 +20,6 @@ from definetti.haar import exact_qubit_rule, monte_carlo_rule
 from definetti.hamming import weight_family
 from definetti.linalg import Operator, PureState
 from definetti.symmetric import (
-    SymmetricState,
     dicke_state,
     ghz_state,
     random_symmetric_pure,
@@ -30,6 +29,8 @@ from definetti.symmetric import (
 from oracles import (
     check_gentle,
     check_operator_inequality,
+    dense_pure,
+    from_dense,
     hamming_distance,
     pure_power_moment,
     random_state,
@@ -144,7 +145,7 @@ def test_operator_upper_bound():
     for seed in range(20):
         n, k = cells[seed % len(cells)]
         state = random_symmetric_pure(n + k, 2, seed)
-        inst = Instance(d=2, n=n, k=k, rho=SymmetricState.from_dense(state.pure().projector()))
+        inst = Instance(d=2, n=n, k=k, rho=from_dense(dense_pure(state).projector()))
         psi = random_state(rng, 2)
         min_slack = min(min_slack, check_operator_inequality(inst, psi, exact_qubit_rule(n + k)))
     _report(
@@ -162,16 +163,16 @@ def _end_to_end():
     base = PureState(2, 1, [1.0, 0.0])
     states = {
         "product": base.tensor_power(8),
-        "ghz": ghz_state(8, 2).pure(),
-        "dicke:4,4": dicke_state(8, 2, (4, 4)).pure(),
+        "ghz": dense_pure(ghz_state(8, 2)),
+        "dicke:4,4": dense_pure(dicke_state(8, 2, (4, 4))),
     }
     for seed in range(1, 6):
-        states[f"random-sym:{seed}"] = random_symmetric_pure(8, 2, seed).pure()
+        states[f"random-sym:{seed}"] = dense_pure(random_symmetric_pure(8, 2, seed))
 
     reports = {}
     support = {"fallback": 0, "kept": 0, "worst_fallback": -1, "worst_kept": -1, "ok": True}
     for name, state in states.items():
-        rho = SymmetricState.from_dense(state.projector())
+        rho = from_dense(state.projector())
         inst = Instance(d=2, n=4, k=4, rho=rho)
         for r, report in enumerate(verify(inst, rule, range(5))):
             reports[(name, r)] = report
@@ -201,7 +202,7 @@ def test_end_to_end_certification():
         for report in reports.values()
     )
 
-    bell_state = SymmetricState.from_dense(ghz_state(2, 2).pure().projector())
+    bell_state = from_dense(dense_pure(ghz_state(2, 2)).projector())
     (bell,) = verify(Instance(d=2, n=1, k=1, rho=bell_state), exact_qubit_rule(6), (1,))
     anchor_ok = (
         bell.lhs <= 1e-8

@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate as scipy_integrate
 from scipy.stats import binom
 
-from definetti import certifier, cli, symmetric
+from definetti import certifier, cli
 from definetti.certifier import (
     INCONCLUSIVE,
     PASS,
@@ -27,7 +27,6 @@ from definetti.hamming import threshold_projectors, weight_family
 from definetti.linalg import DimensionError, Operator, PureState, partial_trace_last, trace_norm
 from definetti.symmetric import (
     SymmetricState,
-    _dicke_coefficients,
     dicke_state,
     ghz_state,
     random_symmetric_pure,
@@ -39,7 +38,10 @@ from oracles import (
     binary_divergence,
     check_gentle,
     check_operator_inequality,
+    dense_pure,
+    dicke_coefficients,
     dicke_isometry,
+    from_dense,
     nu_weight_normalization,
     pure_power_moment,
     random_state,
@@ -51,8 +53,8 @@ from oracles import (
 
 
 def from_projector(state):
-    """`state` rebuilt by `SymmetricState.from_dense` from its dense density operator."""
-    return SymmetricState.from_dense(state.pure().projector())
+    """`state` rebuilt by the oracle `from_dense` from its dense density operator."""
+    return from_dense(dense_pure(state).projector())
 
 
 def bell_instance():
@@ -61,7 +63,7 @@ def bell_instance():
 
 def product_instance(n, k, d=2):
     base = PureState(d, 1, [1] + [0] * (d - 1)).tensor_power(n + k)
-    return Instance(d=d, n=n, k=k, rho=SymmetricState.from_dense(base.projector()))
+    return Instance(d=d, n=n, k=k, rho=from_dense(base.projector()))
 
 
 def exact_beta_mass(n, k, r):
@@ -115,10 +117,10 @@ def test_instance_refuses_non_integer_sizes():
 
 
 def test_instance_takes_only_symmetric_states():
-    # dense inputs are converted once, by SymmetricState.from_dense, never by Instance
-    ghz = ghz_state(2, 2).pure()
+    # the package has one state format: Instance refuses dense states and bare arrays
+    ghz = dense_pure(ghz_state(2, 2))
     for rho in (ghz, ghz.projector(), ghz.amplitudes):
-        with pytest.raises(InstanceError, match="from_dense"):
+        with pytest.raises(InstanceError, match="SymmetricState"):
             Instance(d=2, n=1, k=1, rho=rho)
 
 
@@ -186,7 +188,7 @@ def test_verify_on_symmetric_state_matches_its_pure_adapter(d, n, k, rule):
     occupation = (n + k - 1, 1) + (0,) * (d - 2)
     states = (random_symmetric_pure(n + k, d, 11), ghz_state(n + k, d), dicke_state(n + k, d, occupation))
     for state in states:
-        dense = SymmetricState.from_dense(state.pure())
+        dense = from_dense(dense_pure(state))
         got_rows = verify(Instance(d=d, n=n, k=k, rho=state), rule, range(n + 1))
         want_rows = verify(Instance(d=d, n=n, k=k, rho=dense), rule, range(n + 1))
         for got, want in zip(got_rows, want_rows, strict=True):
@@ -202,12 +204,12 @@ def test_symmetric_residual_matches_dense_projection(d, sites):
     rng = np.random.default_rng(10 * d + sites)
     generic = rng.standard_normal(d**sites) + 1j * rng.standard_normal(d**sites)
     for state in (
-        random_symmetric_pure(sites, d, seed=sites).pure(),
-        ghz_state(sites, d).pure(),
+        dense_pure(random_symmetric_pure(sites, d, seed=sites)),
+        dense_pure(ghz_state(sites, d)),
         PureState.normalized(d, sites, generic),
     ):
         amps = state.amplitudes
-        coefficients, residual = _dicke_coefficients(state)
+        coefficients, residual = dicke_coefficients(state)
         np.testing.assert_allclose(coefficients, iso.conj().T @ amps, rtol=0, atol=1e-14)
         dense = np.linalg.norm(amps - iso @ (iso.conj().T @ amps))
         assert residual == pytest.approx(dense, rel=1e-12, abs=1e-14)
@@ -216,54 +218,12 @@ def test_symmetric_residual_matches_dense_projection(d, sites):
 def test_dicke_coefficients_are_accurate_at_large_multiplicity():
     # the middle type of 18 qubits has C(18, 9) = 48620 equal amplitudes; summed in
     # order they lose about 1e-12 relative, which the second pass over the deviations removes
-    state = random_symmetric_pure(18, 2, seed=3).pure()
+    state = dense_pure(random_symmetric_pure(18, 2, seed=3))
     rng = np.random.default_rng(3)
     drawn = rng.standard_normal(19) + 1j * rng.standard_normal(19)
     np.testing.assert_allclose(
-        _dicke_coefficients(state)[0], drawn / np.linalg.norm(drawn), rtol=1e-14, atol=0
+        dicke_coefficients(state)[0], drawn / np.linalg.norm(drawn), rtol=1e-14, atol=0
     )
-
-
-def counting_reductions(monkeypatch):
-    """Count the calls of symmetric._dicke_coefficients from here on."""
-    calls = []
-    reduce = symmetric._dicke_coefficients
-
-    def counting(state):
-        calls.append(state)
-        return reduce(state)
-
-    monkeypatch.setattr(symmetric, "_dicke_coefficients", counting)
-    return calls
-
-
-def test_sweep_over_r_reduces_the_state_once(monkeypatch):
-    calls = counting_reductions(monkeypatch)
-    rows = cli.build_rows(2, 6, [2], range(7), "random-sym:7", "exact:8")
-    assert [row["r"] for row in rows] == list(range(7))
-    assert calls == []  # the CLI's states are Dicke coefficients already
-    dense = random_symmetric_pure(8, 2, seed=7).pure()
-    state = SymmetricState.from_dense(dense)
-    assert calls == [dense]
-    verify(Instance(d=2, n=6, k=2, rho=state), exact_qubit_rule(8), range(7))
-    assert len(calls) == 1  # Instance and verify read the coefficients, never the dense state
-
-
-def test_reduction_memo_misses_on_a_new_state(monkeypatch):
-    # no reduction is memoised: every from_dense call reduces its argument, once
-    calls = counting_reductions(monkeypatch)
-    dense = random_symmetric_pure(4, 2, seed=1).pure()
-    first = SymmetricState.from_dense(dense)
-    Instance(d=2, n=2, k=2, rho=first)
-    Instance(d=2, n=3, k=1, rho=first)
-    assert calls == [dense]
-    copy = dataclasses.replace(dense)  # equal amplitudes, a new object
-    np.testing.assert_array_equal(SymmetricState.from_dense(copy).coefficients, first.coefficients)
-    assert len(calls) == 2 and calls[-1] is copy
-    SymmetricState.from_dense(dense)
-    assert len(calls) == 3 and calls[-1] is dense
-    SymmetricState.from_dense(dense.projector())
-    assert len(calls) == 4
 
 
 def test_rho_psi_product():
@@ -785,7 +745,7 @@ def test_reconstruction_identity():
 
         total = integrate(rule, lambda node: rho_psi(inst, node))
         rebuilt = sym_dim(inst.k, inst.d) * total
-        reduced = partial_trace_last(inst.rho.pure().projector(), inst.k)
+        reduced = partial_trace_last(dense_pure(inst.rho).projector(), inst.k)
         assert trace_norm(reduced - rebuilt) < 1e-9
 
 

@@ -111,8 +111,9 @@ def test_sweep_does_not_import_numpy_polynomial(spec, tmp_path):
 def test_command_line_imports_no_argparse():
     # argparse, with the gettext and locale it loads, cost every run about 4 ms of parser
     # start-up, and numpy.random, with secrets and hashlib, about 9 ms; README's verify
-    # example draws nothing at random, and run cold must load none of them. numpy 1.x
-    # loads numpy.random itself, so the package is held only to what `import numpy` loads
+    # example draws nothing at random, and run cold must load none of them, nor the dense
+    # weight projectors of definetti.hamming. numpy 1.x loads numpy.random itself, so the
+    # package is held only to what `import numpy` loads
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     command = re.search(r"\n\$ definetti (verify .*)\n", readme).group(1)
     env = dict(os.environ)
@@ -132,25 +133,20 @@ def test_command_line_imports_no_argparse():
     assert [row["status"] for row in parse_csv(out)] == ["PASS"]
     assert "definetti.cli" in imported
     randomness = {"numpy.random", "secrets", "hashlib"}
-    assert imported.isdisjoint({"argparse", "gettext", "locale"} | (randomness - by_numpy))
+    absent = {"argparse", "gettext", "locale", "definetti.hamming"} | (randomness - by_numpy)
+    assert imported.isdisjoint(absent)
 
 
 def test_sweep_never_handles_the_full_state(monkeypatch, tmp_path):
-    # nothing indexed by the d^(n+k) basis strings is built or reduced
+    # nothing indexed by the d^(n+k) basis strings is built
     calls = []
     type_codes = symmetric.type_codes
-    reduce = symmetric._dicke_coefficients
 
     def counting_type_codes(n, d):
         calls.append(("type_codes", n))
         return type_codes(n, d)
 
-    def counting_reduce(state):
-        calls.append(("_dicke_coefficients", state.sites))
-        return reduce(state)
-
     monkeypatch.setattr(symmetric, "type_codes", counting_type_codes)
-    monkeypatch.setattr(symmetric, "_dicke_coefficients", counting_reduce)
     for spec in STATE_SPECS:
         assert main(cold_sweep_args(spec, tmp_path / "rows.csv")) == EXIT_OK, spec
     assert [call for call in calls if call[1] == 6] == []

@@ -74,7 +74,14 @@ from definetti.symmetric import (
     sym_dim,
     type_table,
 )
-from oracles import approximant, dicke_isometry, node_pass, nu_weight_normalization
+from oracles import (
+    approximant,
+    dense_pure,
+    dicke_isometry,
+    from_dense,
+    node_pass,
+    nu_weight_normalization,
+)
 
 # (d, n, k); every r in 0..n is checked for each
 GRID = [(2, 1, 1), (2, 3, 2), (2, 2, 4), (2, 4, 4), (3, 2, 2), (3, 1, 2), (3, 3, 3), (4, 1, 1)]
@@ -105,7 +112,7 @@ def dense_terms(inst, rule, r):
 
     A node falls back where its kept mass is at most `certifier._FALLBACK_FRACTION` of its trace.
     """
-    rho = inst.rho.pure().projector()
+    rho = dense_pure(inst.rho).projector()
     terms = []
     for node in rule.nodes:
         conditioned = sandwich_bra_last(rho, node, inst.k)
@@ -121,7 +128,7 @@ def dense_terms(inst, rule, r):
 
 def dense_defect(inst, rule):
     """delta = ||Tr_k rho - sym_dim(k,d) sum_j w_j rho_psi_j||_1, from dense operators."""
-    rho = inst.rho.pure().projector()
+    rho = dense_pure(inst.rho).projector()
     conditioned = sum(
         weight * sandwich_bra_last(rho, node, inst.k).entries
         for weight, node in zip(rule.weights, rule.nodes)
@@ -136,7 +143,7 @@ def dense_report(inst, rule, r):
     approx = sym_dim(inst.k, inst.d) * sum(
         w * weight * tau.entries for w, (weight, _, _, tau, _) in zip(rule.weights, terms)
     )
-    reduced = partial_trace_last(inst.rho.pure().projector(), inst.k)
+    reduced = partial_trace_last(dense_pure(inst.rho).projector(), inst.k)
     lhs = trace_norm(reduced - Operator(inst.d, inst.n, approx))
     err = dense_defect(inst, rule)
     escaped = float(rule.weights @ np.array([term[2] for term in terms]))
@@ -192,7 +199,7 @@ def test_node_distance_is_twice_root_of_escaped_times_trace(d, n, k):
     # rho_psi - a tau_psi has rank two, with eigenvalues +-sqrt(e a), for every node
     # that keeps its truncation (a = trace(rho_psi), e = its escaped mass)
     inst = instance(d, n, k)
-    rho = inst.rho.pure().projector()
+    rho = dense_pure(inst.rho).projector()
     for rule in rules(d, n, k):
         for r in range(n + 1):
             nodes = node_pass(inst, rule.node_matrix, r)
@@ -610,8 +617,8 @@ def test_reuse_misses_on_new_split_state_or_rule():
         (state, 2, 2, mc),
         (other, 2, 2, mc),
         (state, 2, 2, exact),
-        (SymmetricState.from_dense(state.pure().projector()), 2, 2, exact),  # a new object
-        (SymmetricState.from_dense(state.pure().projector()), 2, 2, exact),
+        (from_dense(dense_pure(state).projector()), 2, 2, exact),  # a new object
+        (from_dense(dense_pure(state).projector()), 2, 2, exact),
     ]
     expected = [
         tuple(

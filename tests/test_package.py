@@ -1,6 +1,8 @@
+import csv
 import dataclasses
 import importlib
 import importlib.util
+import json
 import re
 import shlex
 import sys
@@ -9,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import definetti
-from definetti import cli, hamming
+from definetti import cli, hamming, linalg
+from definetti.symmetric import SymmetricState
+from oracles import dense_pure
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -22,8 +26,6 @@ ROOT_API = {
     "PASS",
     "VIOLATION",
     "INCONCLUSIVE",
-    "PureState",
-    "Operator",
     "QuadratureRule",
     "SymmetricState",
     "exact_qubit_rule",
@@ -40,6 +42,13 @@ def test_root_exports_only_the_documented_api():
     assert set(definetti.__all__) == ROOT_API
     for name in definetti.__all__:
         assert hasattr(definetti, name), name
+    # README's export sentence names exactly __all__
+    readme = (ROOT / "README.md").read_text()
+    lead = "The package root exports the library API and nothing else: "
+    sentence = re.search(re.escape(lead) + r"(.*?)\.\s", readme, re.S).group(1)
+    assert sorted(re.findall(r"`([^`]+)`", sentence)) == sorted(definetti.__all__)
+    # the dense types left the root, not the package: the traced dense functions take them
+    assert hasattr(linalg, "PureState") and hasattr(linalg, "Operator")
 
 
 def test_readme_library_example_passes():
@@ -65,6 +74,27 @@ def test_readme_verify_example_prints_its_rows(capsys):
     assert got == want
 
 
+def test_readme_command_lines_run(monkeypatch, tmp_path):
+    # every `definetti ...` line of README's fenced blocks, continuations joined, `$ ` dropped
+    readme = (ROOT / "README.md").read_text()
+    lines = []
+    for block in re.findall(r"^```[a-z]*\n(.*?)^```", readme, re.S | re.M):
+        for line in block.replace("\\\n", " ").splitlines():
+            line = line.removeprefix("$ ").strip()
+            if line.startswith("definetti "):
+                lines.append(line)
+    assert [line.split()[1] for line in lines] == ["verify"] * 3 + ["sweep", "check-props"]
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert cli.main(shlex.split(line)[1:]) == 0, line
+    # the sweep's report is sorted by (n, k, r), as README says, and its JSON mirror holds its rows
+    csv_text = (tmp_path / "sweep.csv").read_text()
+    rows = list(csv.DictReader(csv_text.splitlines()))
+    keys = [(int(row["n"]), int(row["k"]), int(row["r"])) for row in rows]
+    assert len(keys) == 5 and keys == sorted(keys)
+    assert cli.rows_to_csv_text(json.loads((tmp_path / "sweep.json").read_text())) == csv_text
+
+
 def test_readme_flags_table_lists_cli_flags():
     # README's Flags table names exactly the flags of cli.FLAGS, the one list the parser reads
     readme = (ROOT / "README.md").read_text()
@@ -85,7 +115,8 @@ MOVED = {
     "cli": ("_gentle_suite", "check_gentle", "Operator", "np", "ReportRow"),
     "haar": ("pure_power_moment", "haar_state"),
     "linalg": ("tensor", "min_eigenvalue", "kron_power"),
-    "symmetric": ("dicke_isometry", "permutation_operator", "_site_strings", "DickeIsometry"),
+    "symmetric": ("dicke_isometry", "permutation_operator", "_site_strings", "DickeIsometry",
+                  "_dicke_coefficients"),
     "hamming": ("hamming_distance", "tail_function", "DISTANCE_TOL", "_TRACE_ATOL",
                 "tail_function_grid", "WeightProjectorFamily"),
 }
@@ -97,6 +128,9 @@ def test_test_only_names_left_the_package():
         for name in names:
             assert not hasattr(loaded, name), f"definetti.{module}.{name}"
     assert not hasattr(hamming, "WeightProjectorFamily")
+    # Dicke coefficients are the one state format: the dense conversions are test oracles
+    for name in ("from_dense", "pure"):
+        assert not hasattr(SymmetricState, name), f"SymmetricState.{name}"
 
 
 def test_every_traced_name_resolves(monkeypatch):
@@ -113,7 +147,7 @@ def test_every_traced_name_resolves(monkeypatch):
 def identity_cases():
     """(record, copy, whether they are equal): the four array-holding types compare by identity."""
     rho = definetti.ghz_state(2, 2)
-    dense = rho.pure()
+    dense = dense_pure(rho)
     rule = definetti.exact_qubit_rule(2)
     inst = definetti.Instance(d=2, n=1, k=1, rho=rho)
     return {
